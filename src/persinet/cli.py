@@ -17,7 +17,7 @@ import sys
 
 from . import corpus, fairness, lts as lts_mod, net as net_mod, patterns, sequences
 from . import textio, theorems
-from .errors import InputError, PersinetError
+from .errors import InputError, PersinetError, ResourceExceededError
 
 DUMP_HEADER = {"format": "persinet-report", "version": 1}
 
@@ -191,7 +191,11 @@ def cmd_pattern(args):
     else:
         raise InputError("give --name or --file")
     if graph is None:
-        graph, _ = lts_mod.build_rg(net)
+        graph, bound = lts_mod.build_rg(net)
+        if bound.status != "bounded":
+            raise ResourceExceededError(
+                f"reachability graph exceeded {bound.cutoff} states; "
+                "a truncated graph gives no verdict")
     emb = patterns.find_embedding(pattern, graph)
     if emb is None:
         print("embedding: none")

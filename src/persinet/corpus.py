@@ -674,6 +674,9 @@ def _run_claim(entry: CorpusEntry, claim: dict) -> ClaimResult:
     if kind in ("rg", "deadlocks", "net_persistent", "place_bound",
                 "isomorphic_rg_lts", "rg_isomorphic_to", "embeds"):
         rg, report = build_rg(net)
+        reads_rg = not (kind == "embeds" and claim["in"] == "lts")
+        if reads_rg and report.status != "bounded":
+            return res(False, f"reachability graph cut off at {report.cutoff} states")
         if kind == "rg":
             checks = []
             for key, actual in (("states", report.state_count),
@@ -702,7 +705,10 @@ def _run_claim(entry: CorpusEntry, claim: dict) -> ClaimResult:
             verdict = isomorphic(rg, entry.lts)
             return res(verdict.isomorphic, f"mismatch: {verdict.mismatch}")
         if kind == "rg_isomorphic_to":
-            other_rg, _ = build_rg(corpus_load(claim["other"]).net)
+            other_rg, other_report = build_rg(corpus_load(claim["other"]).net)
+            if other_report.status != "bounded":
+                return res(False, f"reachability graph of {claim['other']} cut off "
+                                  f"at {other_report.cutoff} states")
             verdict = isomorphic(rg, other_rg)
             return res(verdict.isomorphic, f"mismatch: {verdict.mismatch}")
         if kind == "embeds":

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter, sub
 from typing import Optional
 
 from .errors import InputError, UnknownIdError, UnsupportedClassError
@@ -41,20 +42,21 @@ class Lts:
         if initial not in state_set:
             raise UnknownIdError(f"lts '{name}': initial state '{initial}' not declared")
         edges = tuple(edges)
-        seen = set()
-        for s, a, s2 in edges:
-            if s not in state_set or s2 not in state_set:
-                raise UnknownIdError(f"lts '{name}': edge ({s},{a},{s2}) uses unknown state")
-            if a not in label_set:
-                raise UnknownIdError(f"lts '{name}': edge ({s},{a},{s2}) uses unknown label")
-            if (s, a, s2) in seen:
-                raise InputError(f"lts '{name}': duplicate edge ({s},{a},{s2})")
-            seen.add((s, a, s2))
+        if not _edges_valid(edges, state_set, label_set):
+            # name the first offending edge
+            seen = set()
+            for s, a, s2 in edges:
+                if s not in state_set or s2 not in state_set:
+                    raise UnknownIdError(f"lts '{name}': edge ({s},{a},{s2}) uses unknown state")
+                if a not in label_set:
+                    raise UnknownIdError(f"lts '{name}': edge ({s},{a},{s2}) uses unknown label")
+                if (s, a, s2) in seen:
+                    raise InputError(f"lts '{name}': duplicate edge ({s},{a},{s2})")
+                seen.add((s, a, s2))
         if payload is not None:
             if set(payload) != state_set:
                 raise InputError(f"lts '{name}': payload must cover exactly the states")
-            values = list(payload.values())
-            if len(set(values)) != len(values):
+            if len(set(payload.values())) != len(payload):
                 raise InputError(f"lts '{name}': state payloads must be injective")
 
         self.name = name
@@ -65,10 +67,12 @@ class Lts:
         self.payload = dict(payload) if payload is not None else None
 
         self._succ = {s: {} for s in states}
-        self._pred = {s: {} for s in states}
         for s, a, s2 in edges:
             self._succ[s].setdefault(a, []).append(s2)
-            self._pred[s2].setdefault(a, []).append(s)
+        self._pred = None
+        self._deterministic = None
+        self._next = None
+        self._of_payload = None
 
     def enabled_labels(self, s):
         """Labels with an outgoing edge at s, in label declaration order."""
@@ -77,6 +81,18 @@ class Lts:
 
     def successors(self, s, a):
         return tuple(self._succ[s].get(a, ()))
+
+    def predecessors(self, s, a):
+        return tuple(self._pred_map()[s].get(a, ()))
+
+    def _pred_map(self) -> dict:
+        """{state: {label: [sources]}}, built on first use."""
+        if self._pred is None:
+            pred = {s: {} for s in self.states}
+            for s, a, s2 in self.edges:
+                pred[s2].setdefault(a, []).append(s)
+            self._pred = pred
+        return self._pred
 
     def succ(self, s, a) -> Optional[str]:
         """Unique successor under a, or None; raises if nondeterministic."""
@@ -88,14 +104,24 @@ class Lts:
                 f"lts '{self.name}' is nondeterministic at ({s},{a})")
         return tgts[0]
 
+    def next_states(self) -> dict:
+        """The deterministic next-state map {state: {label: target}}, each
+        inner dict in label declaration order.  A row is built on its first
+        lookup and kept; building one raises UnsupportedClassError if the
+        state has two same-labelled outgoing edges."""
+        if self._next is None:
+            self._next = _NextStates(self.name, self.labels, self._succ)
+        return self._next
+
     def is_label_deterministic(self) -> bool:
         """No state has two same-labelled outgoing or incoming edges."""
-        for adj in (self._succ, self._pred):
-            for per_label in adj.values():
-                for tgts in per_label.values():
-                    if len(tgts) > 1:
-                        return False
-        return True
+        if self._deterministic is None:
+            # (state, label) keys of the successor lists number |E| exactly
+            # when every list holds one target
+            n = len(self.edges)
+            self._deterministic = (sum(map(len, self._succ.values())) == n
+                                   and len(set(map(itemgetter(2, 1), self.edges))) == n)
+        return self._deterministic
 
     def deadlocks(self):
         return tuple(s for s in self.states if not self._succ[s])
@@ -103,10 +129,12 @@ class Lts:
     def state_of_payload(self, value):
         if self.payload is None:
             raise InputError(f"lts '{self.name}' carries no payload")
-        for s, v in self.payload.items():
-            if v == value:
-                return s
-        raise UnknownIdError(f"no state carries payload {value!r}")
+        if self._of_payload is None:
+            self._of_payload = {v: s for s, v in self.payload.items()}
+        try:
+            return self._of_payload[value]
+        except (KeyError, TypeError):
+            raise UnknownIdError(f"no state carries payload {value!r}") from None
 
     def __repr__(self):
         return f"Lts({self.name!r}, |S|={len(self.states)}, |E|={len(self.edges)})"
@@ -120,6 +148,43 @@ class Lts:
                 and self.initial == other.initial)
 
     __hash__ = None
+
+
+class _NextStates(dict):
+    """Rows of Lts.next_states, each built on its first lookup.  Holds the
+    adjacency, not the Lts, so that no reference cycle delays freeing it."""
+
+    def __init__(self, name, labels, succ):
+        super().__init__()
+        self._name = name
+        self._rank = {a: i for i, a in enumerate(labels)}.__getitem__
+        self._succ = succ
+
+    def __missing__(self, s):
+        out = self._succ[s]
+        row = {}
+        for a in sorted(out, key=self._rank):
+            tgts = out[a]
+            if len(tgts) > 1:
+                raise UnsupportedClassError(
+                    f"lts '{self._name}' is nondeterministic at ({s},{a})")
+            row[a] = tgts[0]
+        self[s] = row
+        return row
+
+
+def _edges_valid(edges, state_set, label_set) -> bool:
+    """Set-level check: no duplicate edge and only declared ids."""
+    if not edges:
+        return True
+    try:
+        if len(set(edges)) != len(edges):
+            return False
+        sources, labels, targets = zip(*edges)
+    except (TypeError, ValueError):
+        return False
+    return (state_set.issuperset(sources) and state_set.issuperset(targets)
+            and label_set.issuperset(labels))
 
 
 @dataclass
@@ -202,6 +267,10 @@ def build_rg(net: Net, max_states: Optional[int] = None):
         initial=names[0],
         payload={names[i]: order[i] for i in range(len(order))},
     )
+    # firing is a function of the marking, and a marking is the unique
+    # predecessor of its successor under t (M = M' - C[t]); markings name
+    # the states, so the graph is label-deterministic both ways
+    lts._deterministic = True
     if truncated:
         report = BoundReport(
             status="cutoff-reached", k_bound=max(place_bounds),
@@ -254,7 +323,7 @@ def _parikh_spot_check(lts: Lts, depth: int = 3) -> bool:
         for _ in range(depth):
             nxt = {}
             for s, keys in frontier.items():
-                for a, srcs in lts._pred[s].items():
+                for a, srcs in lts._pred_map()[s].items():
                     for s0 in srcs:
                         for key in keys:
                             k2 = tuple(sorted((*key, a)))
@@ -268,13 +337,46 @@ def _parikh_spot_check(lts: Lts, depth: int = 3) -> bool:
     return True
 
 
+def _state_equation_certificate(lts: Lts) -> bool:
+    """True when the payloads are int tuples of one length and every label
+    moves them by one fixed displacement vector.
+
+    Then the payload at the end of a path is the payload at its start plus
+    the displacements weighted by the path's Parikh vector (the state
+    equation M = M0 + C*Parikh(sigma)), and since payloads are injective,
+    two paths with one Parikh vector from one state, or into one state,
+    end at one state at every depth.
+    """
+    payload = lts.payload
+    if payload is None:
+        return False
+    width = None
+    for v in payload.values():
+        if type(v) is not tuple or not all(type(x) is int for x in v):
+            return False
+        if width is None:
+            width = len(v)
+        elif len(v) != width:
+            return False
+    delta = {}
+    for s, a, s2 in lts.edges:
+        d = tuple(map(sub, payload[s2], payload[s]))
+        if delta.setdefault(a, d) != d:
+            return False
+    return True
+
+
 def lts_properties(lts: Lts, spot_depth: int = 3) -> LtsReport:
     """Finiteness, total reachability, determinism and deadlocks.
 
     Determinism combines per-state label functionality (successor and
-    predecessor form) with a bounded Parikh-path spot check; deciding the
-    full Parikh formulation on arbitrary LTS would be exhaustive, and
-    reachability graphs satisfy it whenever the structural check passes.
+    predecessor form) with the Parikh formulation: same-Parikh paths from
+    one state, or into one state, end at one state.  On an LTS whose
+    payloads are int vectors that every label shifts by one fixed
+    displacement (reachability graphs: the state equation) that holds at
+    every depth and is certified in one pass over the edges.  Any other LTS
+    falls back to a spot check of paths up to spot_depth, since deciding
+    the full Parikh formulation on arbitrary LTS would be exhaustive.
     """
     seen = {lts.initial}
     queue = deque([lts.initial])
@@ -286,7 +388,8 @@ def lts_properties(lts: Lts, spot_depth: int = 3) -> LtsReport:
                     seen.add(s2)
                     queue.append(s2)
     totally = len(seen) == len(lts.states)
-    deterministic = lts.is_label_deterministic() and _parikh_spot_check(lts, spot_depth)
+    deterministic = lts.is_label_deterministic() and (
+        _state_equation_certificate(lts) or _parikh_spot_check(lts, spot_depth))
     return LtsReport(
         finite=True, totally_reachable=totally, deterministic=deterministic,
         deadlocks=lts.deadlocks())
@@ -311,22 +414,21 @@ def persistence_check(lts: Lts) -> PersistenceVerdict:
     if not lts.is_label_deterministic():
         raise UnsupportedClassError(
             f"persistence check needs a deterministic LTS, '{lts.name}' is not")
+    nxt = lts.next_states()
     for s in lts.states:
-        en = lts.enabled_labels(s)
-        for t in en:
-            after_t = lts.succ(s, t)
-            for u in en:
-                if u == t:
-                    continue
-                if lts.succ(after_t, u) is None:
+        out = nxt[s]
+        if len(out) < 2:
+            continue
+        for t, after_t in out.items():
+            after = nxt[after_t]
+            for u in out:
+                if u != t and u not in after:
                     return PersistenceVerdict(False, (s, t, u))
-        for t in en:
-            for u in en:
-                if u <= t:
-                    continue
-                r1 = lts.succ(lts.succ(s, t), u)
-                r2 = lts.succ(lts.succ(s, u), t)
-                if r1 != r2:
+        pairs = sorted(out.items())
+        for i, (t, after_t) in enumerate(pairs):
+            after = nxt[after_t]
+            for u, after_u in pairs[i + 1:]:
+                if after[u] != nxt[after_u][t]:
                     raise UnsupportedClassError(
                         f"lts '{lts.name}' closes a diamond at {s} on two different "
                         f"states; it cannot be a reachability graph")
@@ -361,17 +463,18 @@ def isomorphic(l1: Lts, l2: Lts) -> IsoVerdict:
     if len(l1.states) != len(l2.states):
         return IsoVerdict(False, mismatch=(None, "state counts differ"))
 
+    nxt1, nxt2 = l1.next_states(), l2.next_states()
     fwd = {l1.initial: l2.initial}
     bwd = {l2.initial: l1.initial}
     queue = deque([(l1.initial, l2.initial)])
     while queue:
         s1, s2 = queue.popleft()
-        en1, en2 = set(l1.enabled_labels(s1)), set(l2.enabled_labels(s2))
-        if en1 != en2:
-            diff = sorted(en1 ^ en2)[0]
+        out1, out2 = nxt1[s1], nxt2[s2]
+        if out1.keys() != out2.keys():
+            diff = sorted(out1.keys() ^ out2.keys())[0]
             return IsoVerdict(False, mismatch=(s1, diff))
-        for a in sorted(en1):
-            t1, t2 = l1.succ(s1, a), l2.succ(s2, a)
+        for a in sorted(out1):
+            t1, t2 = out1[a], out2[a]
             if t1 in fwd:
                 if fwd[t1] != t2:
                     return IsoVerdict(False, mismatch=(s1, a))

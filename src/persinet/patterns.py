@@ -156,12 +156,35 @@ def _injective_label_maps(pattern, lts):
     yield from assign(0, frozenset(), {})
 
 
+def _candidate_plan(pattern, state_order):
+    """For each state of the search order, where its candidates come from.
+
+    ("succ", p, a): targets of the arc p -a-> s from an earlier state p;
+    ("pred", q, a): sources of the arc s -a-> q into an earlier state q;
+    ("enab", a): states enabling the label of an arc leaving s;
+    ("all",): every state.  Each is a superset of the states that can
+    complete an embedding, so the search visits the same solutions.
+    """
+    plan = []
+    for i, s in enumerate(state_order):
+        earlier = set(state_order[:i])
+        step = next((("succ", p, a) for p, a, q in pattern.arcs
+                     if q == s and p in earlier), None)
+        step = step or next((("pred", q, a) for p, a, q in pattern.arcs
+                             if p == s and q in earlier), None)
+        step = step or next((("enab", a) for p, a, _ in pattern.arcs if p == s), None)
+        plan.append(step or ("all",))
+    return plan
+
+
 def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
     """Complete backtracking search for an embedding; None if there is none.
 
     Labels are assigned before states; states are ordered most-constrained
     first (by how many arcs and exclusions mention them) with declaration
-    order as the tie-break, so the returned embedding is canonical.
+    order as the tie-break, so the returned embedding is canonical.  Each
+    state's candidates come from the adjacency of the states already
+    placed (see _candidate_plan) and are tried in LTS state order.
     """
     weight = {s: 0 for s in pattern.states}
     for s, _, s2 in pattern.arcs:
@@ -171,6 +194,24 @@ def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
         weight[s] += 1
     decl = {s: i for i, s in enumerate(pattern.states)}
     state_order = sorted(pattern.states, key=lambda s: (-weight[s], decl[s]))
+    plan = _candidate_plan(pattern, state_order)
+    position = {s: i for i, s in enumerate(lts.states)}.__getitem__
+    enablers: dict = {}
+
+    def candidates(step, state_map, label_map):
+        kind = step[0]
+        if kind == "succ":
+            return sorted(lts.successors(state_map[step[1]], label_map[step[2]]),
+                          key=position)
+        if kind == "pred":
+            return sorted(lts.predecessors(state_map[step[1]], label_map[step[2]]),
+                          key=position)
+        if kind == "enab":
+            a = label_map[step[1]]
+            if a not in enablers:
+                enablers[a] = [s for s in lts.states if lts.successors(s, a)]
+            return enablers[a]
+        return lts.states
 
     for label_map in _injective_label_maps(pattern, lts):
         state_map: dict = {}
@@ -189,7 +230,7 @@ def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
             if i == len(state_order):
                 return True
             s = state_order[i]
-            for cand in lts.states:
+            for cand in candidates(plan[i], state_map, label_map):
                 state_map[s] = cand
                 if consistent(s) and assign(i + 1):
                     return True

@@ -149,6 +149,30 @@ def test_resource_exit_code(monkeypatch):
     assert out.returncode == 3
 
 
+def _par_doc(k):
+    """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i: a
+    persistent net with 2^k reachable markings."""
+    lines = [f"net par{k}"]
+    for i in range(k):
+        lines += [f"place p{i} init 1", f"place q{i}", f"trans a{i}", f"trans b{i}",
+                  f"arc p{i} -> a{i}", f"arc a{i} -> q{i}",
+                  f"arc q{i} -> b{i}", f"arc b{i} -> p{i}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_pattern_refuses_truncated_graph(tmp_path):
+    import os
+
+    doc = tmp_path / "par4.net"
+    doc.write_text(_par_doc(4))
+    out = run("pattern", str(doc), "--name", "nonpers")
+    assert out.returncode == 0 and "embedding: none" in out.stdout
+    env = dict(os.environ, PERSINET_MAX_STATES="5")
+    out = run("pattern", str(doc), "--name", "nonpers", env=env)
+    assert out.returncode == 3
+    assert "consequence" not in out.stdout
+
+
 def test_dump_is_versioned(tmp_path):
     dump = tmp_path / "r.json"
     out = run("classify", "fig1_basic", "--dump", str(dump))

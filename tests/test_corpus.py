@@ -1,6 +1,7 @@
 import pytest
 
 from persinet import UnknownIdError, corpus_load, corpus_names, verify_corpus
+from persinet.corpus import verify_entry
 
 
 def test_names_cover_the_figures():
@@ -43,3 +44,14 @@ def test_every_manifest_claim_passes():
     failures = [r for r in results if not r.ok]
     assert not failures, failures
     assert len(results) > 100
+
+
+def test_truncated_graph_gives_no_verdict(monkeypatch):
+    # fig2_confuse has 3 reachable markings; its companion-LTS claim does
+    # not read the reachability graph and keeps its verdict
+    monkeypatch.setenv("PERSINET_MAX_STATES", "2")
+    results = {r.description: r for r in verify_entry(corpus_load("fig2_confuse"))}
+    for desc in ("rg states=3 edges=3", "net_persistent value=False", "isomorphic_rg_lts"):
+        assert not results[desc].ok
+        assert "cut off at 2 states" in results[desc].detail
+    assert results["embeds pattern=nonpers in=lts found=True"].ok

@@ -2,7 +2,9 @@ import pytest
 
 from persinet import (
     GenConfig,
+    InputError,
     Lts,
+    UnknownIdError,
     UnsupportedClassError,
     build_rg,
     corpus_load,
@@ -12,7 +14,42 @@ from persinet import (
     persistence_check,
     sequence_persistence,
 )
-from persinet.lts import bfs_depths, shortest_path
+from persinet import lts as lts_mod
+from persinet.lts import _parikh_spot_check, bfs_depths, shortest_path
+
+
+def _small_random_rgs(seeds, max_states=100):
+    for s in seeds:
+        net = gen_random_net(GenConfig(seed=s, places=3, transitions=3, token_budget=2))
+        rg, rep = build_rg(net, max_states)
+        if rep.status == "bounded":
+            yield rg
+
+
+class TestLtsConstruction:
+    def test_bad_edges_name_the_first_offender(self):
+        with pytest.raises(UnknownIdError, match=r"\(s,a,z\) uses unknown state"):
+            Lts("x", ["s", "t"], ["a"],
+                [("s", "a", "t"), ("s", "a", "z"), ("t", "b", "s")], "s")
+        with pytest.raises(UnknownIdError, match=r"\(t,b,s\) uses unknown label"):
+            Lts("x", ["s", "t"], ["a"], [("s", "a", "t"), ("t", "b", "s")], "s")
+        with pytest.raises(InputError, match=r"duplicate edge \(s,a,t\)"):
+            Lts("x", ["s", "t"], ["a"],
+                [("s", "a", "t"), ("t", "a", "s"), ("s", "a", "t")], "s")
+        with pytest.raises(InputError, match="injective"):
+            Lts("x", ["s", "t"], ["a"], [("s", "a", "t")], "s",
+                payload={"s": (1,), "t": (1,)})
+
+    def test_state_of_payload(self, fig1):
+        rg, _ = build_rg(fig1)
+        for s in rg.states:
+            assert rg.state_of_payload(rg.payload[s]) == s
+        with pytest.raises(UnknownIdError):
+            rg.state_of_payload((9, 9, 9, 9, 9))
+        with pytest.raises(UnknownIdError):
+            rg.state_of_payload([1, 1, 0, 1, 0])
+        with pytest.raises(InputError):
+            Lts("one", ["s"], [], [], "s").state_of_payload((0,))
 
 
 class TestBuildRg:
@@ -95,6 +132,48 @@ class TestProperties:
                       ("x", "b", "p"), ("y", "a", "q")], "s")
         assert not lts_properties(tricky).deterministic
 
+    def test_certificate_rejects_unexplained_payloads(self):
+        # injective payloads, but a moves y to q by (2, 1) and s to x by
+        # (1, 0), so the state equation does not hold and the spot check
+        # decides
+        tricky = Lts("tricky", ["s", "x", "y", "p", "q"], ["a", "b"],
+                     [("s", "a", "x"), ("s", "b", "y"),
+                      ("x", "b", "p"), ("y", "a", "q")], "s",
+                     payload={"s": (0, 0), "x": (1, 0), "y": (0, 1),
+                              "p": (1, 1), "q": (2, 2)})
+        assert not lts_mod._state_equation_certificate(tricky)
+        assert not lts_properties(tricky).deterministic
+
+    @pytest.mark.parametrize("payload", [
+        {"s0": (0,), "s1": (1,), "s2": (3,)},   # a moves by 1, then by 2
+        {"s0": "x", "s1": "y", "s2": "z"},      # not int vectors
+        None,
+    ])
+    def test_uncertified_falls_back_to_spot_check(self, monkeypatch, payload):
+        chain = Lts("chain", ["s0", "s1", "s2"], ["a"],
+                    [("s0", "a", "s1"), ("s1", "a", "s2")], "s0", payload=payload)
+        calls = []
+
+        def spy(lts, depth=3):
+            calls.append(lts.name)
+            return _parikh_spot_check(lts, depth)
+
+        monkeypatch.setattr(lts_mod, "_parikh_spot_check", spy)
+        assert lts_properties(chain).deterministic
+        assert calls == ["chain"]
+
+    def test_certificate_skips_spot_check_on_rgs(self, monkeypatch, fig1):
+        rg, _ = build_rg(fig1)
+        monkeypatch.setattr(lts_mod, "_parikh_spot_check", None)
+        assert lts_properties(rg).deterministic
+
+    def test_certificate_agrees_with_spot_check(self):
+        graphs = list(_small_random_rgs(range(260)))[:200]
+        assert len(graphs) == 200
+        for rg in graphs:
+            assert lts_properties(rg).deterministic == (
+                rg.is_label_deterministic() and _parikh_spot_check(rg))
+
     def test_random_rgs_deterministic(self):
         for s in range(25):
             net = gen_random_net(GenConfig(seed=s, token_budget=4))
@@ -122,6 +201,14 @@ class TestPersistence:
         assert not verdict.persistent
         s, t, u = verdict.witness
         assert {t, u} == {"a", "b"}
+
+    def test_open_diamond_rejected(self):
+        # label-deterministic, both orders fire, but they end apart
+        tricky = Lts("tricky", ["s", "x", "y", "p", "q"], ["a", "b"],
+                     [("s", "a", "x"), ("s", "b", "y"),
+                      ("x", "b", "p"), ("y", "a", "q")], "s")
+        with pytest.raises(UnsupportedClassError, match="closes a diamond at s"):
+            persistence_check(tricky)
 
     def test_witness_replays(self):
         for s in range(30):
@@ -218,6 +305,40 @@ class TestIsomorphism:
                       [("s", "a", "t"), ("s", "a", "u")], "s")
         with pytest.raises(UnsupportedClassError):
             isomorphic(branchy, branchy)
+
+    def test_against_networkx_matcher(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import DiGraphMatcher
+
+        def digraph(lts):
+            g = nx.DiGraph()
+            for s in lts.states:
+                g.add_node(s, initial=(s == lts.initial))
+            for s, a, t in lts.edges:
+                if g.has_edge(s, t):
+                    g[s][t]["labels"].add(a)
+                else:
+                    g.add_edge(s, t, labels={a})
+            return g
+
+        def oracle(l1, l2):
+            if set(l1.labels) != set(l2.labels):
+                return False
+            return DiGraphMatcher(
+                digraph(l1), digraph(l2),
+                node_match=lambda x, y: x["initial"] == y["initial"],
+                edge_match=lambda x, y: x["labels"] == y["labels"]).is_isomorphic()
+
+        graphs = [g for g in _small_random_rgs(range(60)) if len(g.states) <= 6]
+        assert len(graphs) >= 20
+        for g in graphs:
+            renamed = Lts("renamed", [f"x{s}" for s in reversed(g.states)], g.labels,
+                          [(f"x{s}", a, f"x{t}") for s, a, t in g.edges],
+                          f"x{g.initial}")
+            assert isomorphic(g, renamed).isomorphic and oracle(g, renamed)
+        for g in graphs:
+            for h in graphs:
+                assert isomorphic(g, h).isomorphic == oracle(g, h)
 
     def test_against_bruteforce_on_small_graphs(self):
         # relabelled copies must be isomorphic, and the synchronized

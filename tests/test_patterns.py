@@ -38,6 +38,39 @@ class TestBuiltins:
             builtin_pattern("nope")
 
 
+def _canonical_first(pattern, lts):
+    """The first embedding of the brute-force enumeration, in the order
+    find_embedding documents: label maps in canonical order, then the
+    positions in lts.states of the images of the pattern states, taken
+    most-constrained first with declaration order breaking ties."""
+    mentions = {s: 0 for s in pattern.states}
+    for s, _, s2 in pattern.arcs:
+        mentions[s] += 1
+        mentions[s2] += 1
+    for s, _ in pattern.exclusions:
+        mentions[s] += 1
+    order = sorted(pattern.states, key=lambda s: (-mentions[s], pattern.states.index(s)))
+    position = {s: i for i, s in enumerate(lts.states)}
+    label_rank = {}
+    best = None
+    for emb in enumerate_embeddings(pattern, lts):
+        rank = label_rank.setdefault(tuple(emb.label_map.items()), len(label_rank))
+        key = (rank, tuple(position[emb.state_map[s]] for s in order))
+        if best is None or key < best[0]:
+            best = (key, emb)
+    return None if best is None else best[1]
+
+
+def _assert_canonical_first(pattern, lts):
+    fast = find_embedding(pattern, lts)
+    slow = _canonical_first(pattern, lts)
+    if slow is None:
+        assert fast is None, lts.name
+    else:
+        assert fast is not None, lts.name
+        assert (fast.state_map, fast.label_map) == (slow.state_map, slow.label_map), lts.name
+
+
 class TestFindEmbedding:
     def test_into_fig1_rg(self, fig1):
         rg, _ = build_rg(fig1)
@@ -70,18 +103,66 @@ class TestFindEmbedding:
                    validate_embedding(builtin_pattern("nonpers"), rg, fused))
 
     def test_complete_against_bruteforce(self):
-        pattern = builtin_pattern("nonpers")
-        for s in range(40):
+        # the search returns the canonical-first embedding of the brute
+        # force, and None exactly when the brute force finds nothing
+        checked = {"nonpers": 0, "nonDC": 0}
+        for s in range(60):
             net = gen_random_net(GenConfig(seed=s, places=3, transitions=3,
                                            token_budget=2))
             rg, rep = build_rg(net, 500)
             if rep.status != "bounded" or len(rg.states) > 8:
                 continue
-            fast = find_embedding(pattern, rg)
-            slow = enumerate_embeddings(pattern, rg)
-            assert (fast is not None) == bool(slow), net.name
-            if fast is not None:
-                assert not validate_embedding(pattern, rg, fast)
+            _assert_canonical_first(builtin_pattern("nonpers"), rg)
+            checked["nonpers"] += 1
+            # the brute force for seven pattern states is |S|^7 per label map
+            if len(rg.states) <= 3 and checked["nonDC"] < 10:
+                _assert_canonical_first(builtin_pattern("nonDC"), rg)
+                checked["nonDC"] += 1
+        assert checked["nonpers"] >= 30 and checked["nonDC"] == 10
+
+
+class TestCanonicalFirst:
+    def test_random_nondeterministic_ltss(self):
+        # random edge sets over three states embed both patterns in many
+        # ways, with fused states and several candidates per arc
+        import random
+
+        rng = random.Random(5)
+        # searched middle state first, so u is drawn from the predecessors of v
+        twojump = pn.Pattern("twojump", ("u", "v", "w"), ("a",),
+                             (("u", "a", "v"), ("v", "a", "w")), ())
+        patterns = {p.name: p for p in (builtin_pattern("nonpers"),
+                                        builtin_pattern("nonDC"), twojump)}
+        found = dict.fromkeys(patterns, 0)
+        for i in range(25):
+            states, labels = ["s0", "s1", "s2"], ["a", "b"]
+            edges = [(p, a, q) for p in states for a in labels for q in states
+                     if rng.random() < 0.3]
+            lts = pn.Lts(f"r{i}", states, labels, edges, "s0")
+            for name, pattern in patterns.items():
+                _assert_canonical_first(pattern, lts)
+                found[name] += find_embedding(pattern, lts) is not None
+        assert found["nonpers"] >= 5 and found["nonDC"] >= 1 and found["twojump"] >= 5
+
+    def test_corpus_ltss(self):
+        for name in ("fig1_basic", "fig2_confuse", "fig14_counterexample"):
+            _assert_canonical_first(builtin_pattern("nonpers"), corpus_load(name).lts)
+        _assert_canonical_first(builtin_pattern("nonDC"), corpus_load("fig2_confuse").lts)
+
+    def test_nondeterministic_lts(self):
+        # s0 has two a-successors, declared against state order; both
+        # complete nonpers, so the canonical one is the earlier state s1
+        lts = pn.Lts("nd", ["s0", "s1", "s2", "s3"], ["a", "b"],
+                     [("s0", "a", "s2"), ("s0", "a", "s1"), ("s0", "b", "s3")], "s0")
+        emb = find_embedding(builtin_pattern("nonpers"), lts)
+        assert emb.state_map == {"1": "s0", "2": "s1", "3": "s3"}
+        _assert_canonical_first(builtin_pattern("nonpers"), lts)
+        # nonDC with fused states: s0 chooses, s1 and s2 continue one leg each
+        lts = pn.Lts("fused", ["s0", "s1", "s2"], ["a", "b"],
+                     [("s0", "b", "s2"), ("s0", "a", "s1"), ("s1", "a", "s1"),
+                      ("s2", "b", "s2"), ("s2", "b", "s1")], "s0")
+        assert find_embedding(builtin_pattern("nonDC"), lts) is not None
+        _assert_canonical_first(builtin_pattern("nonDC"), lts)
 
 
 class TestRecognize:
