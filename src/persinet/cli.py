@@ -280,14 +280,36 @@ def cmd_verify_corpus(args):
         sys.exit(4)
 
 
+def _gen_config(path):
+    """The GenConfig a JSON object file describes; anything else is bad input."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"config '{path}' is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError(f"config '{path}' must hold a JSON object")
+    unknown = sorted(doc.keys() - {f.name for f in dataclasses.fields(theorems.GenConfig)})
+    if unknown:
+        raise InputError(f"config '{path}': unknown keys {unknown}")
+    try:
+        return theorems.GenConfig(**doc)
+    except TypeError as exc:
+        raise InputError(f"config '{path}': {exc}") from None
+
+
+def _seed_range(text):
+    lo, _, hi = text.partition("..")
+    try:
+        return range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise InputError(f"--seeds wants LO..HI, got '{text}'") from None
+
+
 def cmd_explore(args):
-    if args.config:
-        with open(args.config) as fh:
-            cfg = theorems.GenConfig(**json.load(fh))
-    else:
-        cfg = theorems.GenConfig()
-    lo, hi = (int(x) for x in args.seeds.split("..", 1))
-    report = theorems.run_theorem_suite(args.theorem, cfg, range(lo, hi + 1))
+    cfg = _gen_config(args.config) if args.config else theorems.GenConfig()
+    seeds = _seed_range(args.seeds)
+    report = theorems.run_theorem_suite(args.theorem, cfg, seeds)
     print(f"theorem: {report.theorem}")
     print(f"instances: {report.instances}")
     print(f"confirmations: {report.confirmations}")

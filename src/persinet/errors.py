@@ -8,6 +8,8 @@ The classes double as the CLI's exit-code contract:
     4  an internal invariant broke (always a bug, never bad input)
 """
 
+import os
+
 
 class PersinetError(Exception):
     """Base class for all toolkit errors."""
@@ -75,3 +77,15 @@ class InvariantError(PersinetError):
     """An internal invariant failed; indicates a bug, not bad input."""
 
     exit_code = 4
+
+
+def env_int(name: str, default: int) -> int:
+    """An integer setting read from the environment variable name; a value
+    that is not an integer is bad input."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"{name} must be an integer, got {raw!r}") from None

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .errors import InputError, UnsupportedClassError
+from .errors import InputError, ResourceExceededError, UnsupportedClassError
 from .net import (
     Marking,
     Net,
@@ -24,7 +24,6 @@ from .net import (
     concurrently_enables,
     enabled,
     enabled_transitions,
-    fire,
     fire_sequence,
 )
 from . import sequences
@@ -77,16 +76,6 @@ def validate_lasso(net: Net, lasso: Lasso) -> Marking:
             f"cycle '{' '.join(lasso.cycle)}' leads from {entry} to {back}, "
             f"not back to its entry marking")
     return entry
-
-
-def _cycle_markings(net, entry, cycle):
-    """Source markings of the cycle steps: entry, after c1, ..."""
-    marks = [entry]
-    cur = entry
-    for t in cycle[:-1]:
-        cur = fire(net, cur, t)
-        marks.append(cur)
-    return marks
 
 
 # neglect diagnosis tags, one per transition, ordered by severity
@@ -142,7 +131,7 @@ def fairness_classify(net: Net, run: Run,
             maximal=maximal)
 
     entry = validate_lasso(net, run)
-    marks = _cycle_markings(net, entry, run.cycle)
+    marks = sequences._markings_along(net, entry, run.cycle[:-1])  # cycle step sources
     cycle_letters = set(run.cycle)
     plain = classify_structure(net).plain
 
@@ -205,26 +194,12 @@ def _prefix_match_search(net, m0, word, want_prefix, guard):
     """Is some permutation-equivalent rearrangement of word starting with
     want_prefix reachable by firable adjacent swaps?  None means the class
     guard was hit before the search settled."""
-    from collections import deque
-
     want = tuple(want_prefix)
-    if tuple(word[:len(want)]) == want:
-        return True
-    seen = {tuple(word)}
-    queue = deque([tuple(word)])
-    while queue:
-        w = queue.popleft()
-        marks = sequences._markings_along(net, m0, w)
-        for w2 in sequences._swap_neighbours(net, m0, w, marks):
-            if w2 in seen:
-                continue
-            if w2[:len(want)] == want:
-                return True
-            seen.add(w2)
-            if len(seen) > guard:
-                return None
-            queue.append(w2)
-    return False
+    try:
+        return any(w[:len(want)] == want
+                   for w in sequences._class_bfs(net, m0, tuple(word), guard))
+    except ResourceExceededError:
+        return None
 
 
 def lasso_equiv_at_depth(net: Net, l1: Lasso, l2: Lasso, depth: int,
@@ -278,41 +253,13 @@ class LassoSearchResult:
         return self.status == "found"
 
 
-def _enumerate_firable(net, m0, max_len):
-    """All firable words up to max_len, lexicographic within each length."""
-    frontier = [((), m0)]
-    yield (), m0
-    for _ in range(max_len):
-        nxt = []
-        for word, m in frontier:
-            for t in enabled_transitions(net, m):
-                m2 = fire(net, m, t)
-                yield word + (t,), m2
-                nxt.append((word + (t,), m2))
-        frontier = nxt
-
-
 def _cycles_with_parikh(net, entry, budget):
     """Firable words from entry with exactly the budget Parikh vector that
-    return to entry, in canonical order."""
-    total = sum(budget.values())
-    word, found = [], []
-
-    def step(m, remaining):
-        if len(word) == total:
-            if m == entry:
-                found.append(tuple(word))
-            return
-        for t in net.transitions:
-            if remaining.get(t, 0) and enabled(net, m, t):
-                remaining[t] -= 1
-                word.append(t)
-                step(fire(net, m, t), remaining)
-                word.pop()
-                remaining[t] += 1
-
-    step(entry, dict(budget))
-    return found
+    return to entry, in canonical order.  By the state equation all words
+    with one Parikh vector from one marking end at one marking, so either
+    every realisation returns to entry or none does."""
+    found = list(sequences._realisations(net, entry, budget))
+    return found if found and fire_sequence(net, entry, found[0]) == entry else []
 
 
 def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
@@ -334,7 +281,7 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
 
     support, finite_counts = infinite_parikh_signature(lasso)
     base = parikh(lasso.cycle)
-    for prefix, entry in _enumerate_firable(net, net.initial, max_prefix):
+    for prefix, entry, _ in sequences._firable_words(net, net.initial, max_prefix):
         pref_par = parikh(prefix)
         if any(pref_par.get(t, 0) != n for t, n in finite_counts.items()):
             continue

@@ -9,18 +9,17 @@ symmetry reduction, which keeps every witness literal and replayable.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter, sub
 from typing import Optional
 
-from .errors import InputError, UnknownIdError, UnsupportedClassError
-from .net import Net
+from .errors import InputError, UnknownIdError, UnsupportedClassError, env_int
+from .net import Net, _enabled_i, _fire_i
 
 
 def default_max_states() -> int:
-    return int(os.environ.get("PERSINET_MAX_STATES", 100000))
+    return env_int("PERSINET_MAX_STATES", 100000)
 
 
 class Lts:
@@ -220,10 +219,6 @@ def build_rg(net: Net, max_states: Optional[int] = None):
     if cutoff < 1:
         raise InputError("max_states must be >= 1")
 
-    pre = net._pre
-    post = net._post
-    nt = len(net.transitions)
-
     index = {net.initial: 0}
     order = [net.initial]
     edges = []
@@ -232,20 +227,8 @@ def build_rg(net: Net, max_states: Optional[int] = None):
     truncated = False
     while queue:
         m = queue.popleft()
-        for ti in range(nt):
-            ok = True
-            for pi, w in pre[ti].items():
-                if m[pi] < w:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            out = list(m)
-            for pi, w in pre[ti].items():
-                out[pi] -= w
-            for pi, w in post[ti].items():
-                out[pi] += w
-            m2 = tuple(out)
+        for ti in _enabled_i(net, m):
+            m2 = _fire_i(net, m, ti)
             if m2 not in index:
                 if len(order) >= cutoff:
                     truncated = True

@@ -72,6 +72,10 @@ class Net:
             if key in tgt:
                 raise InputError(f"net '{name}': duplicate arc {src} -> {dst}")
             tgt[key] = w
+        # the same weights as (place index, weight) pairs, which the firing
+        # primitives iterate faster than dicts
+        self._inputs = tuple(tuple(pre.items()) for pre in self._pre)
+        self._outputs = tuple(tuple(post.items()) for post in self._post)
 
         marking = dict(marking or {})
         for p in marking:
@@ -181,16 +185,54 @@ class Net:
 
 
 # -- firing rule --------------------------------------------------------------
+#
+# The index-level primitives validate nothing: the searches validate their
+# input once and then call them at every node.  The public string-keyed
+# functions validate, then call them.
+
+def _enabled_i(net: Net, m: Marking, among=None) -> list:
+    """Indices of the transitions enabled at m, in declaration order.
+
+    among, an increasing sequence of indices, restricts the test to them.
+    """
+    inputs = net._inputs
+    out = []
+    for ti in range(len(inputs)) if among is None else among:
+        for pi, w in inputs[ti]:
+            if m[pi] < w:
+                break
+        else:
+            out.append(ti)
+    return out
+
+
+def _fire_i(net: Net, m: Marking, ti: int) -> Optional[Marking]:
+    """The marking after firing transition index ti at m, or None when m
+    does not enable ti."""
+    out = list(m)
+    for pi, w in net._inputs[ti]:
+        if m[pi] < w:
+            return None
+        out[pi] -= w
+    for pi, w in net._outputs[ti]:
+        out[pi] += w
+    return tuple(out)
+
+
+def _disabled_by(net: Net, before, ti: int, m2: Marking) -> Optional[int]:
+    """The persistent-step test.  before are the indices enabled at a marking
+    and m2 the marking after firing ti there; returns the first of them,
+    other than ti, that m2 no longer enables, or None if the step is
+    persistent."""
+    still = _enabled_i(net, m2, before)
+    return next((u for u in before if u != ti and u not in still), None)
+
 
 def enabled(net: Net, m: Marking, t: str) -> bool:
     """True iff every place holds at least the input weight of t."""
     net._check_behavioural()
     net._check_marking(m)
-    ti = net.transition_index(t)
-    for pi, w in net._pre[ti].items():
-        if m[pi] < w:
-            return False
-    return True
+    return bool(_enabled_i(net, m, (net.transition_index(t),)))
 
 
 def deficient_place(net: Net, m: Marking, t: str) -> Optional[str]:
@@ -206,15 +248,10 @@ def fire(net: Net, m: Marking, t: str) -> Marking:
     """Fire t at m; raises NotEnabledError naming the deficient place."""
     net._check_behavioural()
     net._check_marking(m)
-    ti = net.transition_index(t)
-    out = list(m)
-    for pi, w in net._pre[ti].items():
-        if m[pi] < w:
-            raise NotEnabledError(t, place=deficient_place(net, m, t))
-        out[pi] -= w
-    for pi, w in net._post[ti].items():
-        out[pi] += w
-    return tuple(out)
+    m2 = _fire_i(net, m, net.transition_index(t))
+    if m2 is None:
+        raise NotEnabledError(t, place=deficient_place(net, m, t))
+    return m2
 
 
 def fire_sequence(net: Net, m: Marking, seq: Sequence[str]) -> Marking:
@@ -241,7 +278,9 @@ def firable(net: Net, m: Marking, seq: Sequence[str]) -> bool:
 
 def enabled_transitions(net: Net, m: Marking):
     """Transitions enabled at m, in declaration order."""
-    return tuple(t for t in net.transitions if enabled(net, m, t))
+    net._check_behavioural()
+    net._check_marking(m)
+    return tuple(net.transitions[ti] for ti in _enabled_i(net, m))
 
 
 def concurrently_enables(net: Net, m: Marking, t: str, u: str) -> bool:

@@ -22,10 +22,11 @@ from .errors import (
     UnknownIdError,
     UnsupportedClassError,
 )
-from .lts import Lts, bfs_depths, build_rg, shortest_path
-from .net import Net, classify_structure, enabled, enabled_transitions, fire, fire_sequence
+from .lts import Lts, build_rg, persistence_check, shortest_path
+from .net import Net, classify_structure, fire, fire_sequence
 from .sequences import (
     SPE_PARIKH,
+    _realisations,
     parikh,
     spe_check,
     unify_parikh_equivalent,
@@ -296,69 +297,6 @@ class NonDcDerivation:
     via_construction: bool
 
 
-def _nearest_nonpersistent(net, rg):
-    depths = bfs_depths(rg)
-    best = None
-    for s in rg.states:  # state order is BFS discovery order
-        m = rg.payload[s]
-        en = enabled_transitions(net, m)
-        for t in en:
-            m2 = fire(net, m, t)
-            for u in en:
-                if u != t and not enabled(net, m2, u):
-                    cand = (depths[s], s, t, u)
-                    if best is None or cand[0] < best[0]:
-                        best = cand
-                    break
-            else:
-                continue
-            break
-    return best
-
-
-def _persistent_realization_avoiding(net, m0, target, forbidden_last,
-                                     node_budget=None):
-    """Like persistent_parikh_equivalent, but the last letter must avoid the
-    given set; the derivation prefers such routes because a route ending in
-    the opposite conflict leg cannot exclude that leg at its corner.
-
-    node_budget caps the number of search steps; exhausting it raises
-    ResourceExceededError carrying the partial word reached.
-    """
-    budget = {t: n for t, n in dict(target).items() if n > 0}
-    total = sum(budget.values())
-    word: list = []
-    steps = [0]
-
-    def step(m):
-        if len(word) == total:
-            return tuple(word)
-        for t in net.transitions:
-            if not budget.get(t, 0) or not enabled(net, m, t):
-                continue
-            if len(word) == total - 1 and t in forbidden_last:
-                continue
-            steps[0] += 1
-            if node_budget is not None and steps[0] > node_budget:
-                raise ResourceExceededError(
-                    f"route search exhausted its {node_budget}-step budget",
-                    partial={"word": tuple(word), "target": dict(target)})
-            m2 = fire(net, m, t)
-            if any(u != t and enabled(net, m, u) and not enabled(net, m2, u)
-                   for u in enabled_transitions(net, m)):
-                continue
-            budget[t] -= 1
-            word.append(t)
-            hit = step(m2)
-            if hit is not None:
-                return hit
-            budget[t] += 1
-            word.pop()
-        return None
-
-    return step(m0)
-
-
 def derive_nonDC_embedding(net: Net, spe_bound: int = 8,
                            search_bound: int = 200000,
                            max_states: Optional[int] = None) -> NonDcDerivation:
@@ -385,7 +323,9 @@ def derive_nonDC_embedding(net: Net, spe_bound: int = 8,
         raise ResourceExceededError(
             f"reachability graph exceeded {bound_report.cutoff} states")
 
-    spot = _nearest_nonpersistent(net, rg)
+    # the graph is complete and its states are in BFS discovery order, so
+    # the first nonpersistent state is a nearest one
+    spot = persistence_check(rg).witness
     if spot is None:
         raise PreconditionError(f"net '{net.name}' is persistent; nothing to derive")
 
@@ -395,7 +335,7 @@ def derive_nonDC_embedding(net: Net, spe_bound: int = 8,
             "premise failed: no persistent Parikh equivalent for "
             f"{' '.join(verdict.counterexample)}")
 
-    _, state, leg_a, leg_b = spot
+    state, leg_a, leg_b = spot
     M = rg.payload[state]
     delta = shortest_path(rg, state)
     M1 = fire(net, M, leg_a)
@@ -403,11 +343,14 @@ def derive_nonDC_embedding(net: Net, spe_bound: int = 8,
 
     def route(leg):
         target = parikh(delta + (leg,))
-        found = _persistent_realization_avoiding(
-            net, net.initial, target, {leg_a, leg_b}, node_budget=search_bound)
+        # prefer a route whose last letter avoids both legs: a route ending
+        # in the opposite leg cannot exclude that leg at its corner
+        found = next(_realisations(net, net.initial, target, persistent=True,
+                                   forbidden_last={leg_a, leg_b},
+                                   node_budget=search_bound), None)
         if found is None:
-            found = _persistent_realization_avoiding(
-                net, net.initial, target, frozenset(), node_budget=search_bound)
+            found = next(_realisations(net, net.initial, target, persistent=True,
+                                       node_budget=search_bound), None)
         if found is None:
             if len(delta) + 1 > spe_bound:
                 raise ResourceExceededError(

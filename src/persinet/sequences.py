@@ -12,7 +12,6 @@ transition declaration order, so every "first witness" is deterministic.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -24,20 +23,23 @@ from .errors import (
     PreconditionError,
     ResourceExceededError,
     UnsupportedClassError,
+    env_int,
 )
 from .net import (
     Marking,
     Net,
+    _disabled_by,
+    _enabled_i,
+    _fire_i,
     classify_structure,
     enabled,
-    enabled_transitions,
     fire,
     fire_sequence,
 )
 
 
 def default_class_guard() -> int:
-    return int(os.environ.get("PERSINET_CLASS_GUARD", 10 ** 6))
+    return env_int("PERSINET_CLASS_GUARD", 10 ** 6)
 
 
 def parikh(seq: Sequence[str]) -> dict:
@@ -69,26 +71,141 @@ def sequence_persistence(net: Net, m0: Marking, seq: Sequence[str]) -> SeqPersis
     reported transition.  Non-firable input is an input error.
     """
     seq = _word(seq)
+    if seq:
+        net._check_behavioural()
+        net._check_marking(m0)
     cur = m0
     for i, a in enumerate(seq):
-        before = enabled_transitions(net, cur)
-        if a not in before:
+        before = _enabled_i(net, cur)
+        ai = net._tidx.get(a)
+        if ai not in before:
             raise NotEnabledError(a, index=i)
-        cur = fire(net, cur, a)
-        for t in before:
-            if t != a and not enabled(net, cur, t):
-                return SeqPersistenceVerdict(False, failing_index=i, disabled_transition=t)
+        cur = _fire_i(net, cur, ai)
+        u = _disabled_by(net, before, ai, cur)
+        if u is not None:
+            return SeqPersistenceVerdict(False, failing_index=i,
+                                         disabled_transition=net.transitions[u])
     return SeqPersistenceVerdict(True)
 
 
 def _markings_along(net, m0, seq):
-    """Markings m_0 .. m_n visited by seq (length |seq|+1)."""
+    """Markings m_0 .. m_n visited by the firable word seq (length |seq|+1)."""
     out = [m0]
     cur = m0
     for t in seq:
-        cur = fire(net, cur, t)
+        cur = _fire_i(net, cur, net._tidx[t])
         out.append(cur)
     return out
+
+
+# -- the search kernels ----------------------------------------------------------
+#
+# Every exhaustive search of the package is one of three: the realisations of
+# a Parikh vector, the firable words up to a length, and the members of a
+# permutation class.  Each runs on the index-level firing rule and yields in
+# canonical order, so a caller's "first" answer is the first one yielded.
+
+def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
+                  node_budget=None):
+    """Firable words from m0 with Parikh vector target, lexicographic.
+
+    persistent keeps the words whose every step is persistent, pruning a
+    prefix at its first nonpersistent step (every prefix of a persistent
+    word is persistent).  No word ends in a letter of forbidden_last.
+    node_budget caps the steps tried; exhausting it raises
+    ResourceExceededError carrying the partial word reached.  The search
+    is an explicit-stack depth-first search, so word length is unbounded.
+    """
+    net._check_behavioural()
+    net._check_marking(m0)
+    names = net.transitions
+    left = [0] * len(names)
+    for t, n in dict(target).items():
+        if n > 0:
+            if t not in net._tidx:
+                return  # no word uses a letter the net lacks
+            left[net._tidx[t]] = n
+    total = sum(left)
+    if total == 0:
+        yield ()
+        return
+    forbidden = {net._tidx[t] for t in forbidden_last if t in net._tidx}
+    steps = 0
+    word = []
+    first = _enabled_i(net, m0)
+    stack = [(m0, first, iter(first))]  # per prefix: marking, enabled, untried
+    while stack:
+        m, before, untried = stack[-1]
+        ti = next(untried, None)
+        if ti is None:
+            stack.pop()
+            if word:
+                left[word.pop()] += 1
+            continue
+        if not left[ti]:
+            continue
+        last = len(word) == total - 1
+        if last and ti in forbidden:
+            continue
+        if node_budget is not None:
+            steps += 1
+            if steps > node_budget:
+                raise ResourceExceededError(
+                    f"route search exhausted its {node_budget}-step budget",
+                    partial={"word": tuple(names[x] for x in word),
+                             "target": dict(target)})
+        m2 = _fire_i(net, m, ti)
+        if persistent and _disabled_by(net, before, ti, m2) is not None:
+            continue
+        if last:
+            yield tuple(names[x] for x in word) + (names[ti],)
+            continue
+        left[ti] -= 1
+        word.append(ti)
+        after = _enabled_i(net, m2)
+        stack.append((m2, after, iter(after)))
+
+
+def _firable_words(net, m0, max_len):
+    """Every firable word of length <= max_len from m0 as (word, marking,
+    persistent), breadth-first and lexicographic within a length, the empty
+    word first."""
+    names = net.transitions
+    frontier = [((), m0, True)]
+    yield frontier[0]
+    for _ in range(max_len):
+        nxt = []
+        for word, m, pers in frontier:
+            before = _enabled_i(net, m)
+            for ti in before:
+                m2 = _fire_i(net, m, ti)
+                node = (word + (names[ti],), m2,
+                        pers and _disabled_by(net, before, ti, m2) is None)
+                yield node
+                nxt.append(node)
+        frontier = nxt
+
+
+def _class_bfs(net, m0, word, guard):
+    """The permutation class of the firable word, breadth-first from word.
+
+    A member beyond the guard-th is yielded, then ResourceExceededError is
+    raised carrying the members found so far.
+    """
+    seen = {word}
+    queue = deque([word])
+    yield word
+    while queue:
+        w = queue.popleft()
+        for w2 in _swap_neighbours(net, m0, w, _markings_along(net, m0, w)):
+            if w2 not in seen:
+                seen.add(w2)
+                yield w2
+                if len(seen) > guard:
+                    raise ResourceExceededError(
+                        f"equivalence class of {' '.join(word)} exceeds guard {guard}",
+                        partial=seen)
+                queue.append(w2)
 
 
 def _swap_neighbours(net, m0, word, marks):
@@ -98,13 +215,14 @@ def _swap_neighbours(net, m0, word, marks):
     check: the prefix is untouched and the suffix re-fires from the same
     marking by determinism.
     """
+    index = net._tidx
     out = []
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
         if a == b:
             continue
-        m = marks[i]
-        if enabled(net, m, b) and enabled(net, fire(net, m, b), a):
+        m2 = _fire_i(net, marks[i], index[b])
+        if m2 is not None and _enabled_i(net, m2, (index[a],)):
             out.append(word[:i] + (b, a) + word[i + 2:])
     return out
 
@@ -119,20 +237,7 @@ def equivalence_class(net: Net, m0: Marking, seq: Sequence[str],
     seq = _word(seq)
     fire_sequence(net, m0, seq)  # validates firability
     guard = default_class_guard() if guard is None else guard
-    seen = {seq}
-    queue = deque([seq])
-    while queue:
-        w = queue.popleft()
-        marks = _markings_along(net, m0, w)
-        for w2 in _swap_neighbours(net, m0, w, marks):
-            if w2 not in seen:
-                seen.add(w2)
-                if len(seen) > guard:
-                    raise ResourceExceededError(
-                        f"equivalence class of {' '.join(seq)} exceeds guard {guard}",
-                        partial=seen)
-                queue.append(w2)
-    return seen
+    return set(_class_bfs(net, m0, seq, guard))
 
 
 def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
@@ -150,21 +255,7 @@ def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
     if s1 == s2:
         return True
     guard = default_class_guard() if guard is None else guard
-    seen = {s1}
-    queue = deque([s1])
-    while queue:
-        w = queue.popleft()
-        marks = _markings_along(net, m0, w)
-        for w2 in _swap_neighbours(net, m0, w, marks):
-            if w2 == s2:
-                return True
-            if w2 not in seen:
-                seen.add(w2)
-                if len(seen) > guard:
-                    raise ResourceExceededError(
-                        f"equivalence class of {' '.join(s1)} exceeds guard {guard}")
-                queue.append(w2)
-    return False
+    return s2 in _class_bfs(net, m0, s1, guard)
 
 
 def _lex_key(net, word):
@@ -203,36 +294,7 @@ def persistent_parikh_equivalent(net: Net, m0: Marking, target) -> Optional[tupl
         net.transition_index(t)
         if n < 0:
             raise InputError("Parikh vector entries must be naturals")
-    budget = {t: n for t, n in target.items() if n > 0}
-    total = sum(budget.values())
-
-    word: list = []
-    path = [m0]
-
-    def step() -> Optional[tuple]:
-        if len(word) == total:
-            return tuple(word)
-        m = path[-1]
-        before = enabled_transitions(net, m)
-        for t in net.transitions:
-            if budget.get(t, 0) == 0 or t not in before:
-                continue
-            m2 = fire(net, m, t)
-            if any(u != t and enabled(net, m, u) and not enabled(net, m2, u)
-                   for u in before):
-                continue  # nonpersistent step, no persistent completion exists
-            budget[t] -= 1
-            word.append(t)
-            path.append(m2)
-            hit = step()
-            if hit is not None:
-                return hit
-            budget[t] += 1
-            word.pop()
-            path.pop()
-        return None
-
-    return step()
+    return next(_realisations(net, m0, target, persistent=True), None)
 
 
 @dataclass
@@ -261,25 +323,7 @@ SPE_PARIKH = "parikh"
 
 def lex_min_realization(net: Net, m0: Marking, target) -> Optional[tuple]:
     """Lexicographically first firable sequence with this Parikh vector."""
-    budget = {t: n for t, n in dict(target).items() if n > 0}
-    total = sum(budget.values())
-    word: list = []
-
-    def step(m) -> Optional[tuple]:
-        if len(word) == total:
-            return tuple(word)
-        for t in net.transitions:
-            if budget.get(t, 0) and enabled(net, m, t):
-                budget[t] -= 1
-                word.append(t)
-                hit = step(fire(net, m, t))
-                if hit is not None:
-                    return hit
-                budget[t] += 1
-                word.pop()
-        return None
-
-    return step(m0)
+    return next(_realisations(net, m0, target), None)
 
 
 def spe_check(net: Net, bound: int, mode: str = SPE,
@@ -306,6 +350,7 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
         raise InputError("bound must be >= 1")
     start = net.initial if m0 is None else m0
     net._check_behavioural()
+    net._check_marking(start)
     searched = 0
 
     if mode == SPE_PARIKH:
@@ -315,7 +360,8 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
             nxt = {}
             bad = []
             for key, m in frontier.items():
-                for t in enabled_transitions(net, m):
+                for ti in _enabled_i(net, m):
+                    t = net.transitions[ti]
                     counts = dict(key)
                     counts[t] = counts.get(t, 0) + 1
                     k2 = tuple(sorted(counts.items()))
@@ -323,7 +369,7 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
                         continue
                     seen.add(k2)
                     searched += 1
-                    nxt[k2] = fire(net, m, t)
+                    nxt[k2] = _fire_i(net, m, ti)
                     if persistent_parikh_equivalent(net, start, counts) is None:
                         bad.append(counts)
             if bad:
@@ -336,28 +382,17 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
         return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)
 
     settled_words = set()  # class members already known to have an equivalent
-    frontier = [((), start, True)]  # (word, marking, persistent so far)
-    for _ in range(bound):
-        nxt = []
-        for word, m, pers in frontier:
-            before = enabled_transitions(net, m)
-            for t in before:
-                m2 = fire(net, m, t)
-                searched += 1
-                step_ok = all(u == t or enabled(net, m2, u) for u in before)
-                w2 = word + (t,)
-                p2 = pers and step_ok
-                nxt.append((w2, m2, p2))
-                if p2 or w2 in settled_words:
-                    continue
-                members = equivalence_class(net, start, w2, guard=guard)
-                if not any(sequence_persistence(net, start, w).persistent
-                           for w in members):
-                    return SpeVerdict(mode, bound, "refuted", w2, searched)
-                settled_words.update(members)
-        frontier = nxt
-        if not frontier:
-            break
+    words = _firable_words(net, start, bound)
+    next(words)  # the empty word
+    for w2, _, pers in words:
+        searched += 1
+        if pers or w2 in settled_words:
+            continue
+        members = equivalence_class(net, start, w2, guard=guard)
+        if not any(sequence_persistence(net, start, w).persistent
+                   for w in members):
+            return SpeVerdict(mode, bound, "refuted", w2, searched)
+        settled_words.update(members)
     return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)
 
 
@@ -412,20 +447,8 @@ def _move_back(net, m0, word, src: int, dst: int):
 
 
 def _all_short_sequences_persistent(net, m0, max_len):
-    """Exhaustively verify every firable sequence up to max_len is persistent."""
-    frontier = [((), m0)]
-    for _ in range(max_len):
-        nxt = []
-        for word, m in frontier:
-            before = enabled_transitions(net, m)
-            for t in before:
-                m2 = fire(net, m, t)
-                for u in before:
-                    if u != t and not enabled(net, m2, u):
-                        return word + (t,)
-                nxt.append((word + (t,), m2))
-        frontier = nxt
-    return None
+    """The first nonpersistent firable word up to max_len, or None."""
+    return next((w for w, _, pers in _firable_words(net, m0, max_len) if not pers), None)
 
 
 def unify_parikh_equivalent(net: Net, alpha: Sequence[str], beta: Sequence[str],

@@ -62,6 +62,9 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("places", "transitions", "max_weight", "token_budget", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise InputError(f"{name} must be an integer")
         constraint = self.class_constraint
         if isinstance(constraint, str):
             constraint = (constraint,) if constraint and constraint != "none" else ()
@@ -246,19 +249,6 @@ class TheoremReport:
         return not self.violations
 
 
-def _nonpersistent_spot(net, rg):
-    """(state, delta, leg_a, leg_b) for the nearest nonpersistent marking."""
-    for s in rg.states:  # BFS order, so the first hit is nearest
-        m = rg.payload[s]
-        en = enabled_transitions(net, m)
-        for t in en:
-            m2 = fire(net, m, t)
-            for u in en:
-                if u != t and not enabled(net, m2, u):
-                    return s, shortest_path(rg, s), t, u
-    return None
-
-
 def _random_firable(net, rng, max_len):
     word, m = [], net.initial
     for _ in range(rng.randint(0, max_len)):
@@ -326,11 +316,14 @@ def check_theorem(theorem: str, net: Net,
             if bound.status != "bounded":
                 skip("reachability graph exceeded the state budget")
             else:
-                spot = _nonpersistent_spot(net, rg)
+                # states are in BFS order, so the witness state is a nearest
+                # nonpersistent one
+                spot = persistence_check(rg).witness
                 if spot is None:
                     report.confirmations += 1  # persistent: conclusion holds
                 else:
-                    _, delta, leg_a, _ = spot
+                    state, leg_a, _ = spot
+                    delta = shortest_path(rg, state)
                     found = persistent_parikh_equivalent(
                         net, net.initial, parikh(delta + (leg_a,)))
                     if found is None:
@@ -354,7 +347,7 @@ def check_theorem(theorem: str, net: Net,
             if bound.status != "bounded":
                 skip("reachability graph exceeded the state budget")
             else:
-                spot = _nonpersistent_spot(net, rg)
+                spot = persistence_check(rg).witness
                 if spot is None:
                     report.confirmations += 1  # persistent: conclusion holds
                 else:
@@ -407,9 +400,11 @@ def check_theorem(theorem: str, net: Net,
         if not (cls.plain and cls.pure):
             skip("net is not pure and plain")
         else:
-            rg, bound = build_rg(net, max_states)
+            # the check reads the markings of the first 50 states in BFS
+            # order, never an edge, so a cutoff cannot change its verdict
+            rg, _ = build_rg(net, min(50, max_states))
             checked = False
-            for s in rg.states[:50]:
+            for s in rg.states:
                 m = rg.payload[s]
                 en = enabled_transitions(net, m)
                 for y in en:

@@ -180,3 +180,42 @@ def test_dump_is_versioned(tmp_path):
     doc = json.loads(dump.read_text())
     assert doc["format"] == "persinet-report" and doc["version"] == 1
     assert doc["report"]["classify"]["plain"] is True
+
+
+def _bad_input(out):
+    """Exit 2 with one error line and no traceback."""
+    return (out.returncode == 2 and out.stderr.startswith("error: ")
+            and "Traceback" not in out.stderr)
+
+
+def test_bad_max_states_setting():
+    import os
+
+    env = dict(os.environ, PERSINET_MAX_STATES="abc")
+    out = run("rg", "fig1_basic", env=env)
+    assert _bad_input(out) and "PERSINET_MAX_STATES" in out.stderr
+
+
+def test_bad_class_guard_setting():
+    import os
+
+    env = dict(os.environ, PERSINET_CLASS_GUARD="x")
+    out = run("equiv", "fig1_basic", "--a", "c a d", "--b", "c d a", env=env)
+    assert _bad_input(out) and "PERSINET_CLASS_GUARD" in out.stderr
+
+
+def test_bad_seed_range():
+    for seeds in ("5", "a..b", "1..2..3"):
+        out = run("explore", "--theorem", "CF-persistent", "--seeds", seeds)
+        assert _bad_input(out) and "--seeds" in out.stderr
+
+
+def test_bad_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for doc, named in (({"places": 3, "colour": "red"}, "colour"),
+                       ({"places": 2.5}, "places"),
+                       ([3, 3], "object")):
+        cfg.write_text(json.dumps(doc))
+        out = run("explore", "--theorem", "CF-persistent", "--seeds", "0..1",
+                  "--config", str(cfg))
+        assert _bad_input(out) and named in out.stderr

@@ -24,6 +24,7 @@ from persinet import (
     spe_check,
     unify_parikh_equivalent,
 )
+from persinet.sequences import lex_min_realization
 
 
 def seq(text):
@@ -173,6 +174,106 @@ class TestPersistentEquivalents:
         net = corpus_load("fig10_fpe_not_spe").net
         assert persistent_parikh_equivalent(net, net.initial, parikh(seq("y b"))) is None
         assert persistent_parikh_equivalent(net, net.initial, parikh(seq("y c"))) is None
+
+
+class TestLongVectors:
+    """The realisation search keeps its own stack, so the length of a word
+    is not limited by the interpreter's recursion limit."""
+
+    def test_one_cycle_3000_letters(self):
+        net = Net("onecycle", ["p", "q"], ["a", "b"],
+                  [("p", "a", 1), ("a", "q", 1), ("q", "b", 1), ("b", "p", 1)],
+                  {"p": 1})
+        target = {"a": 1500, "b": 1500}
+        assert persistent_parikh_equivalent(net, net.initial, target) == \
+            ("a", "b") * 1500
+        assert lex_min_realization(net, net.initial, target) == ("a", "b") * 1500
+
+
+def _brute_words(net, m0, max_len):
+    """(word, marking) for every firable word up to max_len, by recursion
+    over the public firing rule, lexicographic."""
+    out = [((), m0)]
+
+    def grow(word, m):
+        if len(word) == max_len:
+            return
+        for t in net.transitions:
+            if pn.enabled(net, m, t):
+                m2 = fire(net, m, t)
+                out.append((word + (t,), m2))
+                grow(word + (t,), m2)
+
+    grow((), m0)
+    return out
+
+
+class TestKernelsAgainstOracle:
+    """The shared search kernels against the unpruned oracle enumeration
+    of theorems._all_with_parikh, on the criterion-10 distribution."""
+
+    NETS = [gen_random_net(GenConfig(seed=s, places=3, transitions=3, token_budget=2))
+            for s in range(300)]
+
+    def test_realisation_searches(self):
+        from persinet.fairness import _cycles_with_parikh
+        from persinet.sequences import _realisations
+        from persinet.theorems import _all_with_parikh
+
+        checked = cycles = 0
+        for net in self.NETS:
+            m0 = net.initial
+            vectors = {tuple(sorted(parikh(w).items())) for w, _ in _brute_words(net, m0, 5)}
+            for key in sorted(vectors):
+                target = dict(key)
+                every = _all_with_parikh(net, m0, target)
+                persistent = [w for w in every
+                              if sequence_persistence(net, m0, w).persistent]
+                assert lex_min_realization(net, m0, target) == every[0]
+                assert persistent_parikh_equivalent(net, m0, target) == \
+                    next(iter(persistent), None)
+                for forbidden in [{t} for t in net.transitions] + [set(net.transitions[:2])]:
+                    avoiding = next(_realisations(net, m0, target, persistent=True,
+                                                  forbidden_last=forbidden), None)
+                    assert avoiding == next(
+                        (w for w in persistent if not w or w[-1] not in forbidden), None)
+                checked += 1
+            rg, _ = pn.build_rg(net)
+            for state in rg.states:
+                entry = rg.payload[state]
+                vectors = {tuple(sorted(parikh(w).items()))
+                           for w, _ in _brute_words(net, entry, 4) if w}
+                for key in sorted(vectors):
+                    target = dict(key)
+                    back = [w for w in _all_with_parikh(net, entry, target)
+                            if fire_sequence(net, entry, w) == entry]
+                    assert _cycles_with_parikh(net, entry, target) == back
+                    cycles += bool(back)
+        assert checked > 1200 and cycles > 300
+
+    def test_word_enumerator(self):
+        from persinet.sequences import _firable_words
+
+        for net in self.NETS[:100]:
+            got = [(w, m) for w, m, _ in _firable_words(net, net.initial, 4)]
+            assert sorted(got, key=lambda x: (len(x[0]), x[0])) == got
+            assert sorted(got) == sorted(_brute_words(net, net.initial, 4))
+            for w, _, pers in _firable_words(net, net.initial, 4):
+                assert pers == sequence_persistence(net, net.initial, w).persistent
+
+    def test_class_searches(self):
+        from persinet.fairness import _prefix_match_search
+
+        for net in self.NETS[:150]:
+            words = [w for w, _ in _brute_words(net, net.initial, 4) if len(w) == 4]
+            for s1 in words[:6]:
+                members = equivalence_class(net, net.initial, s1)
+                for s2 in words:
+                    assert perm_equivalent(net, net.initial, s1, s2) == (s2 in members)
+                    for k in (1, 2, 3):
+                        want = s2[:k]
+                        assert _prefix_match_search(net, net.initial, s1, want, 10 ** 6) == \
+                            any(w[:k] == want for w in members)
 
 
 class TestSpeCheck:

@@ -105,6 +105,22 @@ class TestCheckTheorem:
         assert outcome is not None
         assert outcome["search"] == "none-within-bounds"
 
+    def test_diamond_completion_on_unbounded_net(self, monkeypatch):
+        # a: p -> q + r and b: q -> p; with two tokens on p, every a-b round
+        # adds a token to r, so the graph is infinite.  The checker reads the
+        # markings of the first 50 states and builds no more than those.
+        net = pn.Net("grow", ["p", "q", "r"], ["a", "b"],
+                     [("p", "a", 1), ("a", "q", 1), ("a", "r", 1),
+                      ("q", "b", 1), ("b", "p", 1)], {"p": 2})
+        assert pn.build_rg(net, 500)[1].status == "cutoff-reached"
+        sizes = []
+        real = pn.theorems.build_rg
+        monkeypatch.setattr(pn.theorems, "build_rg",
+                            lambda n, k: sizes.append(k) or real(n, k))
+        rep = check_theorem("diamond-completion", net)
+        assert (rep.instances, rep.confirmations, rep.violations) == (1, 1, [])
+        assert sizes == [50]
+
     def test_unknown_theorem(self, fig1):
         with pytest.raises(InputError):
             check_theorem("nope", fig1)
