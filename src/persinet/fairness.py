@@ -253,13 +253,23 @@ class LassoSearchResult:
         return self.status == "found"
 
 
-def _cycles_with_parikh(net, entry, budget):
+def _cycles_with_parikh(net, entry, budget, persistent=False):
     """Firable words from entry with exactly the budget Parikh vector that
-    return to entry, in canonical order.  By the state equation all words
-    with one Parikh vector from one marking end at one marking, so either
-    every realisation returns to entry or none does."""
-    found = list(sequences._realisations(net, entry, budget))
-    return found if found and fire_sequence(net, entry, found[0]) == entry else []
+    return to entry, in canonical order; persistent keeps those whose every
+    step from entry is persistent.  By the state equation every word with
+    the budget vector leads from entry to entry + sum budget[t] (post_t -
+    pre_t), so either all realisations return to entry or none does, and
+    which is known before any search."""
+    shift = [0] * len(entry)
+    for t, n in budget.items():
+        ti = net._tidx[t]
+        for pi, w in net._inputs[ti]:
+            shift[pi] -= n * w
+        for pi, w in net._outputs[ti]:
+            shift[pi] += n * w
+    if any(shift):
+        return []
+    return list(sequences._realisations(net, entry, budget, persistent=persistent))
 
 
 def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
@@ -271,9 +281,12 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
     Candidates have a prefix of bounded length whose counts of letters
     outside the cycle support agree with the input's, and a cycle whose
     Parikh vector is a positive multiple of the input cycle's (permutations
-    preserve letter frequencies).  Each persistent candidate is tested with
-    the depth-bounded equivalence; "none-within-bounds" is evidence, not
-    proof.  A persistent input is returned unchanged.
+    preserve letter frequencies).  Only persistent candidates are built: a
+    lasso is persistent iff its prefix is and every cycle step from the
+    entry is, so persistent prefixes are extended by persistent cycle
+    realisations only, listed once per entry marking.  Each candidate is
+    tested with the depth-bounded equivalence; "none-within-bounds" is
+    evidence, not proof.  A persistent input is returned unchanged.
     """
     validate_lasso(net, lasso)
     if lasso_persistence(net, lasso).persistent:
@@ -281,7 +294,10 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
 
     support, finite_counts = infinite_parikh_signature(lasso)
     base = parikh(lasso.cycle)
-    for prefix, entry, _ in sequences._firable_words(net, net.initial, max_prefix):
+    cycles = {}  # (entry, k) -> its persistent cycles; many prefixes share an entry
+    for prefix, entry, pers in sequences._firable_words(net, net.initial, max_prefix):
+        if not pers:
+            continue
         pref_par = parikh(prefix)
         if any(pref_par.get(t, 0) != n for t, n in finite_counts.items()):
             continue
@@ -292,10 +308,10 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
             budget = {t: k * n for t, n in base.items()}
             if sum(budget.values()) > max_cycle:
                 break
-            for cyc in _cycles_with_parikh(net, entry, budget):
+            if (entry, k) not in cycles:
+                cycles[entry, k] = _cycles_with_parikh(net, entry, budget, persistent=True)
+            for cyc in cycles[entry, k]:
                 cand = Lasso(prefix, cyc)
-                if not lasso_persistence(net, cand).persistent:
-                    continue
                 verdict = lasso_equiv_at_depth(net, lasso, cand, depth, window)
                 if verdict.status == "equivalent-at-depth":
                     return LassoSearchResult("found", cand, max_prefix, max_cycle, depth)

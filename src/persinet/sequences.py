@@ -115,6 +115,13 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
     node_budget caps the steps tried; exhausting it raises
     ResourceExceededError carrying the partial word reached.  The search
     is an explicit-stack depth-first search, so word length is unbounded.
+
+    Dead vectors are memoised: by the state equation the marking after a
+    prefix depends only on its Parikh vector, so whether a prefix has a
+    completion depends only on the counts still left.  A prefix exhausted
+    without yielding records its remaining counts, and a later prefix with
+    the same remaining counts is skipped before its step is counted.  The
+    words yielded and their order are unchanged.
     """
     net._check_behavioural()
     net._check_marking(m0)
@@ -131,22 +138,34 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
         return
     forbidden = {net._tidx[t] for t in forbidden_last if t in net._tidx}
     steps = 0
+    yielded = 0
+    dead = set()  # remaining counts from which no completion exists
     word = []
     first = _enabled_i(net, m0)
-    stack = [(m0, first, iter(first))]  # per prefix: marking, enabled, untried
+    # per prefix: marking, enabled, untried, words yielded before its push
+    stack = [(m0, first, iter(first), 0)]
     while stack:
-        m, before, untried = stack[-1]
+        m, before, untried, mark = stack[-1]
         ti = next(untried, None)
         if ti is None:
             stack.pop()
             if word:
+                if yielded == mark:
+                    dead.add(tuple(left))
                 left[word.pop()] += 1
             continue
         if not left[ti]:
             continue
         last = len(word) == total - 1
-        if last and ti in forbidden:
-            continue
+        if last:
+            if ti in forbidden:
+                continue
+        elif dead:
+            left[ti] -= 1
+            rest = tuple(left)
+            left[ti] += 1
+            if rest in dead:
+                continue
         if node_budget is not None:
             steps += 1
             if steps > node_budget:
@@ -158,12 +177,13 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
         if persistent and _disabled_by(net, before, ti, m2) is not None:
             continue
         if last:
+            yielded += 1
             yield tuple(names[x] for x in word) + (names[ti],)
             continue
         left[ti] -= 1
         word.append(ti)
         after = _enabled_i(net, m2)
-        stack.append((m2, after, iter(after)))
+        stack.append((m2, after, iter(after), yielded))
 
 
 def _firable_words(net, m0, max_len):
@@ -338,11 +358,17 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
 
     Mode "perm" enumerates sequences breadth-first and exhausts whole
     permutation classes (memoised, so each class is settled once).  Mode
-    "parikh" exploits that the answer depends on the Parikh vector alone
-    and enumerates the reachable vectors level by level instead, which
-    visits each (much smaller) vector set once; a vector refutes when no
-    persistent sequence realises it, and every realisation is then a
-    counterexample, the canonical one being reported.
+    "parikh" exploits that the answer depends on the Parikh vector alone:
+    by the state equation the marking after a sequence depends only on its
+    vector, and so does whether a step from there is persistent.  One
+    forward pass builds the reachable vectors level by level, each with its
+    marking M(v).  v+e_t has a persistent realisation iff v has one, t is
+    enabled at M(v) and that step is persistent; a level refutes with its
+    vectors that have none, so every vector of the levels before has one,
+    and a vector has one iff some step into it is persistent.  Every
+    realisation of a refuting vector is a counterexample, the canonical one
+    being reported.  searched_count is the number of nonempty vectors
+    visited.
     """
     if mode not in (SPE, SPE_PARIKH):
         raise InputError(f"unknown mode '{mode}' (want '{SPE}' or '{SPE_PARIKH}')")
@@ -354,27 +380,26 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
     searched = 0
 
     if mode == SPE_PARIKH:
-        frontier = {(): start}
-        seen = {()}
+        names = net.transitions
+        frontier = {(0,) * len(names): start}  # reachable vector -> marking
         for _ in range(bound):
             nxt = {}
-            bad = []
-            for key, m in frontier.items():
-                for ti in _enabled_i(net, m):
-                    t = net.transitions[ti]
-                    counts = dict(key)
-                    counts[t] = counts.get(t, 0) + 1
-                    k2 = tuple(sorted(counts.items()))
-                    if k2 in seen:
-                        continue
-                    seen.add(k2)
-                    searched += 1
-                    nxt[k2] = _fire_i(net, m, ti)
-                    if persistent_parikh_equivalent(net, start, counts) is None:
-                        bad.append(counts)
+            good = set()  # the vectors entered by some persistent step
+            for v, m in frontier.items():
+                before = _enabled_i(net, m)
+                for ti in before:
+                    v2 = v[:ti] + (v[ti] + 1,) + v[ti + 1:]
+                    m2 = nxt.get(v2)
+                    if m2 is None:
+                        m2 = nxt[v2] = _fire_i(net, m, ti)
+                    if v2 not in good and _disabled_by(net, before, ti, m2) is None:
+                        good.add(v2)
+            searched += len(nxt)
+            bad = [v for v in nxt if v not in good]
             if bad:
-                witness = min((lex_min_realization(net, start, v) for v in bad),
-                              key=lambda w: _lex_key(net, w))
+                witness = min((lex_min_realization(
+                    net, start, {names[i]: n for i, n in enumerate(v) if n})
+                    for v in bad), key=lambda w: _lex_key(net, w))
                 return SpeVerdict(mode, bound, "refuted", witness, searched)
             frontier = nxt
             if not frontier:

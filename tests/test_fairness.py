@@ -272,3 +272,115 @@ class TestProbeMatrix:
     def test_fig5_all_found(self, fig5):
         matrix = pe_probe_matrix(fig5, [Lasso((), seq("a c b c")), seq("a c")])
         assert all(r.equivalent == "found" for r in matrix.probes)
+
+
+def _reference_lasso_search(net, lasso, max_prefix=4, max_cycle=10, depth=8):
+    """The lasso search with its original candidate filter: every firable
+    prefix in canonical order, every realisation of the cycle budget that
+    returns to the entry, each candidate kept if lasso_persistence holds."""
+    from persinet.fairness import LassoSearchResult, infinite_parikh_signature
+    from persinet.theorems import _all_with_parikh
+
+    def result(status, found):
+        return LassoSearchResult(status, found, max_prefix, max_cycle, depth)
+
+    if lasso_persistence(net, lasso).persistent:
+        return result("found", lasso)
+    support, finite_counts = infinite_parikh_signature(lasso)
+    base = pn.parikh(lasso.cycle)
+    prefixes, level = [((), net.initial)], [((), net.initial)]
+    for _ in range(max_prefix):
+        level = [(w + (t,), pn.fire(net, m, t))
+                 for w, m in level for t in pn.enabled_transitions(net, m)]
+        prefixes += level
+    for prefix, entry in prefixes:
+        counts = pn.parikh(prefix)
+        if any(counts.get(t, 0) != n for t, n in finite_counts.items()):
+            continue
+        if any(t not in support and t not in finite_counts for t in counts):
+            continue
+        for k in range(1, max_cycle // len(lasso.cycle) + 1):
+            budget = {t: k * n for t, n in base.items()}
+            if sum(budget.values()) > max_cycle:
+                break
+            for cyc in _all_with_parikh(net, entry, budget):
+                if pn.fire_sequence(net, entry, cyc) != entry:
+                    continue
+                cand = Lasso(prefix, cyc)
+                if not lasso_persistence(net, cand).persistent:
+                    continue
+                if lasso_equiv_at_depth(net, lasso, cand, depth).status == \
+                        "equivalent-at-depth":
+                    return result("found", cand)
+    return result("none-within-bounds", None)
+
+
+def _seeded_lassos(count):
+    """Nonpersistent lassos on small random nets and on their disjoint sums
+    with fig8, fig6 and fig14: a shortest path to a reachability-graph
+    state, then a shortest cycle back to it."""
+    from collections import deque
+
+    from persinet.lts import shortest_path
+
+    out = []
+    for s in range(400):
+        net = gen_random_net(GenConfig(seed=s, places=3, transitions=3, token_budget=2))
+        base = (None, "fig8_variant", "fig6_unfair", "fig14_counterexample")[s % 4]
+        if base:
+            net = disjoint_sum(corpus_load(base).net, net)
+        rg, rep = pn.build_rg(net, 200)
+        if rep.status != "bounded":
+            continue
+        succ = rg.next_states()
+        for state in rg.states:
+            queue, seen, cycle = deque([(state, ())]), {state}, None
+            while queue and cycle is None:
+                u, word = queue.popleft()
+                for label, v in succ[u].items():
+                    if v == state:
+                        cycle = word + (label,)
+                        break
+                    if v not in seen and len(word) < 5:
+                        seen.add(v)
+                        queue.append((v, word + (label,)))
+            if cycle is None:
+                continue
+            lasso = Lasso(shortest_path(rg, state), cycle)
+            if len(lasso.prefix) <= 3 and not lasso_persistence(net, lasso).persistent:
+                out.append((net, lasso))
+                break
+        if len(out) == count:
+            return out
+    raise AssertionError(f"only {len(out)} seeded lassos")
+
+
+class TestLassoSearchAgainstReference:
+    CORPUS = [("fig5_acbc", " ; a c b c"), ("fig5_acbc", "a ; c b c a"),
+              ("fig6_unfair", "y ; x a c"), ("fig6_unfair", "y x a c ; x a c"),
+              ("fig14_counterexample", "y ; x a1 a2 b c"),
+              ("fig15_sum", " ; a"), ("fig15_choice", " ; a"),
+              ("fig7_left", " ; a b"), ("fig7_left", " ; b a"),
+              ("fig7_right", " ; a b"), ("fig7_right", " ; a"),
+              ("fig8_variant", " ; c d a e"), ("fig8_variant", " ; c a d e"),
+              ("fig8_variant", " ; d c a e")]
+
+    def test_corpus_lassos(self):
+        for name, text in self.CORPUS:
+            net = corpus_load(name).net
+            lasso = parse_lasso(text, net)
+            validate_lasso(net, lasso)
+            assert search_persistent_equivalent_lasso(net, lasso) == \
+                _reference_lasso_search(net, lasso), (name, text)
+        fig14 = corpus_load("fig14_counterexample").net
+        lasso = Lasso(("y",), seq("x a1 a2 b c"))
+        assert search_persistent_equivalent_lasso(fig14, lasso, 5, 7, 6) == \
+            _reference_lasso_search(fig14, lasso, 5, 7, 6)
+
+    def test_seeded_lassos(self):
+        found = 0
+        for net, lasso in _seeded_lassos(50):
+            got = search_persistent_equivalent_lasso(net, lasso, 3, 8, 6)
+            assert got == _reference_lasso_search(net, lasso, 3, 8, 6), (net.name, lasso)
+            found += got.status == "found"
+        assert 0 < found < 50

@@ -248,6 +248,8 @@ class TestKernelsAgainstOracle:
                     back = [w for w in _all_with_parikh(net, entry, target)
                             if fire_sequence(net, entry, w) == entry]
                     assert _cycles_with_parikh(net, entry, target) == back
+                    assert _cycles_with_parikh(net, entry, target, persistent=True) == \
+                        [w for w in back if sequence_persistence(net, entry, w).persistent]
                     cycles += bool(back)
         assert checked > 1200 and cycles > 300
 
@@ -274,6 +276,120 @@ class TestKernelsAgainstOracle:
                         want = s2[:k]
                         assert _prefix_match_search(net, net.initial, s1, want, 10 ** 6) == \
                             any(w[:k] == want for w in members)
+
+
+def _par(k):
+    """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i."""
+    places, transitions, arcs = [], [], []
+    for i in range(k):
+        p, q, a, b = f"p{i}", f"q{i}", f"a{i}", f"b{i}"
+        places += [p, q]
+        transitions += [a, b]
+        arcs += [(p, a, 1), (a, q, 1), (q, b, 1), (b, p, 1)]
+    return Net(f"par{k}", places, transitions, arcs, {f"p{i}": 1 for i in range(k)})
+
+
+def _vector_count(net, max_len):
+    """Distinct nonempty Parikh vectors of the firable words up to max_len."""
+    from persinet.sequences import _firable_words
+
+    return len({tuple(sorted(parikh(w).items()))
+                for w, _, _ in _firable_words(net, net.initial, max_len) if w})
+
+
+class TestParikhForwardPass:
+    """Parikh-mode spe_check decides on vectors in one forward pass; it must
+    agree with the unpruned word-level oracle beyond criterion 10's sizes."""
+
+    CORPUS = ("fig1_basic", "fig10_fpe_not_spe", "fig12_spar", "fig4_perslocal",
+              "fig14_counterexample")
+
+    def _agrees(self, net, bound):
+        from persinet.theorems import oracle_spe_check
+
+        fast = spe_check(net, bound, pn.SPE_PARIKH)
+        slow = oracle_spe_check(net, bound, pn.SPE_PARIKH)
+        assert (fast.status, fast.counterexample) == (slow.status, slow.counterexample)
+        depth = len(fast.counterexample) if fast.refuted else bound
+        assert fast.searched_count == _vector_count(net, depth)
+        return fast
+
+    def test_corpus_against_oracle(self):
+        for name in self.CORPUS:
+            net = corpus_load(name).net
+            for bound in (6, 7, 8):
+                self._agrees(net, bound)
+        for name in ("fig1_basic", "fig14_counterexample", "fig10_fpe_not_spe"):
+            self._agrees(pn.disjoint_sum(corpus_load(name).net, _par(1)), 6)
+
+    def test_random_against_oracle(self):
+        statuses = set()
+        for s in range(100):
+            net = gen_random_net(GenConfig(seed=s, places=4, transitions=4))
+            statuses.add(self._agrees(net, 8).status)
+        assert statuses == {"holds-up-to-bound", "refuted"}
+
+    def test_fig1_par3_bound_12(self):
+        # the word-level search took seconds here; the forward pass visits
+        # each of the 2480 vectors once
+        net = pn.disjoint_sum(corpus_load("fig1_basic").net, _par(3))
+        verdict = spe_check(net, 12, pn.SPE_PARIKH)
+        assert verdict.status == "holds-up-to-bound"
+        assert verdict.searched_count == 2480
+
+
+class TestDeadVectorMemo:
+    def test_none_exists_within_budget(self):
+        # fig10 + par3, the vector y b plus one of every par letter: no
+        # persistent realisation exists.  Remembering the remaining counts of
+        # exhausted prefixes settles this in 80 steps; the word-level search
+        # without the memo needs 3410, since it re-explores the dead suffix
+        # after every interleaving of the par letters.
+        from persinet.sequences import _realisations
+
+        net = pn.disjoint_sum(corpus_load("fig10_fpe_not_spe").net, _par(3))
+        target = {"y": 1, "b": 1}
+        target.update({t: 1 for t in _par(3).transitions})
+        assert next(_realisations(net, net.initial, target, persistent=True,
+                                  node_budget=100), None) is None
+
+    def test_lists_against_oracle(self):
+        # long vectors on small nets, plus each with one letter traded for
+        # another, which is often not realisable at all: dead prefixes abound
+        from persinet.sequences import _firable_words, _realisations
+        from persinet.theorems import _all_with_parikh
+
+        checked = empty = 0
+        for s in range(100):
+            net = gen_random_net(GenConfig(seed=s, places=3, transitions=3, token_budget=2))
+            m0 = net.initial
+            vectors = set()
+            for w, _, _ in _firable_words(net, m0, 7):
+                if len(w) < 6:
+                    continue
+                counts = parikh(w)
+                vectors.add(tuple(sorted(counts.items())))
+                for t in counts:
+                    for u in net.transitions:
+                        if u != t:
+                            traded = dict(counts)
+                            traded[t] -= 1
+                            traded[u] = traded.get(u, 0) + 1
+                            vectors.add(tuple(sorted(traded.items())))
+            for key in sorted(vectors):
+                target = dict(key)
+                every = _all_with_parikh(net, m0, target)
+                persistent = [w for w in every
+                              if sequence_persistence(net, m0, w).persistent]
+                assert list(_realisations(net, m0, target)) == every
+                assert list(_realisations(net, m0, target, persistent=True)) == persistent
+                last = {net.transitions[0]}
+                assert list(_realisations(net, m0, target, persistent=True,
+                                          forbidden_last=last)) == \
+                    [w for w in persistent if w[-1] not in last]
+                checked += 1
+                empty += not persistent
+        assert checked >= 300 and empty >= 200
 
 
 class TestSpeCheck:
