@@ -318,6 +318,9 @@ def cmd_explore(args):
     for v in report.violations:
         print(f"VIOLATION: {v}")
     print(f"wall_time: {report.wall_time:.2f}s")
+    if report.slowest:
+        print("slowest seeds: " + ", ".join(f"{seed} ({seconds:.3f}s)"
+                                            for seed, seconds in report.slowest))
     _dump(args, report)
 
 

@@ -206,6 +206,39 @@ def _firable_words(net, m0, max_len):
         frontier = nxt
 
 
+def _persistent_levels(net, m0, max_len):
+    """The number of nonempty firable words of length <= max_len from m0
+    when every one of them is persistent, else None.
+
+    By the state equation a step's enabling and persistence depend only on
+    the marking it leaves, so the pass runs over markings, not words: level
+    k maps each marking reached by a word of length k to the number of such
+    words.  It returns None at the first level below max_len holding a
+    marking with a nonpersistent step, since some word of length at most
+    max_len ends in that step.
+    """
+    succ = {}  # marking -> its successor markings, every step persistent
+    level = {m0: 1}
+    total = 0
+    for _ in range(max_len):
+        nxt = {}
+        for m, n in level.items():
+            after = succ.get(m)
+            if after is None:
+                before = _enabled_i(net, m)
+                after = succ[m] = [_fire_i(net, m, ti) for ti in before]
+                if any(_disabled_by(net, before, ti, m2) is not None
+                       for ti, m2 in zip(before, after)):
+                    return None
+            for m2 in after:
+                nxt[m2] = nxt.get(m2, 0) + n
+        if not nxt:
+            break
+        total += sum(nxt.values())
+        level = nxt
+    return total
+
+
 def _class_bfs(net, m0, word, guard):
     """The permutation class of the firable word, breadth-first from word.
 
@@ -356,8 +389,13 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
     refuting sequence.  The start marking is an explicit parameter: the
     property is marking-sensitive and does not transfer to successors.
 
-    Mode "perm" enumerates sequences breadth-first and exhausts whole
-    permutation classes (memoised, so each class is settled once).  Mode
+    Mode "perm" first counts the firable words level by level over
+    markings (_persistent_levels); when no marking reached in fewer than
+    bound steps has a nonpersistent step, every word is persistent and the
+    check holds, searched_count being the number of nonempty words.
+    Otherwise it enumerates sequences breadth-first and exhausts whole
+    permutation classes (memoised, so each class is settled once), and
+    searched_count is the number of nonempty words visited.  Mode
     "parikh" exploits that the answer depends on the Parikh vector alone:
     by the state equation the marking after a sequence depends only on its
     vector, and so does whether a step from there is persistent.  One
@@ -406,6 +444,9 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
                 break
         return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)
 
+    count = _persistent_levels(net, start, bound)
+    if count is not None:
+        return SpeVerdict(mode, bound, "holds-up-to-bound", None, count)
     settled_words = set()  # class members already known to have an equivalent
     words = _firable_words(net, start, bound)
     next(words)  # the empty word
@@ -473,6 +514,8 @@ def _move_back(net, m0, word, src: int, dst: int):
 
 def _all_short_sequences_persistent(net, m0, max_len):
     """The first nonpersistent firable word up to max_len, or None."""
+    if _persistent_levels(net, m0, max_len) is not None:
+        return None
     return next((w for w, _, pers in _firable_words(net, m0, max_len) if not pers), None)
 
 

@@ -11,20 +11,30 @@ exactly.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
-from .errors import InputError, PreconditionError, ResourceExceededError
+from .errors import (
+    InputError,
+    InvariantError,
+    PreconditionError,
+    ResourceExceededError,
+)
 from .fairness import (
     AnalysisBounds,
     Lasso,
     PeMatrix,
+    fairness_classify,
+    lasso_persistence,
     pe_probe_matrix,
     search_persistent_equivalent_lasso,
+    validate_lasso,
 )
-from .lts import bfs_depths, build_rg, persistence_check, shortest_path
+from .lts import build_rg, persistence_check, shortest_path
 from .net import (
     Net,
     classify_structure,
@@ -243,6 +253,7 @@ class TheoremReport:
     bounds: Optional[AnalysisBounds] = None
     seed: Optional[int] = None
     wall_time: float = 0.0
+    slowest: list = field(default_factory=list)     # (seed, seconds), slowest first
 
     @property
     def ok(self):
@@ -441,9 +452,10 @@ def check_theorem(theorem: str, net: Net,
         # outside the equal-conflict and pure-DC classes the implication can
         # fail; the checker records whether a fair probe run witnesses that
         report.instances += 1
+        # a refuted premise leaves nothing to probe, so the search is skipped
         verdict = spe_check(net, bounds.sequence_len, SPE)
-        probe = _fair_nonpersistent_lasso(net, bounds)
-        if verdict.refuted or probe is None:
+        probe = None if verdict.refuted else _fair_nonpersistent_lasso(net, bounds)
+        if probe is None:
             skip("no fair nonpersistent lasso found to probe")
         else:
             search = search_persistent_equivalent_lasso(
@@ -457,48 +469,118 @@ def check_theorem(theorem: str, net: Net,
 
 
 def _fair_nonpersistent_lasso(net, bounds):
-    """A strongly fair, nonpersistent lasso of the net, if a short one exists."""
-    from .fairness import fairness_classify, lasso_persistence
-    from .fairness import validate_lasso
-    from .errors import InputError as _IE
+    """A strongly fair, nonpersistent lasso of the net, if a short one exists.
 
+    Entry states are taken in BFS order up to depth bounds.max_prefix, each
+    behind its canonical shortest prefix.  From each entry the walks of at
+    most bounds.max_cycle steps are searched depth-first; at every walk
+    state the steps that return to the entry are tried in reverse
+    transition order, then the others are descended in transition order.
+    The first returning walk that is strongly fair and leaves the lasso
+    nonpersistent is the answer.
+
+    The search reads the rows of the reachability graph, never the net: by
+    the state equation a step's enabling and its persistence depend only on
+    the marking.  A cycle is strongly fair iff every label enabled at one
+    of its states occurs in it, and a step is nonpersistent iff its target
+    row lacks another label of its source row.  A reverse BFS from the
+    entry gives each state's distance back to it, and a walk is extended
+    only while it can still return within the bound, so no returning walk
+    is pruned.  Only the lasso returned is replayed on the net; a
+    disagreement there raises InvariantError.
+    """
     rg, bound = build_rg(net, 2000)
     if bound.status != "bounded":
         return None
-    depths = bfs_depths(rg)
-    for s in rg.states:
-        if depths[s] > bounds.max_prefix:
-            continue
-        prefix = shortest_path(rg, s)
-        # canonical cycle search from s, capped length
-        entry = rg.payload[s]
-        stack = [((), entry)]
+    rank = {a: i for i, a in enumerate(rg.labels)}
+    index = {s: i for i, s in enumerate(rg.states)}
+    nxt = rg.next_states()
+    steps = [[(rank[a], index[s2]) for a, s2 in nxt[s].items()] for s in rg.states]
+    en = [sum(1 << a for a, _ in out) for out in steps]
+    # per step (label, target, persistent): the target enables every other
+    # label of the source
+    rows = [[(a, j, not en[i] & ~(1 << a) & ~en[j]) for a, j in out]
+            for i, out in enumerate(steps)]
+    preds = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for _, j, _ in row:
+            preds[j].append(i)
+
+    # the BFS parent tree: states are numbered in discovery order, so the
+    # first step into a state is its canonical shortest prefix's last step
+    parent = [None] * len(rows)
+    depth = [0] + [None] * (len(rows) - 1)
+    prefix_ok = [True] * len(rows)  # the canonical prefix is persistent
+    for i, row in enumerate(rows):
+        for a, j, ok in row:
+            if depth[j] is None:
+                parent[j] = (i, a)
+                depth[j] = depth[i] + 1
+                prefix_ok[j] = prefix_ok[i] and ok
+
+    max_cycle = bounds.max_cycle
+    for e in range(len(rows)):
+        if depth[e] > bounds.max_prefix:
+            break  # depths never decrease in discovery order
+        back = {e: 0}  # distance back to e, up to max_cycle - 1
+        frontier = [e]
+        for d in range(1, max_cycle):
+            reached = []
+            for j in frontier:
+                for i in preds[j]:
+                    if i not in back:
+                        back[i] = d
+                        reached.append(i)
+            frontier = reached
+        # (cycle, last state, labels fired, labels enabled, nonpersistent)
+        stack = [((), e, 0, en[e], not prefix_ok[e])]
         while stack:
-            word, m = stack.pop()
-            for t in reversed(enabled_transitions(net, m)):
-                m2 = fire(net, m, t)
-                w2 = word + (t,)
-                if m2 == entry:
-                    lasso = Lasso(prefix, w2)
-                    try:
-                        validate_lasso(net, lasso)
-                    except _IE:
-                        continue
-                    rep = fairness_classify(net, lasso)
-                    if rep.strongly_fair and not lasso_persistence(net, lasso).persistent:
-                        return lasso
-                elif len(w2) < bounds.max_cycle:
-                    stack.append((w2, m2))
+            word, i, fired, seen, bad = stack.pop()
+            for a, j, ok in reversed(rows[i]):
+                if j == e:
+                    if (bad or not ok) and not seen & ~(fired | 1 << a):
+                        return _confirmed_probe(net, parent, e, word + (a,))
+                elif back.get(j, max_cycle) <= max_cycle - len(word) - 1:
+                    stack.append((word + (a,), j, fired | 1 << a, seen | en[j],
+                                  bad or not ok))
     return None
+
+
+def _confirmed_probe(net, parent, entry, cycle):
+    """The lasso behind the graph walk, replayed on the net: it must return
+    to its entry, be strongly fair and be nonpersistent."""
+    prefix = []
+    s = entry
+    while parent[s] is not None:
+        s, a = parent[s]
+        prefix.append(a)
+    names = net.transitions
+    lasso = Lasso(tuple(names[a] for a in reversed(prefix)),
+                  tuple(names[a] for a in cycle))
+    try:
+        validate_lasso(net, lasso)
+    except InputError as exc:
+        raise InvariantError(f"probe lasso {lasso} does not replay: {exc}") from None
+    if (not fairness_classify(net, lasso).strongly_fair
+            or lasso_persistence(net, lasso).persistent):
+        raise InvariantError(
+            f"probe lasso {lasso} is not strongly fair and nonpersistent on the net")
+    return lasso
 
 
 def run_theorem_suite(theorem: str, cfg_base: GenConfig, seeds,
                       bounds: Optional[AnalysisBounds] = None) -> TheoremReport:
-    """Run one theorem checker across many seeded random nets."""
+    """Run one theorem checker across many seeded random nets.
+
+    Each seed's time, generation and check together, is measured, and the
+    report names the five slowest seeds.
+    """
     bounds = bounds or AnalysisBounds()
     total = TheoremReport(theorem, bounds=bounds, seed=None)
+    times = []
     t0 = time.perf_counter()
     for seed in seeds:
+        start = time.perf_counter()
         cfg = GenConfig(
             places=cfg_base.places, transitions=cfg_base.transitions,
             max_weight=cfg_base.max_weight, arc_density=cfg_base.arc_density,
@@ -508,13 +590,15 @@ def run_theorem_suite(theorem: str, cfg_base: GenConfig, seeds,
             net = gen_random_net(cfg)
         except ResourceExceededError:
             total.skips.append(("generation budget exhausted", seed))
-            continue
-        rep = check_theorem(theorem, net, bounds, seed=seed)
-        total.instances += rep.instances
-        total.confirmations += rep.confirmations
-        total.skips.extend((reason, seed) for reason, _ in rep.skips)
-        total.violations.extend({"seed": seed, **v} for v in rep.violations)
+        else:
+            rep = check_theorem(theorem, net, bounds, seed=seed)
+            total.instances += rep.instances
+            total.confirmations += rep.confirmations
+            total.skips.extend((reason, seed) for reason, _ in rep.skips)
+            total.violations.extend({"seed": seed, **v} for v in rep.violations)
+        times.append((seed, time.perf_counter() - start))
     total.wall_time = time.perf_counter() - t0
+    total.slowest = heapq.nlargest(5, times, key=itemgetter(1))
     return total
 
 

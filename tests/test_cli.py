@@ -131,6 +131,20 @@ def test_explore(tmp_path):
     assert out.returncode == 0
 
 
+def test_explore_probe_on_weighted_nets(tmp_path):
+    # seed 3 of this configuration is a non-plain net the probe must answer
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_weight": 2, "arc_density": 0.4}))
+    dump = tmp_path / "r.json"
+    out = run("explore", "--theorem", "spe-implies-fpe-probe", "--seeds", "0..40",
+              "--config", str(cfg), "--dump", str(dump))
+    assert out.returncode == 0, out.stderr
+    assert "instances: 41" in out.stdout and "violations: 0" in out.stdout
+    assert "slowest seeds: " in out.stdout
+    slowest = json.loads(dump.read_text())["report"]["slowest"]
+    assert len(slowest) == 5 and all(0 <= seed <= 40 for seed, _ in slowest)
+
+
 def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.net"
     bad.write_text("net x\nplace p\nplace p\n")

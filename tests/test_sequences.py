@@ -392,6 +392,45 @@ class TestDeadVectorMemo:
         assert checked >= 300 and empty >= 200
 
 
+class TestPersistentLevels:
+    """Perm-mode spe_check on nets whose every word is persistent counts the
+    words on markings; the count and the verdict must be the enumeration's."""
+
+    def _agrees(self, net, bound):
+        from persinet.sequences import _firable_words, _persistent_levels
+        from persinet.theorems import oracle_spe_check
+
+        fast = spe_check(net, bound, pn.SPE)
+        slow = oracle_spe_check(net, bound, pn.SPE)
+        assert (fast.status, fast.counterexample) == (slow.status, slow.counterexample)
+        words = sum(1 for w, _, _ in _firable_words(net, net.initial, bound) if w)
+        assert fast.searched_count == words == slow.searched_count
+        assert _persistent_levels(net, net.initial, bound) == words
+
+    def test_par(self):
+        for k in (1, 2, 3):
+            self._agrees(_par(k), 6)
+        assert spe_check(_par(3), 6, pn.SPE).searched_count == sum(3 ** n for n in range(1, 7))
+
+    def test_seeded_persistent_nets(self):
+        nets = 0
+        for s in range(400):
+            net = gen_random_net(GenConfig(seed=s))
+            if pn.persistence_check(pn.build_rg(net)[0]).persistent:
+                self._agrees(net, 5)
+                nets += 1
+        assert nets >= 100
+
+    def test_nonpersistent_level_falls_back(self, fig1):
+        from persinet.sequences import _all_short_sequences_persistent, _persistent_levels
+
+        # fig1's first nonpersistent step leaves the marking after c d
+        assert _persistent_levels(fig1, fig1.initial, 2) == 2 + 4
+        assert _persistent_levels(fig1, fig1.initial, 3) is None
+        assert _all_short_sequences_persistent(fig1, fig1.initial, 2) is None
+        assert _all_short_sequences_persistent(fig1, fig1.initial, 3) == seq("c d a")
+
+
 class TestSpeCheck:
     def test_fig1_holds(self, fig1):
         for mode in (pn.SPE, pn.SPE_PARIKH):

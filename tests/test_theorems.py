@@ -13,7 +13,9 @@ from persinet import (
     oracle_spe_check,
     spe_check,
 )
-from persinet.theorems import run_theorem_suite
+from persinet.fairness import fairness_classify, lasso_persistence, validate_lasso
+from persinet.lts import bfs_depths, shortest_path
+from persinet.theorems import _fair_nonpersistent_lasso, run_theorem_suite
 
 
 def seq(text):
@@ -190,6 +192,110 @@ class TestDcMainGenuineViolation:
         assert len(rep.violations) == 1
         assert "DC net" in rep.violations[0]["reason"]
         assert "document" in rep.violations[0]  # replayable witness
+
+
+def _reference_probe(net, max_prefix, max_cycle):
+    """The word-level probe search: every entry state in BFS order behind
+    its shortest prefix, cycles by an unpruned depth-first search over the
+    firing rule, each returning cycle classified on the net."""
+    rg, bound = pn.build_rg(net, 2000)
+    if bound.status != "bounded":
+        return None
+    depths = bfs_depths(rg)
+    for s in rg.states:
+        if depths[s] > max_prefix:
+            continue
+        prefix = shortest_path(rg, s)
+        entry = rg.payload[s]
+        stack = [((), entry)]
+        while stack:
+            word, m = stack.pop()
+            for t in reversed(pn.enabled_transitions(net, m)):
+                m2 = pn.fire(net, m, t)
+                w2 = word + (t,)
+                if m2 == entry:
+                    lasso = Lasso(prefix, w2)
+                    validate_lasso(net, lasso)
+                    if (fairness_classify(net, lasso).strongly_fair
+                            and not lasso_persistence(net, lasso).persistent):
+                        return lasso
+                elif len(w2) < max_cycle:
+                    stack.append((w2, m2))
+    return None
+
+
+class TestProbeSearchAgainstReference:
+    """The probe search on graph rows, with return-distance pruning, gives
+    the lasso of the word-level search, or None where that gives None."""
+
+    BOUNDS = ((4, 10), (2, 6), (6, 8))
+    CONFIGS = ({}, {"places": 3, "transitions": 3},
+               {"places": 4, "transitions": 5, "arc_density": 0.3},
+               {"class_constraint": ("pure", "plain")})
+
+    def _found(self, net):
+        found = 0
+        for max_prefix, max_cycle in self.BOUNDS:
+            bounds = pn.AnalysisBounds(max_prefix=max_prefix, max_cycle=max_cycle)
+            got = _fair_nonpersistent_lasso(net, bounds)
+            assert got == _reference_probe(net, max_prefix, max_cycle), \
+                (net.name, max_prefix, max_cycle)
+            found += got is not None
+        return found
+
+    def test_seeded_plain_nets(self):
+        found = 0
+        for cfg in self.CONFIGS:
+            for s in range(100):
+                net = gen_random_net(GenConfig(seed=s, **cfg))
+                assert classify_structure(net).plain
+                found += self._found(net)
+        assert found >= 30
+
+    def test_corpus(self):
+        # fig14 at every bound, fig16 at every bound, fig8 at two
+        assert sum(self._found(corpus_load(name).net)
+                   for name in pn.corpus_names()) >= 8
+
+
+class TestProbeChecker:
+    WEIGHTED = {"max_weight": 2, "arc_density": 0.4}
+
+    def test_no_probe_on_refuted_net(self, monkeypatch):
+        net = corpus_load("fig10_fpe_not_spe").net
+        assert spe_check(net, 10, pn.SPE).refuted
+
+        def probe(*args):
+            raise AssertionError("the probe ran on a refuted net")
+
+        monkeypatch.setattr(pn.theorems, "_fair_nonpersistent_lasso", probe)
+        rep = check_theorem("spe-implies-fpe-probe", net)
+        assert rep.ok and (rep.instances, rep.confirmations) == (1, 0)
+        assert rep.skips == [("no fair nonpersistent lasso found to probe", net.name)]
+
+    def test_weighted_net_answers(self):
+        # the probe needs only strong fairness, which is defined on every net
+        net = gen_random_net(GenConfig(seed=3, **self.WEIGHTED))
+        assert not classify_structure(net).plain
+        rep = check_theorem("spe-implies-fpe-probe", net)
+        assert rep.ok and rep.instances == 1
+        assert rep.skips == [("no fair nonpersistent lasso found to probe", net.name)]
+
+    def test_weighted_lasso_is_fair_and_nonpersistent(self):
+        net = gen_random_net(GenConfig(seed=80, **self.WEIGHTED))
+        assert not classify_structure(net).plain
+        lasso = _fair_nonpersistent_lasso(net, pn.AnalysisBounds())
+        assert lasso == Lasso(("t3",), ("t2",))
+        assert fairness_classify(net, lasso).strongly_fair
+        assert not lasso_persistence(net, lasso).persistent
+
+    def test_suite_names_slowest_seeds(self):
+        rep = run_theorem_suite("spe-implies-fpe-probe", GenConfig(**self.WEIGHTED),
+                                range(12))
+        assert rep.ok and len(rep.slowest) == 5
+        assert {seed for seed, _ in rep.slowest} <= set(range(12))
+        times = [seconds for _, seconds in rep.slowest]
+        assert times == sorted(times, reverse=True) and times[-1] >= 0
 
 
 class TestOracleEquivalence:
