@@ -78,8 +78,7 @@ def cmd_classify(args):
     report = net_mod.classify_structure(net)
     _, bound = lts_mod.build_rg(net, args.max_states)
     print(f"net {net.name}: {len(net.places)} places, {len(net.transitions)} transitions")
-    for flag in ("plain", "pure", "choice_free", "free_choice", "equal_conflict",
-                 "dissymmetric_choice", "asymmetric_choice", "dc_tilde"):
+    for flag in (f.name for f in dataclasses.fields(report) if f.name != "witnesses"):
         line = f"{flag}: {_flag_text(report.flag(flag))}"
         if report.flag(flag) is False and flag in report.witnesses:
             line += f"   witness: {report.witnesses[flag]}"
@@ -236,7 +235,7 @@ def cmd_pe_matrix(args):
     net = _load_net(args.net)
     if args.probes:
         with open(args.probes) as fh:
-            lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
+            lines = [" ".join(words) for _, words in textio._lines(fh.read())]
     elif args.net in corpus.corpus_names():
         lines = corpus.corpus_load(args.net).probes
     else:
@@ -299,11 +298,13 @@ def _gen_config(path):
 
 
 def _seed_range(text):
-    lo, _, hi = text.partition("..")
     try:
-        return range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split(".."))
+        if hi < lo:
+            raise ValueError
     except ValueError:
         raise InputError(f"--seeds wants LO..HI, got '{text}'") from None
+    return range(lo, hi + 1)
 
 
 def cmd_explore(args):

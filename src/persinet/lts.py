@@ -283,14 +283,22 @@ def _parikh_spot_check(lts: Lts, depth: int = 3) -> bool:
     Complements the structural per-state label functionality: full
     determinism also forbids same-Parikh paths joining distinct states.
     """
+    return (_same_parikh_same_end(lts, lts._succ, depth)
+            and _same_parikh_same_end(lts, lts._pred_map(), depth))
+
+
+def _same_parikh_same_end(lts: Lts, adjacency: dict, depth: int) -> bool:
+    """True iff, from every state, the paths of length <= depth along
+    adjacency (state -> label -> neighbours) that share a Parikh vector end
+    in one state."""
     for start in lts.states:
         frontier = {start: {()}}  # state -> parikh keys reaching it
         seen: dict = {}
         for _ in range(depth):
             nxt: dict = {}
             for s, keys in frontier.items():
-                for a, tgts in lts._succ[s].items():
-                    for s2 in tgts:
+                for a, ends in adjacency[s].items():
+                    for s2 in ends:
                         for key in keys:
                             k2 = tuple(sorted((*key, a)))
                             prev = seen.get(k2)
@@ -299,23 +307,6 @@ def _parikh_spot_check(lts: Lts, depth: int = 3) -> bool:
                             elif prev != s2:
                                 return False
                             nxt.setdefault(s2, set()).add(k2)
-            frontier = nxt
-    for target in lts.states:
-        frontier = {target: {()}}
-        seen = {}
-        for _ in range(depth):
-            nxt = {}
-            for s, keys in frontier.items():
-                for a, srcs in lts._pred_map()[s].items():
-                    for s0 in srcs:
-                        for key in keys:
-                            k2 = tuple(sorted((*key, a)))
-                            prev = seen.get(k2)
-                            if prev is None:
-                                seen[k2] = s0
-                            elif prev != s0:
-                                return False
-                            nxt.setdefault(s0, set()).add(k2)
             frontier = nxt
     return True
 

@@ -14,7 +14,7 @@ order) iterate in that order so results are reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional, Sequence
 
 from .errors import (
@@ -331,116 +331,107 @@ class ClassReport:
         return getattr(self, name)
 
 
-def _input_vector(net, ti):
-    return tuple(net._pre[ti].get(pi, 0) for pi in range(len(net.places)))
+def _tangled(a, b) -> bool:
+    """a and b meet, yet neither contains the other."""
+    return bool(a & b) and not (a <= b or b <= a)
+
+
+#: The pairwise class conditions, each defined once.  flag -> (elements
+#: compared, ordered pairs?, offends(x, y)): x and y are the input-weight
+#: dicts of two transitions, or the (consumers, producers) index sets of two
+#: places.  Unordered pairs are tried as i < j, ordered ones as i != j.
+_PAIR_CLASSES = {
+    # conflicting transitions have one input vector
+    "equal_conflict": ("transitions", False,
+                       lambda x, y: bool(x.keys() & y.keys()) and x != y),
+    "dissymmetric_choice": ("transitions", False,
+                            lambda x, y: _tangled(x.keys(), y.keys())),
+    "asymmetric_choice": ("places", False, lambda x, y: _tangled(x[0], y[0])),
+    # shared consumers force either consumer inclusion one way or producer
+    # inclusion the other way
+    "dc_tilde": ("places", True,
+                 lambda x, y: bool(x[0] & y[0]) and not (x[0] <= y[0] or y[1] <= x[1])),
+}
+
+
+def _place_sides(net: Net) -> list:
+    """Per place, in declaration order, its (consumers, producers) as sets of
+    transition indices."""
+    sides = [(set(), set()) for _ in net.places]
+    for ti in range(len(net.transitions)):
+        for pi in net._pre[ti]:
+            sides[pi][0].add(ti)
+        for pi in net._post[ti]:
+            sides[pi][1].add(ti)
+    return sides
+
+
+def _first_offending(items, ordered, offends):
+    """The first index pair, in declaration order, on which offends holds."""
+    n = len(items)
+    for i in range(n):
+        for j in range(n) if ordered else range(i + 1, n):
+            if i != j and offends(items[i], items[j]):
+                return i, j
+    return None
 
 
 def classify_structure(net: Net) -> ClassReport:
     """Evaluate the structural class predicates from their definitions.
 
     Nothing is assumed: plainness and pureness are recomputed even for nets
-    that were generated to satisfy them.  Witnesses are the first offending
-    pair in declaration order.  Nets are immutable, so the report is cached.
+    that were generated to satisfy them.  A witness is the first offending
+    arc, pair or place in declaration order.  Nets are immutable, so the
+    report is cached.
     """
     cached = net.__dict__.get("_class_report")
     if cached is not None:
         return cached
     witnesses = {}
-
-    plain = True
     for ti, t in enumerate(net.transitions):
         for pi in sorted(net._pre[ti]):
-            if net._pre[ti][pi] > 1 and plain:
-                plain = False
-                witnesses["plain"] = (net.places[pi], t, net._pre[ti][pi])
+            if net._pre[ti][pi] > 1:
+                witnesses.setdefault("plain", (net.places[pi], t, net._pre[ti][pi]))
         for pi in sorted(net._post[ti]):
-            if net._post[ti][pi] > 1 and plain:
-                plain = False
-                witnesses["plain"] = (t, net.places[pi], net._post[ti][pi])
+            if net._post[ti][pi] > 1:
+                witnesses.setdefault("plain", (t, net.places[pi], net._post[ti][pi]))
+    plain = "plain" not in witnesses
 
-    pure = True
-    for pi, p in enumerate(net.places):
-        for ti, t in enumerate(net.transitions):
-            if pi in net._pre[ti] and pi in net._post[ti]:
-                pure = False
-                witnesses.setdefault("pure", (p, t))
-
-    choice_free = True
-    for p in net.places:
-        consumers = net.place_postset(p)
+    sides = _place_sides(net)
+    for p, (consumers, producers) in zip(net.places, sides):
+        if consumers & producers:
+            witnesses.setdefault("pure", (p, net.transitions[min(consumers & producers)]))
         if len(consumers) > 1:
-            choice_free = False
-            witnesses.setdefault("choice_free", (p, consumers[0], consumers[1]))
-            break
+            t1, t2 = sorted(consumers)[:2]
+            witnesses.setdefault("choice_free", (p, net.transitions[t1], net.transitions[t2]))
 
-    equal_conflict = True
-    free_choice = plain
-    nt = len(net.transitions)
-    for i in range(nt):
-        for j in range(i + 1, nt):
-            if not (set(net._pre[i]) & set(net._pre[j])):
-                continue
-            if _input_vector(net, i) != _input_vector(net, j):
-                if equal_conflict:
-                    equal_conflict = False
-                    witnesses["equal_conflict"] = (net.transitions[i], net.transitions[j])
-                if free_choice:
-                    free_choice = False
-                    witnesses["free_choice"] = (net.transitions[i], net.transitions[j])
-    if not plain:
-        free_choice = False
-        witnesses.setdefault("free_choice", witnesses.get("plain"))
+    elements = {"transitions": net._pre, "places": sides}
+    flags = {}
+    for flag, (kind, ordered, offends) in _PAIR_CLASSES.items():
+        if not plain and flag != "equal_conflict":
+            flags[flag] = None  # defined for plain nets only
+            continue
+        pair = _first_offending(elements[kind], ordered, offends)
+        if pair is not None:
+            names = getattr(net, kind)
+            witnesses[flag] = (names[pair[0]], names[pair[1]])
+    # free choice is equal conflict on a plain net, and fails off plain nets
+    if not plain or "equal_conflict" in witnesses:
+        witnesses["free_choice"] = witnesses["equal_conflict" if plain else "plain"]
 
-    dissymmetric = asymmetric = dc_tilde = None
-    if plain:
-        dissymmetric = True
-        for i in range(nt):
-            for j in range(i + 1, nt):
-                pre_i, pre_j = set(net._pre[i]), set(net._pre[j])
-                if pre_i & pre_j and not (pre_i <= pre_j or pre_j <= pre_i):
-                    dissymmetric = False
-                    witnesses["dissymmetric_choice"] = (net.transitions[i], net.transitions[j])
-                    break
-            if not dissymmetric:
-                break
-
-        asymmetric = True
-        np_ = len(net.places)
-        post = [set(net.place_postset(p)) for p in net.places]
-        prod = [set(net.place_preset(p)) for p in net.places]
-        for i in range(np_):
-            for j in range(i + 1, np_):
-                if post[i] & post[j] and not (post[i] <= post[j] or post[j] <= post[i]):
-                    asymmetric = False
-                    witnesses["asymmetric_choice"] = (net.places[i], net.places[j])
-                    break
-            if not asymmetric:
-                break
-
-        # ordered-pair condition: shared consumers force either postset
-        # inclusion one way or producer inclusion the other way
-        dc_tilde = True
-        for i in range(np_):
-            for j in range(np_):
-                if i == j or not (post[i] & post[j]):
-                    continue
-                if not (post[i] <= post[j] or prod[j] <= prod[i]):
-                    dc_tilde = False
-                    witnesses["dc_tilde"] = (net.places[i], net.places[j])
-                    break
-            if not dc_tilde:
-                break
-
-    report = ClassReport(
-        plain=plain, pure=pure, choice_free=choice_free, free_choice=free_choice,
-        equal_conflict=equal_conflict, dissymmetric_choice=dissymmetric,
-        asymmetric_choice=asymmetric, dc_tilde=dc_tilde, witnesses=witnesses)
+    # every other flag holds iff it has no witness
+    report = ClassReport(witnesses=witnesses, **{
+        f.name: flags.get(f.name, f.name not in witnesses)
+        for f in fields(ClassReport) if f.name != "witnesses"})
     net.__dict__["_class_report"] = report
     return report
 
 
 def replay_class_witness(net: Net, flag: str, witness) -> bool:
-    """Re-falsify a flag from its witness; True iff the witness is genuine."""
+    """Re-falsify a flag from its witness; True iff the witness is genuine.
+
+    Pairwise flags re-evaluate the very predicate classify_structure uses.
+    """
     if flag == "plain":
         x, y, w = witness
         if x in net._pidx:
@@ -452,27 +443,19 @@ def replay_class_witness(net: Net, flag: str, witness) -> bool:
     if flag == "choice_free":
         p, t1, t2 = witness
         return t1 != t2 and net.pre_weight(p, t1) > 0 and net.pre_weight(p, t2) > 0
-    if flag in ("free_choice", "equal_conflict"):
-        if flag == "free_choice" and len(witness) == 3:
+    if flag == "free_choice":
+        if len(witness) == 3:
             return replay_class_witness(net, "plain", witness)
-        t1, t2 = witness
-        i, j = net.transition_index(t1), net.transition_index(t2)
-        return bool(set(net._pre[i]) & set(net._pre[j])) and \
-            _input_vector(net, i) != _input_vector(net, j)
-    if flag == "dissymmetric_choice":
-        t1, t2 = witness
-        a, b = set(net._pre[net.transition_index(t1)]), set(net._pre[net.transition_index(t2)])
-        return bool(a & b) and not (a <= b or b <= a)
-    if flag == "asymmetric_choice":
-        p1, p2 = witness
-        a, b = set(net.place_postset(p1)), set(net.place_postset(p2))
-        return bool(a & b) and not (a <= b or b <= a)
-    if flag == "dc_tilde":
-        p1, p2 = witness
-        a, b = set(net.place_postset(p1)), set(net.place_postset(p2))
-        pa, pb = set(net.place_preset(p1)), set(net.place_preset(p2))
-        return bool(a & b) and not (a <= b or pb <= pa)
-    raise InputError(f"unknown class flag '{flag}'")
+        flag = "equal_conflict"
+    if flag not in _PAIR_CLASSES:
+        raise InputError(f"unknown class flag '{flag}'")
+    kind, _, offends = _PAIR_CLASSES[flag]
+    if kind == "transitions":
+        x, y = (net._pre[net.transition_index(t)] for t in witness)
+    else:
+        sides = _place_sides(net)
+        x, y = (sides[net.place_index(p)] for p in witness)
+    return offends(x, y)
 
 
 # -- constructions -------------------------------------------------------------

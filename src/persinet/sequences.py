@@ -77,7 +77,7 @@ def sequence_persistence(net: Net, m0: Marking, seq: Sequence[str]) -> SeqPersis
     cur = m0
     for i, a in enumerate(seq):
         before = _enabled_i(net, cur)
-        ai = net._tidx.get(a)
+        ai = net.transition_index(a)
         if ai not in before:
             raise NotEnabledError(a, index=i)
         cur = _fire_i(net, cur, ai)

@@ -56,7 +56,24 @@ from .sequences import (
     spe_check,
 )
 
-CLASS_CONSTRAINTS = ("CF", "FC", "EC", "DC", "AC", "pure", "plain", "pps", "safe")
+#: generator class constraint -> the ClassReport flags its nets must show;
+#: "plain" forces unit weights, "safe" is read off the reachability graph last
+_CONSTRAINT_FLAGS = {
+    "CF": ("choice_free",),
+    "FC": ("plain", "free_choice"),
+    "EC": ("equal_conflict",),
+    "DC": ("plain", "dissymmetric_choice"),
+    "AC": ("plain", "asymmetric_choice"),
+    "pure": ("pure",),
+    "plain": ("plain",),
+    "pps": ("plain", "pure", "safe"),
+    "safe": ("safe",),
+}
+CLASS_CONSTRAINTS = tuple(_CONSTRAINT_FLAGS)
+
+
+def _demanded_flags(constraint) -> set:
+    return {flag for c in constraint for flag in _CONSTRAINT_FLAGS[c]}
 
 
 @dataclass
@@ -83,8 +100,7 @@ class GenConfig:
             if c not in CLASS_CONSTRAINTS:
                 raise InputError(
                     f"unknown class constraint '{c}' (have {CLASS_CONSTRAINTS})")
-        if ("FC" in constraint or "DC" in constraint or "AC" in constraint
-                or "pps" in constraint or "plain" in constraint) and self.max_weight != 1:
+        if "plain" in _demanded_flags(constraint) and self.max_weight != 1:
             raise InputError("plainness-based constraints force max_weight=1")
         if not 0.0 <= self.arc_density <= 1.0:
             raise InputError("arc_density must lie in [0,1]")
@@ -137,7 +153,8 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
     """
     rng = random.Random(cfg.seed)
     want = set(cfg.class_constraint)
-    plain = bool(want & {"FC", "DC", "AC", "plain", "pps"}) or cfg.max_weight == 1
+    demanded = _demanded_flags(want)
+    plain = "plain" in demanded or cfg.max_weight == 1
     for _ in range(400):
         places = [f"p{i}" for i in range(cfg.places)]
         transitions = [f"t{i}" for i in range(cfg.transitions)]
@@ -149,7 +166,7 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
                     pre[ti][pi] = 1 if plain else rng.randint(1, cfg.max_weight)
                 if rng.random() < cfg.arc_density:
                     post[ti][pi] = 1 if plain else rng.randint(1, cfg.max_weight)
-        if "pure" in want or "pps" in want:
+        if "pure" in demanded:
             for ti in range(cfg.transitions):
                 for pi in list(pre[ti]):
                     if pi in post[ti]:
@@ -203,21 +220,9 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
         net = Net(f"gen{cfg.seed}", places, transitions, arcs, marking)
 
         report = classify_structure(net)
-        if "plain" in want and not report.plain:
+        if not all(report.flag(f) for f in demanded - {"safe"}):
             continue
-        if ("pure" in want or "pps" in want) and not report.pure:
-            continue
-        if "CF" in want and not report.choice_free:
-            continue
-        if "DC" in want and not report.dissymmetric_choice:
-            continue
-        if "AC" in want and not report.asymmetric_choice:
-            continue
-        if "FC" in want and not report.free_choice:
-            continue
-        if "EC" in want and not report.equal_conflict:
-            continue
-        if ("safe" in want or "pps" in want):
+        if "safe" in demanded:
             _, bound = build_rg(net, max_states)
             if bound.status != "bounded" or not bound.safe:
                 continue

@@ -48,6 +48,9 @@ def test_seq_modes():
     assert "a:1" in out.stdout and "b:0" in out.stdout
     out = run("seq", "fig1_basic", "--run", "c d a")
     assert "p4" in out.stdout
+    for mode in ((), ("--persistence",)):
+        out = run("seq", "fig1_basic", "--run", "zz", *mode)
+        assert _bad_input(out) and "unknown transition 'zz'" in out.stderr
 
 
 def test_equiv():
@@ -100,6 +103,11 @@ def test_pe_matrix_probes_file(tmp_path):
     out = run("pe-matrix", "fig6_unfair", "--probes", str(probes))
     assert out.returncode == 0
     assert "JPE:  refuted-within-bounds" in out.stdout
+    # '#' starts a comment anywhere on a line, as in the net and LTS formats
+    probes.write_text("  # note\n\ny b  # note\n")
+    out = run("pe-matrix", "fig10_fpe_not_spe", "--probes", str(probes))
+    assert out.returncode == 0, out.stderr
+    assert "probe [y b]:" in out.stdout and out.stdout.count("probe [") == 1
 
 
 def test_pattern_on_lts_file(tmp_path):
@@ -219,7 +227,7 @@ def test_bad_class_guard_setting():
 
 
 def test_bad_seed_range():
-    for seeds in ("5", "a..b", "1..2..3"):
+    for seeds in ("5", "a..b", "1..2..3", "5..2"):
         out = run("explore", "--theorem", "CF-persistent", "--seeds", seeds)
         assert _bad_input(out) and "--seeds" in out.stderr
 

@@ -132,6 +132,15 @@ class TestProperties:
                       ("x", "b", "p"), ("y", "a", "q")], "s")
         assert not lts_properties(tricky).deterministic
 
+    def test_backward_parikh_nondeterminism_detected(self):
+        # the mirror image: Parikh-equal paths from distinct states join
+        joined = Lts("joined", ["s", "u", "x", "y", "t"], ["a", "b"],
+                     [("s", "a", "x"), ("x", "b", "t"),
+                      ("u", "b", "y"), ("y", "a", "t")], "s")
+        assert joined.is_label_deterministic()
+        assert not _parikh_spot_check(joined)
+        assert not lts_properties(joined).deterministic
+
     def test_certificate_rejects_unexplained_payloads(self):
         # injective payloads, but a moves y to q by (2, 1) and s to x by
         # (1, 0), so the state equation does not hold and the spot check

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 
 import persinet as pn
@@ -21,7 +23,7 @@ from persinet import (
     project_sequence,
     reverse_dual,
 )
-from persinet.net import replay_class_witness
+from persinet.net import ClassReport, replay_class_witness
 
 
 def seq(text):
@@ -163,6 +165,99 @@ class TestClassification:
             r = classify_structure(net)
             for flag, witness in r.witnesses.items():
                 assert replay_class_witness(net, flag, witness), (net.name, flag)
+
+
+def _tangled(a, b):
+    return bool(a & b) and not (a <= b or b <= a)
+
+
+def _offends(net, flag, x, y):
+    """The pairwise class conditions straight from their definitions, on ids."""
+    if flag in ("equal_conflict", "dissymmetric_choice"):
+        pre_x = {p: net.pre_weight(p, x) for p in net.places if net.pre_weight(p, x)}
+        pre_y = {p: net.pre_weight(p, y) for p in net.places if net.pre_weight(p, y)}
+        if flag == "equal_conflict":
+            return bool(set(pre_x) & set(pre_y)) and pre_x != pre_y
+        return _tangled(set(pre_x), set(pre_y))
+    cons_x, cons_y = set(net.place_postset(x)), set(net.place_postset(y))
+    if flag == "asymmetric_choice":
+        return _tangled(cons_x, cons_y)
+    prod_x, prod_y = set(net.place_preset(x)), set(net.place_preset(y))
+    return bool(cons_x & cons_y) and not (cons_x <= cons_y or prod_y <= prod_x)
+
+
+_PAIRS = {"equal_conflict": ("transitions", combinations),
+          "dissymmetric_choice": ("transitions", combinations),
+          "asymmetric_choice": ("places", combinations),
+          "dc_tilde": ("places", permutations)}
+
+
+def _reference_report(net):
+    """A ClassReport written from the definitions: every witness is the first
+    offender in declaration order."""
+    P, T = net.places, net.transitions
+    arcs = [arc for t in T for arc in [(p, t, net.pre_weight(p, t)) for p in P]
+            + [(t, p, net.post_weight(t, p)) for p in P]]
+    found = {
+        "plain": next((arc for arc in arcs if arc[2] > 1), None),
+        "pure": next(((p, t) for p in P for t in T
+                      if net.pre_weight(p, t) and net.post_weight(t, p)), None),
+        "choice_free": next(((p, *net.place_postset(p)[:2]) for p in P
+                             if len(net.place_postset(p)) > 1), None),
+    }
+    for flag, (kind, pairs) in _PAIRS.items():
+        found[flag] = next((pair for pair in pairs(getattr(net, kind), 2)
+                            if _offends(net, flag, *pair)), None)
+    plain = found["plain"] is None
+    found["free_choice"] = found["equal_conflict"] if plain else found["plain"]
+    flags = {flag: witness is None for flag, witness in found.items()}
+    if not plain:
+        for flag in ("dissymmetric_choice", "asymmetric_choice", "dc_tilde"):
+            flags[flag] = None
+            del found[flag]
+    return ClassReport(**flags, witnesses={
+        flag: witness for flag, witness in found.items() if witness is not None})
+
+
+def _table_nets():
+    nets = [pn.corpus_load(name).net for name in pn.corpus_names()]
+    configs = ({}, {"places": 5, "transitions": 5}, {"max_weight": 2},
+               {"max_weight": 3}, {"class_constraint": ("pure", "plain")})
+    nets += [gen_random_net(GenConfig(seed=s, **kw)) for kw in configs for s in range(300)]
+    return nets + [reverse_dual(net) for net in nets]
+
+
+class TestClassTable:
+    def test_against_reference(self):
+        nets = _table_nets()
+        assert len(nets) > 3000
+        for net in nets:
+            assert classify_structure(net) == _reference_report(net), net.name
+
+    def test_replay_rejects_innocent_pairs(self):
+        verdicts = {flag: set() for flag in (*_PAIRS, "free_choice")}
+        for net in _table_nets()[:400]:
+            for flag, (kind, _) in _PAIRS.items():
+                for pair in permutations(getattr(net, kind), 2):
+                    got = replay_class_witness(net, flag, pair)
+                    assert got == _offends(net, flag, *pair), (net.name, flag, pair)
+                    verdicts[flag].add(got)
+                    if flag == "equal_conflict":
+                        fc = replay_class_witness(net, "free_choice", pair)
+                        assert fc == got
+                        verdicts["free_choice"].add(fc)
+        assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+    def test_replay_rejects_innocent_arcs_and_places(self, fig1):
+        assert fig1.pre_weight("p3", "a") == 1
+        for flag in ("plain", "free_choice"):
+            assert not replay_class_witness(fig1, flag, ("p3", "a", 1))
+        assert replay_class_witness(fig1, "choice_free", ("p3", "a", "b"))
+        assert not replay_class_witness(fig1, "choice_free", ("p3", "a", "a"))
+        assert not replay_class_witness(fig1, "choice_free", ("p2", "a", "b"))
+        assert not replay_class_witness(fig1, "pure", ("p3", "a"))
+        with pytest.raises(InputError):
+            replay_class_witness(fig1, "safe", ("p0", "p1"))
 
 
 class TestConstructions:

@@ -9,6 +9,7 @@ from persinet import (
     InvariantError,
     Net,
     NotEnabledError,
+    UnknownIdError,
     UnsupportedClassError,
     complete_diamond,
     corpus_load,
@@ -57,6 +58,10 @@ class TestSequencePersistence:
     def test_unfirable_is_input_error(self, fig1):
         with pytest.raises(NotEnabledError):
             sequence_persistence(fig1, fig1.initial, seq("a"))
+
+    def test_unknown_transition(self, fig1):
+        with pytest.raises(UnknownIdError, match="unknown transition 'zz'"):
+            sequence_persistence(fig1, fig1.initial, seq("c zz"))
 
     def test_factorisation_random(self):
         rng = random.Random(5)

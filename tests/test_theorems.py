@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import persinet as pn
@@ -15,14 +17,79 @@ from persinet import (
 )
 from persinet.fairness import fairness_classify, lasso_persistence, validate_lasso
 from persinet.lts import bfs_depths, shortest_path
-from persinet.theorems import _fair_nonpersistent_lasso, run_theorem_suite
+from persinet.textio import print_net
+from persinet.theorems import (
+    CLASS_CONSTRAINTS,
+    _fair_nonpersistent_lasso,
+    run_theorem_suite,
+)
 
 
 def seq(text):
     return tuple(text.split())
 
 
+def _safe(net):
+    _, rep = pn.build_rg(net)
+    return rep.status == "bounded" and rep.safe
+
+
+# what each generator constraint promises of its nets, from the definitions
+_PROMISES = {
+    "CF": lambda net, r: all(len(net.place_postset(p)) <= 1 for p in net.places),
+    "FC": lambda net, r: r.plain and r.free_choice and r.equal_conflict,
+    "EC": lambda net, r: r.equal_conflict,
+    "DC": lambda net, r: r.plain and r.dissymmetric_choice is True,
+    "AC": lambda net, r: r.plain and r.asymmetric_choice is True,
+    "pure": lambda net, r: r.pure,
+    "plain": lambda net, r: r.plain,
+    "pps": lambda net, r: r.plain and r.pure and _safe(net),
+    "safe": lambda net, r: _safe(net),
+}
+
+# SHA-256 of print_net over seeds 0..199, per configuration.  The acceptance
+# suites certify fixed seed ranges, so a moved random stream would silently
+# change what they certify.
+_STREAM_PINS = (
+    ({}, "63a8736e79a85096acfbbb70b2f09a15a4d7933bbba80fdcc43c7ba287b5ca7d"),
+    ({"max_weight": 2, "arc_density": 0.4},
+     "72428b6ce670d04b594d90083df9fe4124118aebaec1ffd045f8f0b69881f67c"),
+    ({"class_constraint": ("CF",)},
+     "7e365361ad3d92702c206af1ace2747913d6554aaa3f599dde5fd820f03e70f7"),
+    ({"class_constraint": ("FC",)},
+     "57d383456a272fcfdf686074de7a7e95d3637285d47c665dd8feb672ea8d1c29"),
+    ({"class_constraint": ("EC",)},
+     "57d383456a272fcfdf686074de7a7e95d3637285d47c665dd8feb672ea8d1c29"),
+    ({"class_constraint": ("DC",)},
+     "1e8180d81dae27b91ce60782770eb235267166c0df9b57e448790c8e7d4d5cfd"),
+    ({"class_constraint": ("AC",)},
+     "2880dc3684582ae67ff0987c5cf12e6a0f1d23d7d6f56762b148cf655b028b5d"),
+    ({"class_constraint": ("pure",)},
+     "ccf133563882300ff0f4cf83b2dcca0a066504685e2681b2e3374403c722148b"),
+    ({"class_constraint": ("plain",)},
+     "63a8736e79a85096acfbbb70b2f09a15a4d7933bbba80fdcc43c7ba287b5ca7d"),
+    ({"class_constraint": ("pps",)},
+     "fde152304c17fe46a9c3600c7090a581885085bbb82503e3571faecf73773a2d"),
+    ({"class_constraint": ("safe",)},
+     "3e6ca262c5ad8699eef81c514b4857cd50217988b20f0cd06ccf4ddb98b72313"),
+)
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("constraint", CLASS_CONSTRAINTS)
+    def test_every_constraint_holds(self, constraint):
+        assert set(_PROMISES) == set(CLASS_CONSTRAINTS)
+        for s in range(30):
+            net = gen_random_net(GenConfig(seed=s, class_constraint=(constraint,)))
+            assert _PROMISES[constraint](net, classify_structure(net)), (constraint, s)
+
+    @pytest.mark.parametrize("kw,digest", _STREAM_PINS)
+    def test_stream_pinned(self, kw, digest):
+        h = hashlib.sha256()
+        for s in range(200):
+            h.update(print_net(gen_random_net(GenConfig(seed=s, **kw))).encode())
+        assert h.hexdigest() == digest
+
     def test_deterministic(self):
         cfg = GenConfig(seed=42, places=5, transitions=4, token_budget=3)
         assert gen_random_net(cfg) == gen_random_net(cfg)
@@ -66,8 +133,11 @@ class TestGenerator:
             assert rep.status == "bounded"
 
     def test_config_validation(self):
-        with pytest.raises(InputError):
-            GenConfig(class_constraint=("FC",), max_weight=2)
+        for forced in ("FC", "DC", "AC", "plain", "pps"):
+            with pytest.raises(InputError):
+                GenConfig(class_constraint=(forced,), max_weight=2)
+        for free in ("CF", "EC", "pure", "safe"):
+            GenConfig(class_constraint=(free,), max_weight=2)
         with pytest.raises(InputError):
             GenConfig(class_constraint=("XX",))
         with pytest.raises(InputError):
