@@ -5,11 +5,14 @@ Reachability graphs are built breadth-first in canonical transition order,
 so state names M0, M1, ... and all reported witnesses are stable across runs
 for a fixed net.  State identity is the full marking vector; there is no
 symmetry reduction, which keeps every witness literal and replayable.
+
+An Lts holds one adjacency, its index rows (state index -> label index ->
+target indices); every analysis here, the pattern search and the probe
+search read them, and map indices back to names only for their answers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter, sub
 from typing import Optional
@@ -28,6 +31,14 @@ class Lts:
     states and labels keep declaration order; edges are (state, label, state)
     triples.  Reachability graphs additionally carry a marking payload per
     state, and payloads are injective (markings identify states).
+
+    Every analysis reads one adjacency, the index rows: per state index a
+    dict {label index: [target indices]}, labels in declaration order and
+    targets in edge order.  build_rg hands over the rows its exploration
+    fills; any other LTS builds them from its edges on first use.  The
+    reverse rows {label index: [source indices]}, sources in edge order,
+    are built only when predecessors are asked for.  The name-level
+    accessors below are projections of the rows.
     """
 
     def __init__(self, name, states, labels, edges, initial, payload=None):
@@ -65,37 +76,63 @@ class Lts:
         self.initial = initial
         self.payload = dict(payload) if payload is not None else None
 
-        self._succ = {s: {} for s in states}
-        for s, a, s2 in edges:
-            self._succ[s].setdefault(a, []).append(s2)
-        self._pred = None
+        self._label_index = {a: i for i, a in enumerate(labels)}
+        self._state_ix = None
+        self._rows = None
+        self._rev = None
+        self._tree = None
         self._deterministic = None
-        self._next = None
         self._of_payload = None
+
+    def _state_index(self) -> dict:
+        """{state: index}, built on first use."""
+        if self._state_ix is None:
+            self._state_ix = {s: i for i, s in enumerate(self.states)}
+        return self._state_ix
+
+    def _edge_rows(self, src, dst) -> list:
+        """Per state index at edge end src, {label index: [indices at end
+        dst]}, in edge order."""
+        sidx, lidx = self._state_index(), self._label_index
+        rows = [{} for _ in self.states]
+        for e in self.edges:
+            rows[sidx[e[src]]].setdefault(lidx[e[1]], []).append(sidx[e[dst]])
+        return rows
+
+    def _index_rows(self) -> list:
+        """The forward index rows (see the class docstring)."""
+        if self._rows is None:
+            rows = self._edge_rows(0, 2)
+            for i, row in enumerate(rows):
+                if len(row) > 1:
+                    rows[i] = dict(sorted(row.items()))
+            self._rows = rows
+        return self._rows
+
+    def _reverse_rows(self) -> list:
+        if self._rev is None:
+            self._rev = self._edge_rows(2, 0)
+        return self._rev
+
+    def _project(self, rows, s, a) -> tuple:
+        ai = self._label_index.get(a)
+        states = self.states
+        return tuple(states[j] for j in rows[self._state_index()[s]].get(ai, ()))
 
     def enabled_labels(self, s):
         """Labels with an outgoing edge at s, in label declaration order."""
-        out = self._succ[s]
-        return tuple(a for a in self.labels if a in out)
+        labels = self.labels
+        return tuple(labels[a] for a in self._index_rows()[self._state_index()[s]])
 
     def successors(self, s, a):
-        return tuple(self._succ[s].get(a, ()))
+        return self._project(self._index_rows(), s, a)
 
     def predecessors(self, s, a):
-        return tuple(self._pred_map()[s].get(a, ()))
-
-    def _pred_map(self) -> dict:
-        """{state: {label: [sources]}}, built on first use."""
-        if self._pred is None:
-            pred = {s: {} for s in self.states}
-            for s, a, s2 in self.edges:
-                pred[s2].setdefault(a, []).append(s)
-            self._pred = pred
-        return self._pred
+        return self._project(self._reverse_rows(), s, a)
 
     def succ(self, s, a) -> Optional[str]:
         """Unique successor under a, or None; raises if nondeterministic."""
-        tgts = self._succ[s].get(a)
+        tgts = self.successors(s, a)
         if not tgts:
             return None
         if len(tgts) > 1:
@@ -105,25 +142,31 @@ class Lts:
 
     def next_states(self) -> dict:
         """The deterministic next-state map {state: {label: target}}, each
-        inner dict in label declaration order.  A row is built on its first
-        lookup and kept; building one raises UnsupportedClassError if the
-        state has two same-labelled outgoing edges."""
-        if self._next is None:
-            self._next = _NextStates(self.name, self.labels, self._succ)
-        return self._next
+        inner dict in label declaration order.  Raises UnsupportedClassError
+        naming the first state with two same-labelled outgoing edges."""
+        states, labels = self.states, self.labels
+        out = {}
+        for s, row in zip(states, self._index_rows()):
+            nxt = out[s] = {}
+            for a, tgts in row.items():
+                if len(tgts) > 1:
+                    raise UnsupportedClassError(
+                        f"lts '{self.name}' is nondeterministic at ({s},{labels[a]})")
+                nxt[labels[a]] = states[tgts[0]]
+        return out
 
     def is_label_deterministic(self) -> bool:
         """No state has two same-labelled outgoing or incoming edges."""
         if self._deterministic is None:
-            # (state, label) keys of the successor lists number |E| exactly
-            # when every list holds one target
+            # (state, label) keys of the rows number |E| exactly when every
+            # row entry holds one target
             n = len(self.edges)
-            self._deterministic = (sum(map(len, self._succ.values())) == n
+            self._deterministic = (sum(map(len, self._index_rows())) == n
                                    and len(set(map(itemgetter(2, 1), self.edges))) == n)
         return self._deterministic
 
     def deadlocks(self):
-        return tuple(s for s in self.states if not self._succ[s])
+        return tuple(s for s, row in zip(self.states, self._index_rows()) if not row)
 
     def state_of_payload(self, value):
         if self.payload is None:
@@ -147,29 +190,6 @@ class Lts:
                 and self.initial == other.initial)
 
     __hash__ = None
-
-
-class _NextStates(dict):
-    """Rows of Lts.next_states, each built on its first lookup.  Holds the
-    adjacency, not the Lts, so that no reference cycle delays freeing it."""
-
-    def __init__(self, name, labels, succ):
-        super().__init__()
-        self._name = name
-        self._rank = {a: i for i, a in enumerate(labels)}.__getitem__
-        self._succ = succ
-
-    def __missing__(self, s):
-        out = self._succ[s]
-        row = {}
-        for a in sorted(out, key=self._rank):
-            tgts = out[a]
-            if len(tgts) > 1:
-                raise UnsupportedClassError(
-                    f"lts '{self._name}' is nondeterministic at ({s},{a})")
-            row[a] = tgts[0]
-        self[s] = row
-        return row
 
 
 def _edges_valid(edges, state_set, label_set) -> bool:
@@ -221,35 +241,38 @@ def build_rg(net: Net, max_states: Optional[int] = None):
 
     index = {net.initial: 0}
     order = [net.initial]
-    edges = []
+    rows = []  # the index rows, one per state in discovery order
     place_bounds = list(net.initial)
-    queue = deque([net.initial])
     truncated = False
-    while queue:
-        m = queue.popleft()
+    for m in order:  # order grows while it is read: it is the BFS queue
+        row = {}
         for ti in _enabled_i(net, m):
             m2 = _fire_i(net, m, ti)
-            if m2 not in index:
+            j = index.get(m2)
+            if j is None:
                 if len(order) >= cutoff:
                     truncated = True
                     continue
-                index[m2] = len(order)
+                j = index[m2] = len(order)
                 order.append(m2)
-                queue.append(m2)
                 for pi, n in enumerate(m2):
                     if n > place_bounds[pi]:
                         place_bounds[pi] = n
-            edges.append((index[m], ti, index[m2]))
+            row[ti] = [j]
+        rows.append(row)
 
     names = [f"M{i}" for i in range(len(order))]
+    labels = net.transitions
     lts = Lts(
         name=f"rg({net.name})",
         states=names,
-        labels=net.transitions,
-        edges=[(names[i], net.transitions[ti], names[j]) for i, ti, j in edges],
+        labels=labels,
+        edges=[(names[i], labels[ti], names[j])
+               for i, row in enumerate(rows) for ti, (j,) in row.items()],
         initial=names[0],
         payload={names[i]: order[i] for i in range(len(order))},
     )
+    lts._rows = rows
     # firing is a function of the marking, and a marking is the unique
     # predecessor of its successor under t (M = M' - C[t]); markings name
     # the states, so the graph is label-deterministic both ways
@@ -258,13 +281,13 @@ def build_rg(net: Net, max_states: Optional[int] = None):
         report = BoundReport(
             status="cutoff-reached", k_bound=max(place_bounds),
             place_bounds={p: place_bounds[i] for i, p in enumerate(net.places)},
-            safe=None, state_count=len(order), edge_count=len(edges), cutoff=cutoff)
+            safe=None, state_count=len(order), edge_count=len(lts.edges), cutoff=cutoff)
     else:
         k = max(place_bounds) if place_bounds else 0
         report = BoundReport(
             status="bounded", k_bound=k,
             place_bounds={p: place_bounds[i] for i, p in enumerate(net.places)},
-            safe=(k <= 1), state_count=len(order), edge_count=len(edges),
+            safe=(k <= 1), state_count=len(order), edge_count=len(lts.edges),
             cutoff=cutoff)
     return lts, report
 
@@ -283,21 +306,21 @@ def _parikh_spot_check(lts: Lts, depth: int = 3) -> bool:
     Complements the structural per-state label functionality: full
     determinism also forbids same-Parikh paths joining distinct states.
     """
-    return (_same_parikh_same_end(lts, lts._succ, depth)
-            and _same_parikh_same_end(lts, lts._pred_map(), depth))
+    return (_same_parikh_same_end(lts._index_rows(), depth)
+            and _same_parikh_same_end(lts._reverse_rows(), depth))
 
 
-def _same_parikh_same_end(lts: Lts, adjacency: dict, depth: int) -> bool:
-    """True iff, from every state, the paths of length <= depth along
-    adjacency (state -> label -> neighbours) that share a Parikh vector end
-    in one state."""
-    for start in lts.states:
+def _same_parikh_same_end(rows: list, depth: int) -> bool:
+    """True iff, from every state, the paths of length <= depth along rows
+    (state index -> label index -> neighbours) that share a Parikh vector
+    end in one state."""
+    for start in range(len(rows)):
         frontier = {start: {()}}  # state -> parikh keys reaching it
         seen: dict = {}
         for _ in range(depth):
             nxt: dict = {}
             for s, keys in frontier.items():
-                for a, ends in adjacency[s].items():
+                for a, ends in rows[s].items():
                     for s2 in ends:
                         for key in keys:
                             k2 = tuple(sorted((*key, a)))
@@ -352,16 +375,7 @@ def lts_properties(lts: Lts, spot_depth: int = 3) -> LtsReport:
     falls back to a spot check of paths up to spot_depth, since deciding
     the full Parikh formulation on arbitrary LTS would be exhaustive.
     """
-    seen = {lts.initial}
-    queue = deque([lts.initial])
-    while queue:
-        s = queue.popleft()
-        for tgts in lts._succ[s].values():
-            for s2 in tgts:
-                if s2 not in seen:
-                    seen.add(s2)
-                    queue.append(s2)
-    totally = len(seen) == len(lts.states)
+    totally = len(_bfs_tree(lts)[0]) == len(lts.states)
     deterministic = lts.is_label_deterministic() and (
         _state_equation_certificate(lts) or _parikh_spot_check(lts, spot_depth))
     return LtsReport(
@@ -388,24 +402,22 @@ def persistence_check(lts: Lts) -> PersistenceVerdict:
     if not lts.is_label_deterministic():
         raise UnsupportedClassError(
             f"persistence check needs a deterministic LTS, '{lts.name}' is not")
-    nxt = lts.next_states()
-    for s in lts.states:
-        out = nxt[s]
+    rows = lts._index_rows()
+    for i, out in enumerate(rows):
         if len(out) < 2:
             continue
-        for t, after_t in out.items():
-            after = nxt[after_t]
+        for t, (j,) in out.items():
+            after = rows[j]
             for u in out:
                 if u != t and u not in after:
-                    return PersistenceVerdict(False, (s, t, u))
-        pairs = sorted(out.items())
-        for i, (t, after_t) in enumerate(pairs):
-            after = nxt[after_t]
-            for u, after_u in pairs[i + 1:]:
-                if after[u] != nxt[after_u][t]:
+                    return PersistenceVerdict(
+                        False, (lts.states[i], lts.labels[t], lts.labels[u]))
+        for t, (j,) in out.items():
+            for u, (k,) in out.items():
+                if u > t and rows[j][u] != rows[k][t]:
                     raise UnsupportedClassError(
-                        f"lts '{lts.name}' closes a diamond at {s} on two different "
-                        f"states; it cannot be a reachability graph")
+                        f"lts '{lts.name}' closes a diamond at {lts.states[i]} on two "
+                        f"different states; it cannot be a reachability graph")
     return PersistenceVerdict(True, None)
 
 
@@ -437,23 +449,25 @@ def isomorphic(l1: Lts, l2: Lts) -> IsoVerdict:
     if len(l1.states) != len(l2.states):
         return IsoVerdict(False, mismatch=(None, "state counts differ"))
 
-    nxt1, nxt2 = l1.next_states(), l2.next_states()
-    fwd = {l1.initial: l2.initial}
-    bwd = {l2.initial: l1.initial}
-    queue = deque([(l1.initial, l2.initial)])
-    while queue:
-        s1, s2 = queue.popleft()
-        out1, out2 = nxt1[s1], nxt2[s2]
-        if out1.keys() != out2.keys():
-            diff = sorted(out1.keys() ^ out2.keys())[0]
-            return IsoVerdict(False, mismatch=(s1, diff))
-        for a in sorted(out1):
-            t1, t2 = out1[a], out2[a]
+    rows1, rows2 = l1._index_rows(), l2._index_rows()
+    names = l1.labels
+    to2 = [l2._label_index[a] for a in names]  # label index in l1 -> in l2
+    i1, i2 = l1.states.index(l1.initial), l2.states.index(l2.initial)
+    fwd = {i1: i2}
+    bwd = {i2: i1}
+    queue = [(i1, i2)]
+    for s1, s2 in queue:  # queue grows while it is read
+        out1, out2 = rows1[s1], rows2[s2]
+        if len(out1) != len(out2) or any(to2[a] not in out2 for a in out1):
+            diff = min({names[a] for a in out1} ^ {l2.labels[b] for b in out2})
+            return IsoVerdict(False, mismatch=(l1.states[s1], diff))
+        for a in sorted(out1, key=names.__getitem__):
+            t1, t2 = out1[a][0], out2[to2[a]][0]
             if t1 in fwd:
                 if fwd[t1] != t2:
-                    return IsoVerdict(False, mismatch=(s1, a))
+                    return IsoVerdict(False, mismatch=(l1.states[s1], names[a]))
             elif t2 in bwd:
-                return IsoVerdict(False, mismatch=(s1, a))
+                return IsoVerdict(False, mismatch=(l1.states[s1], names[a]))
             else:
                 fwd[t1] = t2
                 bwd[t2] = t1
@@ -461,42 +475,51 @@ def isomorphic(l1: Lts, l2: Lts) -> IsoVerdict:
     if len(fwd) != len(l1.states):
         # unreachable under total reachability, kept as a guard
         return IsoVerdict(False, mismatch=(None, "state counts differ"))
-    return IsoVerdict(True, mapping=fwd)
+    states1, states2 = l1.states, l2.states
+    return IsoVerdict(True, mapping={states1[i]: states2[j] for i, j in fwd.items()})
+
+
+def _bfs_tree(lts: Lts) -> tuple:
+    """The breadth-first tree from the initial state over state indices, in
+    row order: (order, parent, depth), where order lists the reachable
+    states in discovery order, parent[j] is the first step (i, label) into
+    j (None at the root and at unreachable states) and depth[j] is j's
+    distance (None when unreachable).  Built once per LTS and kept.
+    """
+    if lts._tree is None:
+        rows = lts._index_rows()
+        root = lts.states.index(lts.initial)
+        parent = [None] * len(rows)
+        depth = [None] * len(rows)
+        depth[root] = 0
+        order = [root]
+        for i in order:  # order grows while it is read: it is the queue
+            d = depth[i] + 1
+            for a, tgts in rows[i].items():
+                for j in tgts:
+                    if depth[j] is None:
+                        depth[j] = d
+                        parent[j] = (i, a)
+                        order.append(j)
+        lts._tree = (order, parent, depth)
+    return lts._tree
 
 
 def bfs_depths(lts: Lts) -> dict:
     """Shortest-path depth of every state from the initial one."""
-    depth = {lts.initial: 0}
-    queue = deque([lts.initial])
-    while queue:
-        s = queue.popleft()
-        for a in lts.enabled_labels(s):
-            for s2 in lts.successors(s, a):
-                if s2 not in depth:
-                    depth[s2] = depth[s] + 1
-                    queue.append(s2)
-    return depth
+    order, _, depth = _bfs_tree(lts)
+    states = lts.states
+    return {states[i]: depth[i] for i in order}
 
 
 def shortest_path(lts: Lts, target: str) -> tuple:
     """Canonical shortest label path from the initial state to target."""
-    parent = {lts.initial: None}
-    queue = deque([lts.initial])
-    while queue:
-        s = queue.popleft()
-        if s == target:
-            break
-        for a in lts.enabled_labels(s):
-            for s2 in lts.successors(s, a):
-                if s2 not in parent:
-                    parent[s2] = (s, a)
-                    queue.append(s2)
-    if target not in parent:
+    _, parent, depth = _bfs_tree(lts)
+    j = lts._state_index().get(target)
+    if j is None or depth[j] is None:
         raise UnknownIdError(f"state '{target}' unreachable in '{lts.name}'")
     path = []
-    cur = target
-    while parent[cur] is not None:
-        prev, a = parent[cur]
-        path.append(a)
-        cur = prev
+    while parent[j] is not None:
+        j, a = parent[j]
+        path.append(lts.labels[a])
     return tuple(reversed(path))

@@ -15,7 +15,7 @@ order) iterate in that order so results are reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     InputError,
@@ -125,14 +125,6 @@ class Net:
                 out.append((t, self.places[pi], self._post[ti][pi]))
         return out
 
-    def preset(self, t):
-        ti = self.transition_index(t)
-        return tuple(self.places[pi] for pi in sorted(self._pre[ti]))
-
-    def postset(self, t):
-        ti = self.transition_index(t)
-        return tuple(self.places[pi] for pi in sorted(self._post[ti]))
-
     def place_preset(self, p):
         """Transitions producing into p, in declaration order."""
         pi = self.place_index(p)
@@ -142,11 +134,6 @@ class Net:
         """Transitions consuming from p, in declaration order."""
         pi = self.place_index(p)
         return tuple(t for ti, t in enumerate(self.transitions) if pi in self._pre[ti])
-
-    def marking_from(self, tokens: Mapping[str, int]) -> Marking:
-        for p in tokens:
-            self.place_index(p)
-        return tuple(tokens.get(p, 0) for p in self.places)
 
     def marking_dict(self, m: Marking) -> dict:
         return {p: m[i] for i, p in enumerate(self.places) if m[i]}

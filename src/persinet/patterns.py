@@ -12,6 +12,7 @@ than restricted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Optional
 
 from .errors import (
@@ -139,24 +140,6 @@ def validate_embedding(pattern: Pattern, lts: Lts, emb: Embedding) -> list:
     return problems
 
 
-def _injective_label_maps(pattern, lts):
-    """All injective label assignments, canonical order."""
-    k = len(pattern.labels)
-
-    def assign(i, used, current):
-        if i == k:
-            yield dict(current)
-            return
-        for lab in lts.labels:
-            if lab in used:
-                continue
-            current[pattern.labels[i]] = lab
-            yield from assign(i + 1, used | {lab}, current)
-            del current[pattern.labels[i]]
-
-    yield from assign(0, frozenset(), {})
-
-
 def _candidate_plan(pattern, state_order):
     """For each state of the search order, where its candidates come from.
 
@@ -181,11 +164,12 @@ def _candidate_plan(pattern, state_order):
 def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
     """Complete backtracking search for an embedding; None if there is none.
 
-    Labels are assigned before states; states are ordered most-constrained
-    first (by how many arcs and exclusions mention them) with declaration
-    order as the tie-break, so the returned embedding is canonical.  Each
-    state's candidates come from the adjacency of the states already
-    placed (see _candidate_plan) and are tried in LTS state order.
+    Labels are assigned before states, injectively and in LTS label order;
+    states are ordered most-constrained first (by how many arcs and
+    exclusions mention them) with declaration order as the tie-break, so
+    the returned embedding is canonical.  Each state's candidates come from
+    the index rows of the states already placed (see _candidate_plan) and
+    are tried in LTS state order.
     """
     weight = {s: 0 for s in pattern.states}
     for s, _, s2 in pattern.arcs:
@@ -196,34 +180,34 @@ def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
     decl = {s: i for i, s in enumerate(pattern.states)}
     state_order = sorted(pattern.states, key=lambda s: (-weight[s], decl[s]))
     plan = _candidate_plan(pattern, state_order)
-    position = {s: i for i, s in enumerate(lts.states)}.__getitem__
+    rows = lts._index_rows()
     enablers: dict = {}
 
     def candidates(step, state_map, label_map):
         kind = step[0]
         if kind == "succ":
-            return sorted(lts.successors(state_map[step[1]], label_map[step[2]]),
-                          key=position)
+            return sorted(rows[state_map[step[1]]].get(label_map[step[2]], ()))
         if kind == "pred":
-            return sorted(lts.predecessors(state_map[step[1]], label_map[step[2]]),
-                          key=position)
+            rev = lts._reverse_rows()
+            return sorted(rev[state_map[step[1]]].get(label_map[step[2]], ()))
         if kind == "enab":
             a = label_map[step[1]]
             if a not in enablers:
-                enablers[a] = [s for s in lts.states if lts.successors(s, a)]
+                enablers[a] = [i for i, row in enumerate(rows) if a in row]
             return enablers[a]
-        return lts.states
+        return range(len(rows))
 
-    for label_map in _injective_label_maps(pattern, lts):
+    for combo in permutations(range(len(lts.labels)), len(pattern.labels)):
+        label_map = dict(zip(pattern.labels, combo))
         state_map: dict = {}
 
         def consistent(s):
             for (p, a, q) in pattern.arcs:
                 if p in state_map and q in state_map:
-                    if state_map[q] not in lts.successors(state_map[p], label_map[a]):
+                    if state_map[q] not in rows[state_map[p]].get(label_map[a], ()):
                         return False
             for (p, a) in pattern.exclusions:
-                if p in state_map and lts.successors(state_map[p], label_map[a]):
+                if p in state_map and label_map[a] in rows[state_map[p]]:
                     return False
             return True
 
@@ -239,7 +223,8 @@ def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
             return False
 
         if assign(0):
-            emb = Embedding(dict(state_map), dict(label_map))
+            emb = Embedding({s: lts.states[i] for s, i in state_map.items()},
+                            {a: lts.labels[i] for a, i in label_map.items()})
             if validate_embedding(pattern, lts, emb):
                 raise InvariantError("embedding search returned an invalid embedding")
             return emb
@@ -248,12 +233,11 @@ def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
 
 def enumerate_embeddings(pattern: Pattern, lts: Lts):
     """Brute-force enumeration of every embedding (test oracle only)."""
-    from itertools import product
-
     out = []
-    for label_map in _injective_label_maps(pattern, lts):
+    for labels in permutations(lts.labels, len(pattern.labels)):
         for combo in product(lts.states, repeat=len(pattern.states)):
-            emb = Embedding(dict(zip(pattern.states, combo)), dict(label_map))
+            emb = Embedding(dict(zip(pattern.states, combo)),
+                            dict(zip(pattern.labels, labels)))
             if not validate_embedding(pattern, lts, emb):
                 out.append(emb)
     return out

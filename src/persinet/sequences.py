@@ -186,27 +186,39 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
         stack.append((m2, after, iter(after), yielded))
 
 
-def _firable_words(net, m0, max_len):
+def _steps(net, m, memo):
+    """The steps enabled at m as [(transition index, successor, persistent)]
+    in transition order; memo maps each marking already expanded to its
+    list, so callers sharing one memo fire every marking once."""
+    out = memo.get(m)
+    if out is None:
+        before = _enabled_i(net, m)
+        out = memo[m] = []
+        for ti in before:
+            m2 = _fire_i(net, m, ti)
+            out.append((ti, m2, _disabled_by(net, before, ti, m2) is None))
+    return out
+
+
+def _firable_words(net, m0, max_len, memo=None):
     """Every firable word of length <= max_len from m0 as (word, marking,
     persistent), breadth-first and lexicographic within a length, the empty
-    word first."""
+    word first.  memo is a _steps memo."""
+    memo = {} if memo is None else memo
     names = net.transitions
     frontier = [((), m0, True)]
     yield frontier[0]
     for _ in range(max_len):
         nxt = []
         for word, m, pers in frontier:
-            before = _enabled_i(net, m)
-            for ti in before:
-                m2 = _fire_i(net, m, ti)
-                node = (word + (names[ti],), m2,
-                        pers and _disabled_by(net, before, ti, m2) is None)
+            for ti, m2, ok in _steps(net, m, memo):
+                node = (word + (names[ti],), m2, pers and ok)
                 yield node
                 nxt.append(node)
         frontier = nxt
 
 
-def _persistent_levels(net, m0, max_len):
+def _persistent_levels(net, m0, max_len, memo=None):
     """The number of nonempty firable words of length <= max_len from m0
     when every one of them is persistent, else None.
 
@@ -215,22 +227,18 @@ def _persistent_levels(net, m0, max_len):
     k maps each marking reached by a word of length k to the number of such
     words.  It returns None at the first level below max_len holding a
     marking with a nonpersistent step, since some word of length at most
-    max_len ends in that step.
+    max_len ends in that step.  memo is a _steps memo.
     """
-    succ = {}  # marking -> its successor markings, every step persistent
+    memo = {} if memo is None else memo
     level = {m0: 1}
     total = 0
     for _ in range(max_len):
         nxt = {}
         for m, n in level.items():
-            after = succ.get(m)
-            if after is None:
-                before = _enabled_i(net, m)
-                after = succ[m] = [_fire_i(net, m, ti) for ti in before]
-                if any(_disabled_by(net, before, ti, m2) is not None
-                       for ti, m2 in zip(before, after)):
-                    return None
-            for m2 in after:
+            steps = _steps(net, m, memo)
+            if not all(ok for _, _, ok in steps):
+                return None
+            for _, m2, _ in steps:
                 nxt[m2] = nxt.get(m2, 0) + n
         if not nxt:
             break
@@ -444,11 +452,12 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
                 break
         return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)
 
-    count = _persistent_levels(net, start, bound)
+    memo = {}  # one _steps memo for both passes
+    count = _persistent_levels(net, start, bound, memo)
     if count is not None:
         return SpeVerdict(mode, bound, "holds-up-to-bound", None, count)
     settled_words = set()  # class members already known to have an equivalent
-    words = _firable_words(net, start, bound)
+    words = _firable_words(net, start, bound, memo)
     next(words)  # the empty word
     for w2, _, pers in words:
         searched += 1
@@ -514,9 +523,11 @@ def _move_back(net, m0, word, src: int, dst: int):
 
 def _all_short_sequences_persistent(net, m0, max_len):
     """The first nonpersistent firable word up to max_len, or None."""
-    if _persistent_levels(net, m0, max_len) is not None:
+    memo = {}  # one _steps memo for both passes
+    if _persistent_levels(net, m0, max_len, memo) is not None:
         return None
-    return next((w for w, _, pers in _firable_words(net, m0, max_len) if not pers), None)
+    return next((w for w, _, pers in _firable_words(net, m0, max_len, memo)
+                 if not pers), None)
 
 
 def unify_parikh_equivalent(net: Net, alpha: Sequence[str], beta: Sequence[str],

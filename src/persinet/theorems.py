@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Optional
 
@@ -34,7 +34,7 @@ from .fairness import (
     search_persistent_equivalent_lasso,
     validate_lasso,
 )
-from .lts import build_rg, persistence_check, shortest_path
+from .lts import _bfs_tree, build_rg, persistence_check, shortest_path
 from .net import (
     Net,
     classify_structure,
@@ -316,10 +316,12 @@ def check_theorem(theorem: str, net: Net,
             rg, bound = build_rg(net, max_states)
             if bound.status != "bounded":
                 skip("reachability graph exceeded the state budget")
-            elif persistence_check(rg).persistent:
-                report.confirmations += 1
             else:
-                violation({"net": net.name, "witness": persistence_check(rg).witness})
+                verdict = persistence_check(rg)
+                if verdict.persistent:
+                    report.confirmations += 1
+                else:
+                    violation({"net": net.name, "witness": verdict.witness})
 
     elif theorem == "EC-main":
         # an equal-conflict net that is nonpersistent can have no persistent
@@ -417,7 +419,9 @@ def check_theorem(theorem: str, net: Net,
             skip("net is not pure and plain")
         else:
             # the check reads the markings of the first 50 states in BFS
-            # order, never an edge, so a cutoff cannot change its verdict
+            # order, never an edge, so a cutoff cannot change its verdict;
+            # complete_diamond checks the closing corner itself and raises
+            # InvariantError when it is missing or the corners disagree
             rg, _ = build_rg(net, min(50, max_states))
             checked = False
             for s in rg.states:
@@ -429,9 +433,11 @@ def check_theorem(theorem: str, net: Net,
                         if not enabled(net, m, x):
                             continue
                         checked = True
-                        hat = complete_diamond(net, m, y, x)
-                        if hat != fire_sequence(net, m, (y, x)):
-                            violation({"net": net.name, "marking": m, "y": y, "x": x})
+                        try:
+                            complete_diamond(net, m, y, x)
+                        except InvariantError as exc:
+                            violation({"net": net.name, "marking": m, "y": y, "x": x,
+                                       "message": str(exc)})
             if checked:
                 report.instances += 1
                 if not report.violations:
@@ -497,34 +503,23 @@ def _fair_nonpersistent_lasso(net, bounds):
     rg, bound = build_rg(net, 2000)
     if bound.status != "bounded":
         return None
-    rank = {a: i for i, a in enumerate(rg.labels)}
-    index = {s: i for i, s in enumerate(rg.states)}
-    nxt = rg.next_states()
-    steps = [[(rank[a], index[s2]) for a, s2 in nxt[s].items()] for s in rg.states]
-    en = [sum(1 << a for a, _ in out) for out in steps]
-    # per step (label, target, persistent): the target enables every other
-    # label of the source
-    rows = [[(a, j, not en[i] & ~(1 << a) & ~en[j]) for a, j in out]
-            for i, out in enumerate(steps)]
-    preds = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for _, j, _ in row:
-            preds[j].append(i)
+    rows, back_rows = rg._index_rows(), rg._reverse_rows()
+    en = [sum(1 << a for a in row) for row in rows]  # enabled labels, as bits
 
-    # the BFS parent tree: states are numbered in discovery order, so the
-    # first step into a state is its canonical shortest prefix's last step
-    parent = [None] * len(rows)
-    depth = [0] + [None] * (len(rows) - 1)
+    def persistent(i, a, j):
+        # the target of step a enables every other label of its source
+        return not en[i] & ~(1 << a) & ~en[j]
+
+    # the BFS tree's step into a state is the last step of its canonical
+    # shortest prefix, the one shortest_path returns
+    order, parent, depth = _bfs_tree(rg)
     prefix_ok = [True] * len(rows)  # the canonical prefix is persistent
-    for i, row in enumerate(rows):
-        for a, j, ok in row:
-            if depth[j] is None:
-                parent[j] = (i, a)
-                depth[j] = depth[i] + 1
-                prefix_ok[j] = prefix_ok[i] and ok
+    for j in order[1:]:
+        i, a = parent[j]
+        prefix_ok[j] = prefix_ok[i] and persistent(i, a, j)
 
     max_cycle = bounds.max_cycle
-    for e in range(len(rows)):
+    for e in order:
         if depth[e] > bounds.max_prefix:
             break  # depths never decrease in discovery order
         back = {e: 0}  # distance back to e, up to max_cycle - 1
@@ -532,36 +527,32 @@ def _fair_nonpersistent_lasso(net, bounds):
         for d in range(1, max_cycle):
             reached = []
             for j in frontier:
-                for i in preds[j]:
-                    if i not in back:
-                        back[i] = d
-                        reached.append(i)
+                for sources in back_rows[j].values():
+                    for i in sources:
+                        if i not in back:
+                            back[i] = d
+                            reached.append(i)
             frontier = reached
         # (cycle, last state, labels fired, labels enabled, nonpersistent)
         stack = [((), e, 0, en[e], not prefix_ok[e])]
         while stack:
             word, i, fired, seen, bad = stack.pop()
-            for a, j, ok in reversed(rows[i]):
+            for a, (j,) in reversed(rows[i].items()):
+                ok = persistent(i, a, j)
                 if j == e:
                     if (bad or not ok) and not seen & ~(fired | 1 << a):
-                        return _confirmed_probe(net, parent, e, word + (a,))
+                        return _confirmed_probe(net, rg, e, word + (a,))
                 elif back.get(j, max_cycle) <= max_cycle - len(word) - 1:
                     stack.append((word + (a,), j, fired | 1 << a, seen | en[j],
                                   bad or not ok))
     return None
 
 
-def _confirmed_probe(net, parent, entry, cycle):
+def _confirmed_probe(net, rg, entry, cycle):
     """The lasso behind the graph walk, replayed on the net: it must return
     to its entry, be strongly fair and be nonpersistent."""
-    prefix = []
-    s = entry
-    while parent[s] is not None:
-        s, a = parent[s]
-        prefix.append(a)
     names = net.transitions
-    lasso = Lasso(tuple(names[a] for a in reversed(prefix)),
-                  tuple(names[a] for a in cycle))
+    lasso = Lasso(shortest_path(rg, rg.states[entry]), tuple(names[a] for a in cycle))
     try:
         validate_lasso(net, lasso)
     except InputError as exc:
@@ -586,13 +577,8 @@ def run_theorem_suite(theorem: str, cfg_base: GenConfig, seeds,
     t0 = time.perf_counter()
     for seed in seeds:
         start = time.perf_counter()
-        cfg = GenConfig(
-            places=cfg_base.places, transitions=cfg_base.transitions,
-            max_weight=cfg_base.max_weight, arc_density=cfg_base.arc_density,
-            token_budget=cfg_base.token_budget,
-            class_constraint=cfg_base.class_constraint, seed=seed)
         try:
-            net = gen_random_net(cfg)
+            net = gen_random_net(replace(cfg_base, seed=seed))
         except ResourceExceededError:
             total.skips.append(("generation budget exhausted", seed))
         else:

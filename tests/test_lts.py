@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from persinet import (
@@ -8,12 +10,16 @@ from persinet import (
     UnsupportedClassError,
     build_rg,
     corpus_load,
+    corpus_names,
     gen_random_net,
     isomorphic,
     lts_properties,
     persistence_check,
     sequence_persistence,
 )
+from persinet.net import Net
+from persinet.patterns import builtin_pattern, find_embedding
+from persinet.textio import parse_lts, print_lts
 from persinet import lts as lts_mod
 from persinet.lts import _parikh_spot_check, bfs_depths, shortest_path
 
@@ -279,6 +285,30 @@ class TestIsomorphism:
         right, _ = build_rg(corpus_load("fig7_right").net)
         assert isomorphic(left, right).isomorphic
 
+    def test_permuted_transition_declarations(self):
+        # one net with its transitions declared in another order has the
+        # same reachability graph up to state names, and markings name the
+        # states, so the only bijection sends each state to its marking
+        rng = random.Random(5)
+        checked = 0
+        for s in range(80):
+            net = gen_random_net(GenConfig(seed=s, token_budget=2 + s % 3))
+            order = list(net.transitions)
+            rng.shuffle(order)
+            permuted = Net(net.name, net.places, order, net.arcs(),
+                           net.marking_dict(net.initial))
+            rg, rep = build_rg(net, 500)
+            prg, _ = build_rg(permuted, 500)
+            if rep.status != "bounded":
+                continue
+            for l1, l2 in ((rg, prg), (prg, rg)):
+                verdict = isomorphic(l1, l2)
+                assert verdict.isomorphic and len(verdict.mapping) == len(l1.states)
+                assert all(l1.payload[x] == l2.payload[y]
+                           for x, y in verdict.mapping.items())
+            checked += 1
+        assert checked >= 60
+
     def test_label_set_mismatch(self, fig1, fig5):
         a, _ = build_rg(fig1)
         b, _ = build_rg(fig5)
@@ -393,3 +423,93 @@ def test_shortest_path_canonical(fig1):
     assert shortest_path(rg, "M4") == ("c", "d")
     assert shortest_path(rg, "M0") == ()
     assert bfs_depths(rg)["M6"] == 3
+
+
+def _by_name(g, labels):
+    """The answers read off the index rows, keyed by state and label names
+    (labels, a superset of g's), independent of the label declaration
+    order."""
+    return {
+        "enabled": {s: set(g.enabled_labels(s)) for s in g.states},
+        "successors": {(s, a): g.successors(s, a) for s in g.states for a in labels},
+        "predecessors": {(s, a): g.predecessors(s, a)
+                         for s in g.states for a in labels},
+        "deadlocks": g.deadlocks(),
+        "persistent": persistence_check(g).persistent,
+        "depths": bfs_depths(g),
+        "path_lengths": {s: len(shortest_path(g, s)) for s in g.states},
+        "properties": lts_properties(g),
+        "embedded": {n: find_embedding(builtin_pattern(n), g) is not None
+                     for n in ("nonpers", "nonDC")},
+    }
+
+
+def _canonical(g):
+    """The answers whose canonical choice follows the label declaration order."""
+    return {
+        "enabled": [g.enabled_labels(s) for s in g.states],
+        "witness": persistence_check(g).witness,
+        "depths": list(bfs_depths(g).items()),
+        "paths": [shortest_path(g, s) for s in g.states],
+        "embeddings": [find_embedding(builtin_pattern(n), g)
+                       for n in ("nonpers", "nonDC")],
+    }
+
+
+class TestIndexRows:
+    """build_rg hands its exploration's rows to the Lts; any other Lts builds
+    them from its edges.  Either way the answers must be the same."""
+
+    @staticmethod
+    def _graphs():
+        nets = [corpus_load(n).net for n in corpus_names()]
+        for kw in ({}, {"places": 3, "transitions": 3},
+                   {"class_constraint": ("pure", "plain")}):
+            nets += [gen_random_net(GenConfig(seed=s, **kw)) for s in range(30)]
+        for net in nets:
+            if net is None or net.structural_only:
+                continue
+            rg, rep = build_rg(net, 300)
+            if rep.status == "bounded":
+                yield rg
+
+    def test_shuffled_edges(self):
+        rng = random.Random(23)
+        count = 0
+        for rg in self._graphs():
+            edges = list(rg.edges)
+            rng.shuffle(edges)
+            want = (_by_name(rg, rg.labels), _canonical(rg))
+            for payload in (rg.payload, None):
+                copy = Lts(rg.name, rg.states, rg.labels, edges, rg.initial, payload)
+                assert (_by_name(copy, rg.labels), _canonical(copy)) == want
+            count += 1
+        assert count >= 80
+
+    def test_parsed_with_reversed_edge_lines(self):
+        count = 0
+        for rg in self._graphs():
+            lines = print_lts(rg).splitlines()
+            edge_lines = [x for x in lines if x.startswith("edge ")]
+            text = "\n".join([x for x in lines if not x.startswith("edge ")]
+                             + edge_lines[::-1])
+            parsed = parse_lts(text)
+            assert _by_name(parsed, rg.labels) == _by_name(rg, rg.labels)
+            # parse_lts declares labels in order of first use, so the
+            # canonical answers follow that order, whatever the edge order
+            same_order = Lts(rg.name, rg.states, parsed.labels, rg.edges, rg.initial)
+            assert _canonical(parsed) == _canonical(same_order)
+            count += 1
+        assert count >= 80
+
+    def test_next_states_projects_the_rows(self, fig1):
+        rg, _ = build_rg(fig1)
+        assert rg.next_states() == {
+            s: {a: rg.succ(s, a) for a in rg.enabled_labels(s)} for s in rg.states}
+        branchy = Lts("nd", ["s", "t", "u"], ["a", "b"],
+                      [("s", "b", "t"), ("t", "a", "u"), ("t", "a", "s")], "s")
+        with pytest.raises(UnsupportedClassError, match=r"nondeterministic at \(t,a\)"):
+            branchy.next_states()
+        assert branchy.successors("t", "a") == ("u", "s")
+        assert branchy.predecessors("s", "a") == ("t",)
+        assert branchy.successors("s", "zz") == ()

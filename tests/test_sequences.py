@@ -435,6 +435,45 @@ class TestPersistentLevels:
         assert _all_short_sequences_persistent(fig1, fig1.initial, 2) is None
         assert _all_short_sequences_persistent(fig1, fig1.initial, 3) == seq("c d a")
 
+    def test_passes_share_one_step_memo(self, monkeypatch):
+        # the word pass reuses the steps the level pass fired: every marking
+        # is expanded once, and the answers are those of separate passes
+        from persinet import sequences
+
+        real = sequences._steps
+        expanded = []
+
+        def spy(net, m, memo):
+            if m not in memo:
+                expanded.append(m)
+            return real(net, m, memo)
+
+        fell_back = 0
+        for s in range(60):
+            net = gen_random_net(GenConfig(seed=s))
+            calls = (lambda: sequences._all_short_sequences_persistent(net, net.initial, 5),
+                     lambda: spe_check(net, 5, pn.SPE))
+            want = [call() for call in calls]
+            monkeypatch.setattr(sequences, "_steps", spy)
+            for call, answer in zip(calls, want):
+                expanded.clear()
+                assert call() == answer
+                assert len(expanded) == len(set(expanded))
+            monkeypatch.setattr(sequences, "_steps", real)
+            fell_back += want[0] is not None
+        assert fell_back >= 20
+
+        real = sequences._enabled_i
+        for s in range(60):
+            net = gen_random_net(GenConfig(seed=s))
+            fresh = sequences._all_short_sequences_persistent(net, net.initial, 5)
+            expanded = []
+            monkeypatch.setattr(sequences, "_enabled_i",
+                                lambda n, m, *a: expanded.append(m) or real(n, m, *a))
+            assert sequences._all_short_sequences_persistent(net, net.initial, 5) == fresh
+            monkeypatch.setattr(sequences, "_enabled_i", real)
+            assert len(expanded) == len(set(expanded))
+
 
 class TestSpeCheck:
     def test_fig1_holds(self, fig1):

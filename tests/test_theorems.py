@@ -193,6 +193,33 @@ class TestCheckTheorem:
         assert (rep.instances, rep.confirmations, rep.violations) == (1, 1, [])
         assert sizes == [50]
 
+    def test_diamond_completion_records_a_failed_completion(self, monkeypatch):
+        # complete_diamond raises InvariantError when the closing corner is
+        # missing; the checker must record that as a violation, not abort
+        net = corpus_load("fig1_basic").net
+        real = pn.theorems.complete_diamond
+        calls = []
+
+        def fail_first(n, m, y, x):
+            calls.append((m, y, x))
+            if len(calls) == 1:
+                raise pn.InvariantError("diamond completion failed (injected)")
+            return real(n, m, y, x)
+
+        monkeypatch.setattr(pn.theorems, "complete_diamond", fail_first)
+        rep = check_theorem("diamond-completion", net)
+        m, y, x = calls[0]
+        assert len(calls) > 1
+        assert (rep.instances, rep.confirmations) == (1, 0)
+        assert rep.violations == [{"net": net.name, "marking": m, "y": y, "x": x,
+                                   "message": "diamond completion failed (injected)"}]
+        calls.clear()
+        suite = run_theorem_suite("diamond-completion",
+                                  GenConfig(class_constraint=("pure", "plain")), range(5))
+        # the suite goes on past the violation, and names its seed
+        assert len(suite.violations) == 1 and len(calls) > 1
+        assert suite.violations[0]["net"] == f"gen{suite.violations[0]['seed']}"
+
     def test_unknown_theorem(self, fig1):
         with pytest.raises(InputError):
             check_theorem("nope", fig1)
