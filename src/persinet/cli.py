@@ -17,7 +17,7 @@ import sys
 
 from . import corpus, fairness, lts as lts_mod, net as net_mod, patterns, sequences
 from . import textio, theorems
-from .errors import InputError, PersinetError, ResourceExceededError
+from .errors import InputError, PersinetError
 
 DUMP_HEADER = {"format": "persinet-report", "version": 1}
 
@@ -110,10 +110,7 @@ def cmd_rg(args):
 
 def cmd_persistence(args):
     net = _load_net(args.net)
-    graph, bound = lts_mod.build_rg(net, args.max_states)
-    if bound.status != "bounded":
-        print(f"status: not decided, graph exceeded {bound.cutoff} states")
-        sys.exit(3)
+    graph, _ = lts_mod.complete_rg(net, args.max_states)
     verdict = lts_mod.persistence_check(graph)
     if verdict.persistent:
         print("persistent: yes")
@@ -190,11 +187,7 @@ def cmd_pattern(args):
     else:
         raise InputError("give --name or --file")
     if graph is None:
-        graph, bound = lts_mod.build_rg(net)
-        if bound.status != "bounded":
-            raise ResourceExceededError(
-                f"reachability graph exceeded {bound.cutoff} states; "
-                "a truncated graph gives no verdict")
+        graph, _ = lts_mod.complete_rg(net)
     emb = patterns.find_embedding(pattern, graph)
     if emb is None:
         print("embedding: none")

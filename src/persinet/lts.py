@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from operator import itemgetter, sub
 from typing import Optional
 
-from .errors import InputError, UnknownIdError, UnsupportedClassError, env_int
+from .errors import (InputError, ResourceExceededError, UnknownIdError,
+                     UnsupportedClassError, env_int)
 from .net import Net, _enabled_i, _fire_i
 
 
@@ -222,10 +223,6 @@ class BoundReport:
     edge_count: int
     cutoff: int
 
-    @property
-    def bounded(self) -> Optional[bool]:
-        return True if self.status == "bounded" else None
-
 
 def build_rg(net: Net, max_states: Optional[int] = None):
     """Breadth-first reachability graph in canonical transition order.
@@ -277,18 +274,24 @@ def build_rg(net: Net, max_states: Optional[int] = None):
     # predecessor of its successor under t (M = M' - C[t]); markings name
     # the states, so the graph is label-deterministic both ways
     lts._deterministic = True
-    if truncated:
-        report = BoundReport(
-            status="cutoff-reached", k_bound=max(place_bounds),
-            place_bounds={p: place_bounds[i] for i, p in enumerate(net.places)},
-            safe=None, state_count=len(order), edge_count=len(lts.edges), cutoff=cutoff)
-    else:
-        k = max(place_bounds) if place_bounds else 0
-        report = BoundReport(
-            status="bounded", k_bound=k,
-            place_bounds={p: place_bounds[i] for i, p in enumerate(net.places)},
-            safe=(k <= 1), state_count=len(order), edge_count=len(lts.edges),
-            cutoff=cutoff)
+    k = max(place_bounds, default=0)
+    report = BoundReport(
+        status="cutoff-reached" if truncated else "bounded", k_bound=k,
+        place_bounds={p: place_bounds[i] for i, p in enumerate(net.places)},
+        safe=None if truncated else k <= 1, state_count=len(order),
+        edge_count=len(lts.edges), cutoff=cutoff)
+    return lts, report
+
+
+def complete_rg(net: Net, max_states: Optional[int] = None):
+    """build_rg for every verdict read off a reachability graph: a graph
+    cut off at the state budget gives no verdict, so it raises
+    ResourceExceededError, naming the net and the budget, instead."""
+    lts, report = build_rg(net, max_states)
+    if report.status != "bounded":
+        raise ResourceExceededError(
+            f"reachability graph of net '{net.name}' cut off at {report.cutoff} "
+            "states; a truncated graph gives no verdict")
     return lts, report
 
 

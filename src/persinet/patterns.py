@@ -23,7 +23,7 @@ from .errors import (
     UnknownIdError,
     UnsupportedClassError,
 )
-from .lts import Lts, build_rg, persistence_check, shortest_path
+from .lts import Lts, complete_rg, persistence_check, shortest_path
 from .net import Net, classify_structure, fire, fire_sequence
 from .sequences import (
     SPE_PARIKH,
@@ -302,10 +302,7 @@ def derive_nonDC_embedding(net: Net, spe_bound: int = 8,
     report = classify_structure(net)
     if not report.plain or not report.pure:
         raise UnsupportedClassError("the derivation needs a pure, plain net")
-    rg, bound_report = build_rg(net, max_states)
-    if bound_report.status != "bounded":
-        raise ResourceExceededError(
-            f"reachability graph exceeded {bound_report.cutoff} states")
+    rg, _ = complete_rg(net, max_states)
 
     # the graph is complete and its states are in BFS discovery order, so
     # the first nonpersistent state is a nearest one

@@ -34,7 +34,7 @@ from .fairness import (
     search_persistent_equivalent_lasso,
     validate_lasso,
 )
-from .lts import _bfs_tree, build_rg, persistence_check, shortest_path
+from .lts import _bfs_tree, build_rg, complete_rg, persistence_check, shortest_path
 from .net import (
     Net,
     classify_structure,
@@ -47,6 +47,9 @@ from .patterns import derive_nonDC_embedding
 from .sequences import (
     SPE,
     SPE_PARIKH,
+    SpeVerdict,
+    _markings_along,
+    _swap_neighbours,
     complete_diamond,
     equivalence_class,
     parikh,
@@ -55,6 +58,7 @@ from .sequences import (
     sequence_persistence,
     spe_check,
 )
+from .textio import print_net
 
 #: generator class constraint -> the ClassReport flags its nets must show;
 #: "plain" forces unit weights, "safe" is read off the reachability graph last
@@ -90,7 +94,7 @@ class GenConfig:
 
     def __post_init__(self):
         for name in ("places", "transitions", "max_weight", "token_budget", "seed"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:  # bool is an int subclass
                 raise InputError(f"{name} must be an integer")
         constraint = self.class_constraint
         if isinstance(constraint, str):
@@ -102,10 +106,10 @@ class GenConfig:
                     f"unknown class constraint '{c}' (have {CLASS_CONSTRAINTS})")
         if "plain" in _demanded_flags(constraint) and self.max_weight != 1:
             raise InputError("plainness-based constraints force max_weight=1")
-        if not 0.0 <= self.arc_density <= 1.0:
+        if isinstance(self.arc_density, bool) or not 0.0 <= self.arc_density <= 1.0:
             raise InputError("arc_density must lie in [0,1]")
-        if min(self.places, self.transitions, self.token_budget) < 1:
-            raise InputError("places, transitions and token_budget must be >= 1")
+        if min(self.places, self.transitions, self.max_weight, self.token_budget) < 1:
+            raise InputError("places, transitions, max_weight and token_budget must be >= 1")
         object.__setattr__(self, "class_constraint", constraint)
 
 
@@ -154,6 +158,7 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
     rng = random.Random(cfg.seed)
     want = set(cfg.class_constraint)
     demanded = _demanded_flags(want)
+    structural = demanded - {"safe"}  # the flags the class report decides
     plain = "plain" in demanded or cfg.max_weight == 1
     for _ in range(400):
         places = [f"p{i}" for i in range(cfg.places)]
@@ -219,8 +224,7 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
                 arcs.append((t, places[pi], w))
         net = Net(f"gen{cfg.seed}", places, transitions, arcs, marking)
 
-        report = classify_structure(net)
-        if not all(report.flag(f) for f in demanded - {"safe"}):
+        if structural and not all(map(classify_structure(net).flag, structural)):
             continue
         if "safe" in demanded:
             _, bound = build_rg(net, max_states)
@@ -229,23 +233,6 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
         return net
     raise ResourceExceededError(
         f"rejection budget exhausted generating {sorted(want)} net for seed {cfg.seed}")
-
-
-def _net_doc(net):
-    from . import textio
-
-    return textio.print_net(net)
-
-
-THEOREM_IDS = (
-    "EC-main",
-    "DC-main",
-    "CF-persistent",
-    "perm-implies-parikh",
-    "diamond-completion",
-    "persistence-factorisation",
-    "spe-implies-fpe-probe",
-)
 
 
 @dataclass
@@ -279,8 +266,6 @@ def _random_firable(net, rng, max_len):
 
 def _random_permutation(net, rng, word, swaps):
     """A firable word reached from word by random firable adjacent swaps."""
-    from .sequences import _markings_along, _swap_neighbours
-
     cur = tuple(word)
     for _ in range(swaps):
         options = _swap_neighbours(net, net.initial, cur, _markings_along(net, net.initial, cur))
@@ -290,191 +275,218 @@ def _random_permutation(net, rng, word, swaps):
     return cur
 
 
+# -- theorem checkers ----------------------------------------------------------
+# Each takes (report, net, bounds, seed, max_states), reads only what its
+# premise needs (the class report is cached on the net) and records its
+# outcome in the report.
+
+_STATE_BUDGET_SKIP = "reachability graph exceeded the state budget"
+
+
+def _complete_or_skip(report, net, max_states):
+    """The net's complete reachability graph, or None with the state-budget
+    skip recorded: a graph cut off at max_states gives no verdict."""
+    try:
+        return complete_rg(net, max_states)[0]
+    except ResourceExceededError:
+        report.skips.append((_STATE_BUDGET_SKIP, net.name))
+        return None
+
+
+def _check_ec_main(report, net, bounds, seed, max_states):
+    # an equal-conflict net that is nonpersistent can have no persistent
+    # Parikh equivalent for the path into its nearest conflict
+    if not classify_structure(net).equal_conflict:
+        report.skips.append(("net is not equal-conflict", net.name))
+        return
+    report.instances += 1
+    rg = _complete_or_skip(report, net, max_states)
+    if rg is None:
+        return
+    # states are in BFS order, so the witness state is a nearest
+    # nonpersistent one
+    spot = persistence_check(rg).witness
+    if spot is None:
+        report.confirmations += 1  # persistent: conclusion holds
+        return
+    state, leg_a, _ = spot
+    delta = shortest_path(rg, state)
+    found = persistent_parikh_equivalent(net, net.initial, parikh(delta + (leg_a,)))
+    if found is None:
+        report.confirmations += 1
+    else:
+        report.violations.append({"net": net.name, "delta": delta, "leg": leg_a,
+                                  "equivalent": found})
+
+
+def _check_dc_main(report, net, bounds, seed, max_states):
+    # contrapositive form: a pure plain nonpersistent net for which the
+    # bounded Parikh-equivalence check finds no refutation must not be
+    # DC, and the non-DC pattern must be derivable from its conflict.
+    # Unlike the equal-conflict case the refuting sequence is not pinned
+    # to the conflict path, so the full bounded check is required; on
+    # suspicion the bound is raised before a violation is declared.
+    cls = classify_structure(net)
+    if not (cls.plain and cls.pure):
+        report.skips.append(("net is not pure and plain", net.name))
+        return
+    report.instances += 1
+    rg = _complete_or_skip(report, net, max_states)
+    if rg is None:
+        return
+    if persistence_check(rg).persistent:
+        report.confirmations += 1  # persistent: conclusion holds
+        return
+    # on DC nets the bound is raised in steps of 4 until it reaches twice
+    # sequence_len; the forward pass stops at its first refuting level, so
+    # one check at the final bound refutes exactly when a lower one would
+    spe_bound = bounds.sequence_len
+    if cls.dissymmetric_choice:
+        spe_bound += 4 * -(-spe_bound // 4)
+    if spe_check(net, spe_bound, SPE_PARIKH).refuted:
+        report.confirmations += 1  # premise refuted, vacuous
+    elif cls.dissymmetric_choice:
+        # a genuine refutation of the implication: the conflict sits on a
+        # multi-token shared place and the persistent detours cover every
+        # Parikh vector
+        report.violations.append({
+            "net": net.name, "document": print_net(net), "spe_bound": spe_bound,
+            "reason": "DC net, nonpersistent, with no bounded refutation of "
+                      "the Parikh-equivalence premise"})
+    else:
+        try:
+            derive_nonDC_embedding(net, spe_bound=bounds.sequence_len,
+                                   max_states=max_states)
+            report.confirmations += 1
+        except PreconditionError as exc:
+            # the implication's conclusion (not DC) holds, but the
+            # companion pattern is absent; record it
+            report.confirmations += 1
+            report.skips.append(("pattern not embedded though premises hold",
+                                 {"net": net.name, "detail": str(exc)}))
+        except ResourceExceededError as exc:
+            report.skips.append(("derivation hit a resource bound",
+                                 {"net": net.name, "detail": str(exc)}))
+
+
+def _check_cf_persistent(report, net, bounds, seed, max_states):
+    if not classify_structure(net).choice_free:
+        report.skips.append(("net is not choice-free", net.name))
+        return
+    report.instances += 1
+    rg = _complete_or_skip(report, net, max_states)
+    if rg is None:
+        return
+    verdict = persistence_check(rg)
+    if verdict.persistent:
+        report.confirmations += 1
+    else:
+        report.violations.append({"net": net.name, "witness": verdict.witness})
+
+
+def _check_perm_implies_parikh(report, net, bounds, seed, max_states):
+    rng = random.Random(seed ^ 0x5EED)
+    report.instances += 1
+    sigma = _random_firable(net, rng, bounds.sequence_len)
+    tau = _random_permutation(net, rng, sigma, swaps=4)
+    if perm_equivalent(net, net.initial, sigma, tau) and parikh(sigma) != parikh(tau):
+        report.violations.append({"net": net.name, "sigma": sigma, "tau": tau})
+    else:
+        report.confirmations += 1
+
+
+def _check_diamond_completion(report, net, bounds, seed, max_states):
+    cls = classify_structure(net)
+    if not (cls.plain and cls.pure):
+        report.skips.append(("net is not pure and plain", net.name))
+        return
+    # the check reads the markings of the first 50 states in BFS order,
+    # never an edge, so a cutoff cannot change its verdict;
+    # complete_diamond checks the closing corner itself and raises
+    # InvariantError when it is missing or the corners disagree
+    rg, _ = build_rg(net, min(50, max_states))
+    checked = False
+    for s in rg.states:
+        m = rg.payload[s]
+        for y in enabled_transitions(net, m):
+            for x in enabled_transitions(net, fire(net, m, y)):
+                if not enabled(net, m, x):
+                    continue
+                checked = True
+                try:
+                    complete_diamond(net, m, y, x)
+                except InvariantError as exc:
+                    report.violations.append({"net": net.name, "marking": m, "y": y,
+                                              "x": x, "message": str(exc)})
+    if not checked:
+        report.skips.append(("no three-quarter diamond found to complete", net.name))
+        return
+    report.instances += 1
+    if not report.violations:
+        report.confirmations += 1
+
+
+def _check_persistence_factorisation(report, net, bounds, seed, max_states):
+    rng = random.Random(seed ^ 0x5EED)
+    report.instances += 1
+    sigma = _random_firable(net, rng, bounds.sequence_len)
+    cut = rng.randint(0, len(sigma))
+    whole = sequence_persistence(net, net.initial, sigma).persistent
+    head = sequence_persistence(net, net.initial, sigma[:cut]).persistent
+    mid = fire_sequence(net, net.initial, sigma[:cut])
+    tail = sequence_persistence(net, mid, sigma[cut:]).persistent
+    if whole != (head and tail):
+        report.violations.append({"net": net.name, "sigma": sigma, "cut": cut,
+                                  "whole": whole, "head": head, "tail": tail})
+    else:
+        report.confirmations += 1
+
+
+def _check_spe_implies_fpe_probe(report, net, bounds, seed, max_states):
+    # outside the equal-conflict and pure-DC classes the implication can
+    # fail; the checker records whether a fair probe run witnesses that
+    report.instances += 1
+    # a refuted premise leaves nothing to probe, so the search is skipped
+    probe = None
+    if not spe_check(net, bounds.sequence_len, SPE).refuted:
+        try:
+            probe = _fair_nonpersistent_lasso(net, bounds)
+        except ResourceExceededError:
+            report.skips.append((_STATE_BUDGET_SKIP, net.name))
+            return
+    if probe is None:
+        report.skips.append(("no fair nonpersistent lasso found to probe", net.name))
+        return
+    search = search_persistent_equivalent_lasso(
+        net, probe, bounds.max_prefix, bounds.max_cycle, bounds.depth)
+    report.confirmations += 1
+    report.skips.append(("probe outcome", {"lasso": str(probe), "search": search.status}))
+
+
+#: theorem id -> checker, in the order the theorems are listed
+_CHECKERS = {
+    "EC-main": _check_ec_main,
+    "DC-main": _check_dc_main,
+    "CF-persistent": _check_cf_persistent,
+    "perm-implies-parikh": _check_perm_implies_parikh,
+    "diamond-completion": _check_diamond_completion,
+    "persistence-factorisation": _check_persistence_factorisation,
+    "spe-implies-fpe-probe": _check_spe_implies_fpe_probe,
+}
+THEOREM_IDS = tuple(_CHECKERS)
+
+
 def check_theorem(theorem: str, net: Net,
                   bounds: Optional[AnalysisBounds] = None,
                   seed: int = 0, max_states: int = 4000) -> TheoremReport:
     """Check one theorem on one net; skips record unmet class premises."""
-    if theorem not in THEOREM_IDS:
+    checker = _CHECKERS.get(theorem)
+    if checker is None:
         raise InputError(f"unknown theorem '{theorem}' (have {THEOREM_IDS})")
     bounds = bounds or AnalysisBounds()
-    rng = random.Random(seed ^ 0x5EED)
     report = TheoremReport(theorem, bounds=bounds, seed=seed)
     t0 = time.perf_counter()
-    cls = classify_structure(net)
-
-    def skip(reason):
-        report.skips.append((reason, net.name))
-
-    def violation(payload):
-        report.violations.append(payload)
-
-    if theorem == "CF-persistent":
-        if not cls.choice_free:
-            skip("net is not choice-free")
-        else:
-            report.instances += 1
-            rg, bound = build_rg(net, max_states)
-            if bound.status != "bounded":
-                skip("reachability graph exceeded the state budget")
-            else:
-                verdict = persistence_check(rg)
-                if verdict.persistent:
-                    report.confirmations += 1
-                else:
-                    violation({"net": net.name, "witness": verdict.witness})
-
-    elif theorem == "EC-main":
-        # an equal-conflict net that is nonpersistent can have no persistent
-        # Parikh equivalent for the path into its nearest conflict
-        if not cls.equal_conflict:
-            skip("net is not equal-conflict")
-        else:
-            report.instances += 1
-            rg, bound = build_rg(net, max_states)
-            if bound.status != "bounded":
-                skip("reachability graph exceeded the state budget")
-            else:
-                # states are in BFS order, so the witness state is a nearest
-                # nonpersistent one
-                spot = persistence_check(rg).witness
-                if spot is None:
-                    report.confirmations += 1  # persistent: conclusion holds
-                else:
-                    state, leg_a, _ = spot
-                    delta = shortest_path(rg, state)
-                    found = persistent_parikh_equivalent(
-                        net, net.initial, parikh(delta + (leg_a,)))
-                    if found is None:
-                        report.confirmations += 1
-                    else:
-                        violation({"net": net.name, "delta": delta, "leg": leg_a,
-                                   "equivalent": found})
-
-    elif theorem == "DC-main":
-        # contrapositive form: a pure plain nonpersistent net for which the
-        # bounded Parikh-equivalence check finds no refutation must not be
-        # DC, and the non-DC pattern must be derivable from its conflict.
-        # Unlike the equal-conflict case the refuting sequence is not pinned
-        # to the conflict path, so the full bounded check is required; on
-        # suspicion the bound is raised before a violation is declared.
-        if not (cls.plain and cls.pure):
-            skip("net is not pure and plain")
-        else:
-            report.instances += 1
-            rg, bound = build_rg(net, max_states)
-            if bound.status != "bounded":
-                skip("reachability graph exceeded the state budget")
-            else:
-                spot = persistence_check(rg).witness
-                if spot is None:
-                    report.confirmations += 1  # persistent: conclusion holds
-                else:
-                    spe_bound = bounds.sequence_len
-                    verdict = spe_check(net, spe_bound, SPE_PARIKH)
-                    while (not verdict.refuted and cls.dissymmetric_choice
-                           and spe_bound < 2 * bounds.sequence_len):
-                        spe_bound += 4
-                        verdict = spe_check(net, spe_bound, SPE_PARIKH)
-                    if verdict.refuted:
-                        report.confirmations += 1  # premise refuted, vacuous
-                    elif cls.dissymmetric_choice:
-                        # a genuine refutation of the implication: the
-                        # conflict sits on a multi-token shared place and the
-                        # persistent detours cover every Parikh vector
-                        violation({"net": net.name,
-                                   "document": _net_doc(net),
-                                   "spe_bound": spe_bound,
-                                   "reason": "DC net, nonpersistent, with no "
-                                             "bounded refutation of the "
-                                             "Parikh-equivalence premise"})
-                    else:
-                        try:
-                            derive_nonDC_embedding(
-                                net, spe_bound=bounds.sequence_len,
-                                max_states=max_states)
-                            report.confirmations += 1
-                        except PreconditionError as exc:
-                            # the implication's conclusion (not DC) holds, but
-                            # the companion pattern is absent; record it
-                            report.confirmations += 1
-                            report.skips.append(
-                                ("pattern not embedded though premises hold",
-                                 {"net": net.name, "detail": str(exc)}))
-                        except ResourceExceededError as exc:
-                            report.skips.append(
-                                ("derivation hit a resource bound",
-                                 {"net": net.name, "detail": str(exc)}))
-
-    elif theorem == "perm-implies-parikh":
-        report.instances += 1
-        sigma = _random_firable(net, rng, bounds.sequence_len)
-        tau = _random_permutation(net, rng, sigma, swaps=4)
-        if perm_equivalent(net, net.initial, sigma, tau) and parikh(sigma) != parikh(tau):
-            violation({"net": net.name, "sigma": sigma, "tau": tau})
-        else:
-            report.confirmations += 1
-
-    elif theorem == "diamond-completion":
-        if not (cls.plain and cls.pure):
-            skip("net is not pure and plain")
-        else:
-            # the check reads the markings of the first 50 states in BFS
-            # order, never an edge, so a cutoff cannot change its verdict;
-            # complete_diamond checks the closing corner itself and raises
-            # InvariantError when it is missing or the corners disagree
-            rg, _ = build_rg(net, min(50, max_states))
-            checked = False
-            for s in rg.states:
-                m = rg.payload[s]
-                en = enabled_transitions(net, m)
-                for y in en:
-                    after = fire(net, m, y)
-                    for x in enabled_transitions(net, after):
-                        if not enabled(net, m, x):
-                            continue
-                        checked = True
-                        try:
-                            complete_diamond(net, m, y, x)
-                        except InvariantError as exc:
-                            violation({"net": net.name, "marking": m, "y": y, "x": x,
-                                       "message": str(exc)})
-            if checked:
-                report.instances += 1
-                if not report.violations:
-                    report.confirmations += 1
-            else:
-                skip("no three-quarter diamond found to complete")
-
-    elif theorem == "persistence-factorisation":
-        report.instances += 1
-        sigma = _random_firable(net, rng, bounds.sequence_len)
-        cut = rng.randint(0, len(sigma))
-        whole = sequence_persistence(net, net.initial, sigma).persistent
-        head = sequence_persistence(net, net.initial, sigma[:cut]).persistent
-        mid = fire_sequence(net, net.initial, sigma[:cut])
-        tail = sequence_persistence(net, mid, sigma[cut:]).persistent
-        if whole != (head and tail):
-            violation({"net": net.name, "sigma": sigma, "cut": cut,
-                       "whole": whole, "head": head, "tail": tail})
-        else:
-            report.confirmations += 1
-
-    elif theorem == "spe-implies-fpe-probe":
-        # outside the equal-conflict and pure-DC classes the implication can
-        # fail; the checker records whether a fair probe run witnesses that
-        report.instances += 1
-        # a refuted premise leaves nothing to probe, so the search is skipped
-        verdict = spe_check(net, bounds.sequence_len, SPE)
-        probe = None if verdict.refuted else _fair_nonpersistent_lasso(net, bounds)
-        if probe is None:
-            skip("no fair nonpersistent lasso found to probe")
-        else:
-            search = search_persistent_equivalent_lasso(
-                net, probe, bounds.max_prefix, bounds.max_cycle, bounds.depth)
-            report.confirmations += 1
-            report.skips.append(
-                ("probe outcome", {"lasso": str(probe), "search": search.status}))
-
+    checker(report, net, bounds, seed, max_states)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -498,11 +510,10 @@ def _fair_nonpersistent_lasso(net, bounds):
     entry gives each state's distance back to it, and a walk is extended
     only while it can still return within the bound, so no returning walk
     is pruned.  Only the lasso returned is replayed on the net; a
-    disagreement there raises InvariantError.
+    disagreement there raises InvariantError.  The graph is capped at 2000
+    states, and one cut off there raises ResourceExceededError.
     """
-    rg, bound = build_rg(net, 2000)
-    if bound.status != "bounded":
-        return None
+    rg, _ = complete_rg(net, 2000)
     rows, back_rows = rg._index_rows(), rg._reverse_rows()
     en = [sum(1 << a for a in row) for row in rows]  # enabled labels, as bits
 
@@ -621,10 +632,8 @@ def oracle_spe_check(net: Net, bound: int, mode: str = SPE):
                         sequence_persistence(net, net.initial, w).persistent
                         for w in _all_with_parikh(net, net.initial, parikh(w2)))
                 if not good:
-                    from .sequences import SpeVerdict
                     return SpeVerdict(mode, bound, "refuted", w2, searched)
         frontier = nxt
-    from .sequences import SpeVerdict
     return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)
 
 

@@ -171,6 +171,13 @@ def test_resource_exit_code(monkeypatch):
     assert out.returncode == 3
 
 
+def test_persistence_refuses_truncated_graph():
+    out = run("persistence", "fig1_basic", "--max-states", "3")
+    assert out.returncode == 3 and "persistent:" not in out.stdout
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    assert "'fig1_basic' cut off at 3 states" in out.stderr
+
+
 def _par_doc(k):
     """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i: a
     persistent net with 2^k reachable markings."""
@@ -230,6 +237,15 @@ def test_bad_seed_range():
     for seeds in ("5", "a..b", "1..2..3", "5..2"):
         out = run("explore", "--theorem", "CF-persistent", "--seeds", seeds)
         assert _bad_input(out) and "--seeds" in out.stderr
+
+
+def test_bad_generator_values(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for doc, named in (({"max_weight": 0}, "max_weight"), ({"places": True}, "places")):
+        cfg.write_text(json.dumps(doc))
+        out = run("explore", "--theorem", "CF-persistent", "--seeds", "0..1",
+                  "--config", str(cfg))
+        assert _bad_input(out) and named in out.stderr
 
 
 def test_bad_config(tmp_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -16,10 +18,11 @@ from persinet import (
     spe_check,
 )
 from persinet.fairness import fairness_classify, lasso_persistence, validate_lasso
-from persinet.lts import bfs_depths, shortest_path
+from persinet.lts import bfs_depths, complete_rg, shortest_path
 from persinet.textio import print_net
 from persinet.theorems import (
     CLASS_CONSTRAINTS,
+    THEOREM_IDS,
     _fair_nonpersistent_lasso,
     run_theorem_suite,
 )
@@ -27,6 +30,18 @@ from persinet.theorems import (
 
 def seq(text):
     return tuple(text.split())
+
+
+def _par(k):
+    """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i: a pure,
+    plain, choice-free and persistent net with 2^k reachable markings."""
+    arcs = []
+    for i in range(k):
+        arcs += [(f"p{i}", f"a{i}", 1), (f"a{i}", f"q{i}", 1),
+                 (f"q{i}", f"b{i}", 1), (f"b{i}", f"p{i}", 1)]
+    return pn.Net(f"par{k}", [f"{x}{i}" for i in range(k) for x in "pq"],
+                  [f"{x}{i}" for i in range(k) for x in "ab"], arcs,
+                  {f"p{i}": 1 for i in range(k)})
 
 
 def _safe(net):
@@ -133,6 +148,10 @@ class TestGenerator:
             assert rep.status == "bounded"
 
     def test_config_validation(self):
+        for bad in ({"max_weight": 0}, {"max_weight": -1}, {"places": True},
+                    {"seed": False}, {"token_budget": True}, {"arc_density": True}):
+            with pytest.raises(InputError):
+                GenConfig(**bad)
         for forced in ("FC", "DC", "AC", "plain", "pps"):
             with pytest.raises(InputError):
                 GenConfig(class_constraint=(forced,), max_weight=2)
@@ -224,6 +243,76 @@ class TestCheckTheorem:
         with pytest.raises(InputError):
             check_theorem("nope", fig1)
 
+    def test_every_theorem_runs_on_a_corpus_net(self, fig1):
+        for theorem in THEOREM_IDS:
+            rep = check_theorem(theorem, fig1)
+            assert rep.theorem == theorem and rep.ok, theorem
+            assert rep.instances + len(rep.skips) >= 1, theorem
+
+
+# The acceptance distributions of the theorem checkers: the criterion-9
+# property suites of test_acceptance.py, plus the probe checker on the
+# default configuration.
+_REPORT_SUITES = (
+    ("perm-implies-parikh", {}),
+    ("persistence-factorisation", {}),
+    ("CF-persistent", {"class_constraint": ("CF",)}),
+    ("diamond-completion", {"class_constraint": ("pure", "plain"), "token_budget": 4}),
+    ("EC-main", {"class_constraint": ("EC",)}),
+    ("DC-main", {"class_constraint": ("pure", "plain")}),
+    ("spe-implies-fpe-probe", {}),
+)
+_REPORTS_DIGEST = "ddc9c1bb423ce8a70db5370482f6546371ad51301de9c4e693aa88145c636ed3"
+
+
+class TestReportsPinned:
+    def test_reports_pinned(self):
+        # SHA-256 over the sorted-JSON reports, wall_time left out: seeds
+        # 0..99 of each acceptance distribution, then every theorem at a
+        # 3-state budget on 30 default nets.  A checker refactoring must
+        # leave every count, skip reason and witness as it was.
+        h = hashlib.sha256()
+
+        def add(report):
+            doc = dataclasses.asdict(report)
+            del doc["wall_time"]
+            h.update(json.dumps(doc, sort_keys=True, default=str).encode())
+
+        for theorem, kw in _REPORT_SUITES:
+            for s in range(100):
+                add(check_theorem(theorem, gen_random_net(GenConfig(seed=s, **kw)),
+                                  seed=s))
+        for s in range(30):
+            net = gen_random_net(GenConfig(seed=s))
+            for theorem in THEOREM_IDS:
+                add(check_theorem(theorem, net, seed=s, max_states=3))
+        assert h.hexdigest() == _REPORTS_DIGEST
+
+
+class TestCompleteGraphGate:
+    """A reachability graph cut off at its state budget gives no verdict,
+    on every path that reads one."""
+
+    def test_complete_rg(self):
+        net = _par(3)
+        rg, report = complete_rg(net, 8)
+        assert report.status == "bounded" and len(rg.states) == 8
+        with pytest.raises(pn.ResourceExceededError, match="'par3' cut off at 7 states"):
+            complete_rg(net, 7)
+
+    def test_derivation(self, fig1):
+        with pytest.raises(pn.ResourceExceededError, match="cut off at 2 states"):
+            pn.derive_nonDC_embedding(fig1, max_states=2)
+
+    @pytest.mark.parametrize("theorem", ("CF-persistent", "EC-main", "DC-main"))
+    def test_checkers_skip(self, theorem):
+        net = _par(3)  # in every class premise, with 8 reachable markings
+        rep = check_theorem(theorem, net, max_states=7)
+        assert (rep.instances, rep.confirmations, rep.violations) == (1, 0, [])
+        assert rep.skips == [("reachability graph exceeded the state budget", "par3")]
+        rep = check_theorem(theorem, net, max_states=8)
+        assert (rep.instances, rep.confirmations, rep.skips) == (1, 1, [])
+
 
 def _comparable_conflict_net():
     """A pure plain DC net that is nonpersistent yet fully permutable.
@@ -289,6 +378,15 @@ class TestDcMainGenuineViolation:
         assert len(rep.violations) == 1
         assert "DC net" in rep.violations[0]["reason"]
         assert "document" in rep.violations[0]  # replayable witness
+
+    def test_bound_raised_before_violation(self):
+        # on DC nets the bound goes up in steps of 4 until it reaches twice
+        # sequence_len: 10 -> 22 and 6 -> 14
+        seeded = gen_random_net(GenConfig(seed=1200101, class_constraint=("pure", "plain")))
+        for net, length, bound in ((_comparable_conflict_net(), 10, 22),
+                                   (_comparable_conflict_net(), 6, 14), (seeded, 10, 22)):
+            rep = check_theorem("DC-main", net, pn.AnalysisBounds(sequence_len=length))
+            assert [v["spe_bound"] for v in rep.violations] == [bound], net.name
 
 
 def _reference_probe(net, max_prefix, max_cycle):
@@ -369,6 +467,16 @@ class TestProbeChecker:
         rep = check_theorem("spe-implies-fpe-probe", net)
         assert rep.ok and (rep.instances, rep.confirmations) == (1, 0)
         assert rep.skips == [("no fair nonpersistent lasso found to probe", net.name)]
+
+    def test_cut_off_graph_is_a_cut_off(self):
+        # par11 has 2048 reachable markings, past the probe's 2000-state cap
+        net = _par(11)
+        assert not spe_check(net, 10, pn.SPE).refuted
+        with pytest.raises(pn.ResourceExceededError, match="cut off at 2000 states"):
+            _fair_nonpersistent_lasso(net, pn.AnalysisBounds())
+        rep = check_theorem("spe-implies-fpe-probe", net)
+        assert rep.ok and (rep.instances, rep.confirmations) == (1, 0)
+        assert rep.skips == [("reachability graph exceeded the state budget", "par11")]
 
     def test_weighted_net_answers(self):
         # the probe needs only strong fairness, which is defined on every net
