@@ -197,7 +197,7 @@ def _prefix_match_search(net, m0, word, want_prefix, guard):
     want = tuple(want_prefix)
     try:
         return any(w[:len(want)] == want
-                   for w in sequences._class_bfs(net, m0, tuple(word), guard))
+                   for w, _ in sequences._class_bfs(net, m0, tuple(word), guard))
     except ResourceExceededError:
         return None
 

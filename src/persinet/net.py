@@ -150,6 +150,14 @@ class Net:
                 f"marking has {len(m)} entries, net '{self.name}' has "
                 f"{len(self.places)} places")
 
+    def _check_state(self, m):
+        """The check of every public entry point taking a marking:
+        _check_behavioural, then _check_marking, behind one test of both
+        conditions so that valid input costs one branch."""
+        if self.structural_only or len(m) != len(self.places):
+            self._check_behavioural()
+            self._check_marking(m)
+
     def __repr__(self):
         return (f"Net({self.name!r}, |P|={len(self.places)}, "
                 f"|T|={len(self.transitions)})")
@@ -217,8 +225,7 @@ def _disabled_by(net: Net, before, ti: int, m2: Marking) -> Optional[int]:
 
 def enabled(net: Net, m: Marking, t: str) -> bool:
     """True iff every place holds at least the input weight of t."""
-    net._check_behavioural()
-    net._check_marking(m)
+    net._check_state(m)
     return bool(_enabled_i(net, m, (net.transition_index(t),)))
 
 
@@ -233,9 +240,11 @@ def deficient_place(net: Net, m: Marking, t: str) -> Optional[str]:
 
 def fire(net: Net, m: Marking, t: str) -> Marking:
     """Fire t at m; raises NotEnabledError naming the deficient place."""
-    net._check_behavioural()
-    net._check_marking(m)
-    m2 = _fire_i(net, m, net.transition_index(t))
+    net._check_state(m)
+    ti = net._tidx.get(t)
+    if ti is None:
+        net.transition_index(t)  # raises UnknownIdError
+    m2 = _fire_i(net, m, ti)
     if m2 is None:
         raise NotEnabledError(t, place=deficient_place(net, m, t))
     return m2
@@ -265,9 +274,9 @@ def firable(net: Net, m: Marking, seq: Sequence[str]) -> bool:
 
 def enabled_transitions(net: Net, m: Marking):
     """Transitions enabled at m, in declaration order."""
-    net._check_behavioural()
-    net._check_marking(m)
-    return tuple(net.transitions[ti] for ti in _enabled_i(net, m))
+    net._check_state(m)
+    names = net.transitions
+    return tuple([names[ti] for ti in _enabled_i(net, m)])
 
 
 def concurrently_enables(net: Net, m: Marking, t: str, u: str) -> bool:
@@ -281,8 +290,7 @@ def concurrently_enables(net: Net, m: Marking, t: str, u: str) -> bool:
             "concurrent enabling is defined for plain nets only")
     if t == u:
         raise InputError("concurrent enabling needs two distinct transitions")
-    net._check_behavioural()
-    net._check_marking(m)
+    net._check_state(m)
     pre_t = set(net._pre[net.transition_index(t)])
     pre_u = set(net._pre[net.transition_index(u)])
     for pi in pre_t & pre_u:

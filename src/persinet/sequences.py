@@ -72,8 +72,7 @@ def sequence_persistence(net: Net, m0: Marking, seq: Sequence[str]) -> SeqPersis
     """
     seq = _word(seq)
     if seq:
-        net._check_behavioural()
-        net._check_marking(m0)
+        net._check_state(m0)
     cur = m0
     for i, a in enumerate(seq):
         before = _enabled_i(net, cur)
@@ -123,8 +122,7 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
     the same remaining counts is skipped before its step is counted.  The
     words yielded and their order are unchanged.
     """
-    net._check_behavioural()
-    net._check_marking(m0)
+    net._check_state(m0)
     names = net.transitions
     left = [0] * len(names)
     for t, n in dict(target).items():
@@ -187,17 +185,24 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
 
 
 def _steps(net, m, memo):
-    """The steps enabled at m as [(transition index, successor, persistent)]
+    """The steps enabled at m as {transition index: (successor, persistent)}
     in transition order; memo maps each marking already expanded to its
-    list, so callers sharing one memo fire every marking once."""
+    steps, so callers sharing one memo fire every marking once."""
     out = memo.get(m)
     if out is None:
         before = _enabled_i(net, m)
-        out = memo[m] = []
+        out = memo[m] = {}
         for ti in before:
             m2 = _fire_i(net, m, ti)
-            out.append((ti, m2, _disabled_by(net, before, ti, m2) is None))
+            out[ti] = (m2, _disabled_by(net, before, ti, m2) is None)
     return out
+
+
+def _persistent_along(net, word, marks, memo):
+    """Whether the firable word, with marks the markings along it, is
+    persistent; each step's persistence is read off the _steps memo."""
+    index = net._tidx
+    return all(_steps(net, m, memo)[index[t]][1] for t, m in zip(word, marks))
 
 
 def _firable_words(net, m0, max_len, memo=None):
@@ -211,7 +216,7 @@ def _firable_words(net, m0, max_len, memo=None):
     for _ in range(max_len):
         nxt = []
         for word, m, pers in frontier:
-            for ti, m2, ok in _steps(net, m, memo):
+            for ti, (m2, ok) in _steps(net, m, memo).items():
                 node = (word + (names[ti],), m2, pers and ok)
                 yield node
                 nxt.append(node)
@@ -235,10 +240,10 @@ def _persistent_levels(net, m0, max_len, memo=None):
     for _ in range(max_len):
         nxt = {}
         for m, n in level.items():
-            steps = _steps(net, m, memo)
-            if not all(ok for _, _, ok in steps):
+            steps = _steps(net, m, memo).values()
+            if not all(ok for _, ok in steps):
                 return None
-            for _, m2, _ in steps:
+            for m2, _ in steps:
                 nxt[m2] = nxt.get(m2, 0) + n
         if not nxt:
             break
@@ -247,45 +252,63 @@ def _persistent_levels(net, m0, max_len, memo=None):
     return total
 
 
-def _class_bfs(net, m0, word, guard):
-    """The permutation class of the firable word, breadth-first from word.
+def _class_bfs(net, m0, word, guard, memo=None):
+    """The permutation class of the firable word, breadth-first from word,
+    as (member, markings along it).
 
-    A member beyond the guard-th is yielded, then ResourceExceededError is
+    By the state equation a transposition of positions i and i+1 changes
+    only the marking between them, so a neighbour's markings are its
+    parent's with that one entry replaced.  memo is a _steps memo.  A
+    member beyond the guard-th is yielded, then ResourceExceededError is
     raised carrying the members found so far.
     """
+    memo = {} if memo is None else memo
+    marks = _markings_along(net, m0, word)
     seen = {word}
-    queue = deque([word])
-    yield word
+    queue = deque([(word, marks)])
+    yield word, marks
     while queue:
-        w = queue.popleft()
-        for w2 in _swap_neighbours(net, m0, w, _markings_along(net, m0, w)):
+        w, marks = queue.popleft()
+        for w2, i, m in _swaps(net, w, marks, memo):
             if w2 not in seen:
                 seen.add(w2)
-                yield w2
+                marks2 = marks.copy()
+                marks2[i + 1] = m
+                yield w2, marks2
                 if len(seen) > guard:
                     raise ResourceExceededError(
                         f"equivalence class of {' '.join(word)} exceeds guard {guard}",
                         partial=seen)
-                queue.append(w2)
+                queue.append((w2, marks2))
 
 
-def _swap_neighbours(net, m0, word, marks):
-    """Firable words one adjacent transposition away from word.
+def _swaps(net, word, marks, memo):
+    """The firable adjacent transpositions of word, as [(neighbour, i, m)]
+    in position order: neighbour is word with word[i] and word[i+1]
+    swapped, it is firable, and m is the marking between the two swapped
+    letters.
 
     marks are the markings along word.  Only the swapped window needs a
     check: the prefix is untouched and the suffix re-fires from the same
-    marking by determinism.
+    marking by determinism.  Enabling and successors come from the _steps
+    memo.
     """
     index = net._tidx
     out = []
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a == b:
-            continue
-        m2 = _fire_i(net, marks[i], index[b])
-        if m2 is not None and _enabled_i(net, m2, (index[a],)):
-            out.append(word[:i] + (b, a) + word[i + 2:])
+    for i, (a, b, m) in enumerate(zip(word, word[1:], marks)):
+        if a != b:
+            step = _steps(net, m, memo).get(index[b])
+            if step is not None:
+                m = step[0]
+                if index[a] in _steps(net, m, memo):
+                    out.append((word[:i] + (b, a) + word[i + 2:], i, m))
     return out
+
+
+def _swap_neighbours(net, m0, word, marks):
+    """Firable words one adjacent transposition away from word, in position
+    order.  marks are the markings along word."""
+    return [w for w, _, _ in _swaps(net, word, marks, {})]
 
 
 def equivalence_class(net: Net, m0: Marking, seq: Sequence[str],
@@ -298,7 +321,7 @@ def equivalence_class(net: Net, m0: Marking, seq: Sequence[str],
     seq = _word(seq)
     fire_sequence(net, m0, seq)  # validates firability
     guard = default_class_guard() if guard is None else guard
-    return set(_class_bfs(net, m0, seq, guard))
+    return {w for w, _ in _class_bfs(net, m0, seq, guard)}
 
 
 def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
@@ -316,7 +339,7 @@ def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
     if s1 == s2:
         return True
     guard = default_class_guard() if guard is None else guard
-    return s2 in _class_bfs(net, m0, s1, guard)
+    return any(w == s2 for w, _ in _class_bfs(net, m0, s1, guard))
 
 
 def _lex_key(net, word):
@@ -333,10 +356,12 @@ def persistent_perm_equivalent(net: Net, m0: Marking, seq: Sequence[str],
     seq = _word(seq)
     if sequence_persistence(net, m0, seq).persistent:
         return seq
-    members = equivalence_class(net, m0, seq, guard=guard)
+    fire_sequence(net, m0, seq)  # validates firability
+    guard = default_class_guard() if guard is None else guard
+    memo = {}
     best = None
-    for w in members:
-        if sequence_persistence(net, m0, w).persistent:
+    for w, marks in _class_bfs(net, m0, seq, guard, memo):
+        if _persistent_along(net, w, marks, memo):
             if best is None or _lex_key(net, w) < _lex_key(net, best):
                 best = w
     return best
@@ -403,7 +428,10 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
     check holds, searched_count being the number of nonempty words.
     Otherwise it enumerates sequences breadth-first and exhausts whole
     permutation classes (memoised, so each class is settled once), and
-    searched_count is the number of nonempty words visited.  Mode
+    searched_count is the number of nonempty words visited.  The level,
+    word and class passes read one step memo (_steps), so each marking is
+    expanded once per check, and a class member's swaps and persistence
+    are read off it instead of replaying the member.  Mode
     "parikh" exploits that the answer depends on the Parikh vector alone:
     by the state equation the marking after a sequence depends only on its
     vector, and so does whether a step from there is persistent.  One
@@ -421,8 +449,7 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
     if bound < 1:
         raise InputError("bound must be >= 1")
     start = net.initial if m0 is None else m0
-    net._check_behavioural()
-    net._check_marking(start)
+    net._check_state(start)
     searched = 0
 
     if mode == SPE_PARIKH:
@@ -452,10 +479,11 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
                 break
         return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)
 
-    memo = {}  # one _steps memo for both passes
+    memo = {}  # one _steps memo for the level, word and class passes
     count = _persistent_levels(net, start, bound, memo)
     if count is not None:
         return SpeVerdict(mode, bound, "holds-up-to-bound", None, count)
+    guard = default_class_guard() if guard is None else guard
     settled_words = set()  # class members already known to have an equivalent
     words = _firable_words(net, start, bound, memo)
     next(words)  # the empty word
@@ -463,9 +491,12 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
         searched += 1
         if pers or w2 in settled_words:
             continue
-        members = equivalence_class(net, start, w2, guard=guard)
-        if not any(sequence_persistence(net, start, w).persistent
-                   for w in members):
+        members = []
+        good = False
+        for w, marks in _class_bfs(net, start, w2, guard, memo):
+            members.append(w)
+            good = good or _persistent_along(net, w, marks, memo)
+        if not good:
             return SpeVerdict(mode, bound, "refuted", w2, searched)
         settled_words.update(members)
     return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)

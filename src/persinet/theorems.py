@@ -49,7 +49,7 @@ from .sequences import (
     SPE_PARIKH,
     SpeVerdict,
     _markings_along,
-    _swap_neighbours,
+    _swaps,
     complete_diamond,
     equivalence_class,
     parikh,
@@ -267,11 +267,14 @@ def _random_firable(net, rng, max_len):
 def _random_permutation(net, rng, word, swaps):
     """A firable word reached from word by random firable adjacent swaps."""
     cur = tuple(word)
+    marks = _markings_along(net, net.initial, cur)
+    memo = {}  # one _steps memo for every swap
     for _ in range(swaps):
-        options = _swap_neighbours(net, net.initial, cur, _markings_along(net, net.initial, cur))
+        options = _swaps(net, cur, marks, memo)
         if not options:
             break
-        cur = rng.choice(options)
+        cur, i, m = rng.choice(options)
+        marks[i + 1] = m
     return cur
 
 
@@ -509,7 +512,8 @@ def _fair_nonpersistent_lasso(net, bounds):
     row lacks another label of its source row.  A reverse BFS from the
     entry gives each state's distance back to it, and a walk is extended
     only while it can still return within the bound, so no returning walk
-    is pruned.  Only the lasso returned is replayed on the net; a
+    is pruned.  A graph without a nonpersistent step has no such lasso and
+    is answered at once.  Only the lasso returned is replayed on the net; a
     disagreement there raises InvariantError.  The graph is capped at 2000
     states, and one cut off there raises ResourceExceededError.
     """
@@ -520,6 +524,9 @@ def _fair_nonpersistent_lasso(net, bounds):
     def persistent(i, a, j):
         # the target of step a enables every other label of its source
         return not en[i] & ~(1 << a) & ~en[j]
+
+    if all(persistent(i, a, j) for i, row in enumerate(rows) for a, (j,) in row.items()):
+        return None  # a graph with no nonpersistent step has no such lasso
 
     # the BFS tree's step into a state is the last step of its canonical
     # shortest prefix, the one shortest_path returns

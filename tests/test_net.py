@@ -62,6 +62,28 @@ class TestFiringRule:
         net = Net("loop", ["p"], ["t"], [("p", "t", 1), ("t", "p", 1)], {"p": 1})
         assert fire(net, net.initial, "t") == net.initial
 
+    def test_public_firing_errors(self, fig1):
+        # fire and enabled_transitions test every bad input in one branch;
+        # each still raises its own error, with its own message, in order
+        rd = reverse_dual(fig1)
+        short = fig1.initial[:-1]
+        cases = [
+            (UnsupportedClassError, "net 'rd(fig1_basic)' is structural-only "
+             "(reverse dual); its marking carries no semantics",
+             [lambda: fire(rd, rd.initial, "p0"), lambda: enabled_transitions(rd, rd.initial),
+              lambda: fire(rd, (), "zz"), lambda: enabled_transitions(rd, ())]),
+            (InputError, "marking has 4 entries, net 'fig1_basic' has 5 places",
+             [lambda: fire(fig1, short, "c"), lambda: enabled_transitions(fig1, short),
+              lambda: fire(fig1, short, "zz")]),
+            (UnknownIdError, "unknown transition 'zz'",
+             [lambda: fire(fig1, fig1.initial, "zz")]),
+        ]
+        for error, message, calls in cases:
+            for call in calls:
+                with pytest.raises(InputError) as err:
+                    call()
+                assert type(err.value) is error and str(err.value) == message
+
     def test_fire_sequence_reaches_m6(self, fig1):
         m6 = (0, 0, 0, 0, 1)
         assert fire_sequence(fig1, fig1.initial, seq("c d a")) == m6

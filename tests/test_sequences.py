@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -162,6 +163,17 @@ class TestPersistentEquivalents:
     def test_identity_on_persistent(self, fig1):
         assert persistent_perm_equivalent(fig1, fig1.initial, seq("d b")) == seq("d b")
 
+    def test_rejects_unfirable_after_nonpersistent_step(self):
+        # 'a' disables 'b' at step 0, so the persistence test stops there;
+        # the rest of the word is still validated, not answered with None
+        net = Net("conflict", ["p"], ["a", "b"], [("p", "a", 1), ("p", "b", 1)], {"p": 1})
+        with pytest.raises(NotEnabledError) as err:
+            persistent_perm_equivalent(net, net.initial, seq("a b"))
+        assert (err.value.index, err.value.place) == (1, "p")
+        with pytest.raises(UnknownIdError, match="unknown transition 'zz'"):
+            persistent_perm_equivalent(net, net.initial, seq("a zz"))
+        assert persistent_perm_equivalent(net, net.initial, seq("a")) is None
+
     def test_parikh_equivalent_fig1(self, fig1):
         assert persistent_parikh_equivalent(fig1, fig1.initial,
                                             parikh(seq("c d a"))) == seq("c a d")
@@ -281,6 +293,109 @@ class TestKernelsAgainstOracle:
                         want = s2[:k]
                         assert _prefix_match_search(net, net.initial, s1, want, 10 ** 6) == \
                             any(w[:k] == want for w in members)
+
+
+def _replayed_class_bfs(net, m0, word, guard):
+    """The permutation-class search with no step memo, the reference for
+    sequences._class_bfs: every member's markings are replayed from m0 and
+    each swapped window is fired afresh."""
+    from persinet.net import _enabled_i, _fire_i
+
+    index = net._tidx
+    seen = {word}
+    queue = deque([word])
+    yield word
+    while queue:
+        w = queue.popleft()
+        marks = [m0]
+        for t in w:
+            marks.append(_fire_i(net, marks[-1], index[t]))
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            if a == b:
+                continue
+            m2 = _fire_i(net, marks[i], index[b])
+            if m2 is None or not _enabled_i(net, m2, (index[a],)):
+                continue
+            w2 = w[:i] + (b, a) + w[i + 2:]
+            if w2 not in seen:
+                seen.add(w2)
+                yield w2
+                if len(seen) > guard:
+                    raise pn.ResourceExceededError(
+                        f"equivalence class of {' '.join(word)} exceeds guard {guard}",
+                        partial=seen)
+                queue.append(w2)
+
+
+def _until_guard(members):
+    """The members yielded, and the guard error's message and partial set."""
+    got = []
+    try:
+        for member in members:
+            got.append(member)
+    except pn.ResourceExceededError as exc:
+        return got, str(exc), exc.partial
+    return got, None, None
+
+
+class TestClassKernel:
+    """The class search on the step memo against the replaying reference:
+    same members in the same order, the same guard error, and the markings
+    it carries are those along each member."""
+
+    CORPUS = [corpus_load(name).net for name in pn.corpus.NET_DOCS]
+
+    def _agrees(self, net, max_len, per_net):
+        from persinet.sequences import _class_bfs, _firable_words, _markings_along
+
+        m0 = net.initial
+        words = sorted((w for w, _, _ in _firable_words(net, m0, max_len) if w),
+                       key=lambda w: (-len(w), w))[:per_net]
+        sizes = []
+        for word in words:
+            want = list(_replayed_class_bfs(net, m0, word, 10 ** 6))
+            got = []
+            for w, marks in _class_bfs(net, m0, word, 10 ** 6):
+                assert marks == _markings_along(net, m0, w)
+                got.append(w)
+            assert got == want
+            guard = len(want) // 2
+            if guard:
+                reference = _until_guard(_replayed_class_bfs(net, m0, word, guard))
+                memo_kernel = _until_guard(_class_bfs(net, m0, word, guard))
+                assert ([w for w, _ in memo_kernel[0]], *memo_kernel[1:]) == reference
+                assert reference[1] is not None
+            sizes.append(len(want))
+        return sizes
+
+    def test_corpus(self):
+        sizes = [n for net in self.CORPUS for n in self._agrees(net, 6, 20)]
+        assert max(sizes) >= 20 and sum(n > 1 for n in sizes) >= 50
+
+    def test_criterion_10_nets(self):
+        sizes = [n for net in TestKernelsAgainstOracle.NETS
+                 for n in self._agrees(net, 5, 8)]
+        assert sum(n > 1 for n in sizes) >= 300
+
+    def test_perm_spe_against_oracle(self):
+        # status, counterexample and searched_count all as the unpruned
+        # oracle gives them, on the corpus and the criterion-10 nets
+        from persinet.sequences import _all_short_sequences_persistent
+        from persinet.theorems import oracle_spe_check
+
+        cases = [(net, 8) for net in self.CORPUS]
+        cases += [(net, bound) for net in TestKernelsAgainstOracle.NETS
+                  for bound in (4, 6)]
+        settled = 0  # holds, with some nonpersistent word settled by its class
+        for net, bound in cases:
+            fast = spe_check(net, bound, pn.SPE)
+            slow = oracle_spe_check(net, bound, pn.SPE)
+            assert (fast.status, fast.counterexample, fast.searched_count) == \
+                (slow.status, slow.counterexample, slow.searched_count), (net.name, bound)
+            settled += not fast.refuted and \
+                _all_short_sequences_persistent(net, net.initial, bound) is not None
+        assert settled >= 5
 
 
 def _par(k):
@@ -436,9 +551,17 @@ class TestPersistentLevels:
         assert _all_short_sequences_persistent(fig1, fig1.initial, 3) == seq("c d a")
 
     def test_passes_share_one_step_memo(self, monkeypatch):
-        # the word pass reuses the steps the level pass fired: every marking
-        # is expanded once, and the answers are those of separate passes
+        # the word and class passes reuse the steps the level pass fired:
+        # every marking is expanded once, and the answers are those of
+        # separate passes
         from persinet import sequences
+
+        nets = [gen_random_net(GenConfig(seed=s)) for s in range(60)]
+        nets.append(corpus_load("fig1_basic").net)  # holds, after class searches
+
+        def calls(net):
+            return (lambda: sequences._all_short_sequences_persistent(net, net.initial, 5),
+                    lambda: spe_check(net, 5, pn.SPE))
 
         real = sequences._steps
         expanded = []
@@ -448,31 +571,31 @@ class TestPersistentLevels:
                 expanded.append(m)
             return real(net, m, memo)
 
-        fell_back = 0
-        for s in range(60):
-            net = gen_random_net(GenConfig(seed=s))
-            calls = (lambda: sequences._all_short_sequences_persistent(net, net.initial, 5),
-                     lambda: spe_check(net, 5, pn.SPE))
-            want = [call() for call in calls]
+        fell_back = refuted = settled = 0
+        for net in nets:
+            want = [call() for call in calls(net)]
             monkeypatch.setattr(sequences, "_steps", spy)
-            for call, answer in zip(calls, want):
+            for call, answer in zip(calls(net), want):
                 expanded.clear()
                 assert call() == answer
                 assert len(expanded) == len(set(expanded))
             monkeypatch.setattr(sequences, "_steps", real)
+            # a nonpersistent word below the bound sends spe_check to classes
             fell_back += want[0] is not None
-        assert fell_back >= 20
+            refuted += want[1].refuted
+            settled += want[0] is not None and not want[1].refuted
+        assert fell_back >= 20 and refuted >= 10 and settled >= 1
 
         real = sequences._enabled_i
-        for s in range(60):
-            net = gen_random_net(GenConfig(seed=s))
-            fresh = sequences._all_short_sequences_persistent(net, net.initial, 5)
-            expanded = []
+        for net in nets:
+            fresh = [call() for call in calls(net)]
             monkeypatch.setattr(sequences, "_enabled_i",
                                 lambda n, m, *a: expanded.append(m) or real(n, m, *a))
-            assert sequences._all_short_sequences_persistent(net, net.initial, 5) == fresh
+            for call, answer in zip(calls(net), fresh):
+                expanded.clear()
+                assert call() == answer
+                assert len(expanded) == len(set(expanded))
             monkeypatch.setattr(sequences, "_enabled_i", real)
-            assert len(expanded) == len(set(expanded))
 
 
 class TestSpeCheck:

@@ -478,6 +478,15 @@ class TestProbeChecker:
         assert rep.ok and (rep.instances, rep.confirmations) == (1, 0)
         assert rep.skips == [("reachability graph exceeded the state budget", "par11")]
 
+    def test_persistent_net_has_no_probe(self):
+        # a persistent graph has no nonpersistent step, hence no nonpersistent
+        # lasso; par5's 32 states are answered without walking a cycle
+        net = _par(5)
+        assert _fair_nonpersistent_lasso(net, pn.AnalysisBounds()) is None
+        rep = check_theorem("spe-implies-fpe-probe", net)
+        assert rep.ok and (rep.instances, rep.confirmations) == (1, 0)
+        assert rep.skips == [("no fair nonpersistent lasso found to probe", "par5")]
+
     def test_weighted_net_answers(self):
         # the probe needs only strong fairness, which is defined on every net
         net = gen_random_net(GenConfig(seed=3, **self.WEIGHTED))
