@@ -197,7 +197,7 @@ def cmd_pattern(args):
             print(f"  {s} -> {emb.state_map[s]}")
         for a in pattern.labels:
             print(f"  {a} -> {emb.label_map[a]}")
-        if args.name in ("nonpers", "nonDC"):
+        if args.name:  # the built-in pattern searched, never a file's
             print(f"consequence: {patterns._CONSEQUENCES[args.name]}")
     _dump(args, emb)
 
@@ -363,8 +363,9 @@ def build_parser():
 
     p = add("pattern", cmd_pattern, help="embed a pattern into a graph")
     p.add_argument("target", help="net or LTS (file or corpus name)")
-    p.add_argument("--name", choices=("nonpers", "nonDC"))
-    p.add_argument("--file")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--name", choices=("nonpers", "nonDC"))
+    which.add_argument("--file")
     p.add_argument("--derive-nondc", action="store_true")
     p.add_argument("--bound", type=int, default=8,
                    help="sequence bound for the derivation premise check")

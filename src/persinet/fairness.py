@@ -218,8 +218,6 @@ def lasso_equiv_at_depth(net: Net, l1: Lasso, l2: Lasso, depth: int,
     validate_lasso(net, l2)
     if window is None:
         window = 2 * max(len(l1.cycle), len(l2.cycle))
-    if guard is None:
-        guard = sequences.default_class_guard()
     if infinite_parikh_signature(l1) != infinite_parikh_signature(l2):
         return LassoEquivVerdict("not-equivalent", depth, window,
                                  "infinite Parikh signatures differ")

@@ -14,7 +14,7 @@ search read them, and map indices back to names only for their answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (InputError, ResourceExceededError, UnknownIdError,
@@ -64,10 +64,12 @@ class Lts:
                 if (s, a, s2) in seen:
                     raise InputError(f"lts '{name}': duplicate edge ({s},{a},{s2})")
                 seen.add((s, a, s2))
+        of_payload = None
         if payload is not None:
             if set(payload) != state_set:
                 raise InputError(f"lts '{name}': payload must cover exactly the states")
-            if len(set(payload.values())) != len(payload):
+            of_payload = {v: s for s, v in payload.items()}
+            if len(of_payload) != len(payload):
                 raise InputError(f"lts '{name}': state payloads must be injective")
 
         self.name = name
@@ -83,7 +85,8 @@ class Lts:
         self._rev = None
         self._tree = None
         self._deterministic = None
-        self._of_payload = None
+        self._parikh_deterministic = False  # same-Parikh paths meet, at any depth
+        self._of_payload = of_payload
 
     def _state_index(self) -> dict:
         """{state: index}, built on first use."""
@@ -172,8 +175,6 @@ class Lts:
     def state_of_payload(self, value):
         if self.payload is None:
             raise InputError(f"lts '{self.name}' carries no payload")
-        if self._of_payload is None:
-            self._of_payload = {v: s for s, v in self.payload.items()}
         try:
             return self._of_payload[value]
         except (KeyError, TypeError):
@@ -272,8 +273,10 @@ def build_rg(net: Net, max_states: Optional[int] = None):
     lts._rows = rows
     # firing is a function of the marking, and a marking is the unique
     # predecessor of its successor under t (M = M' - C[t]); markings name
-    # the states, so the graph is label-deterministic both ways
-    lts._deterministic = True
+    # the states, so the graph is label-deterministic both ways.  By the
+    # state equation M = M0 + C*Parikh(sigma), paths with one Parikh vector
+    # from one state, or into one state, end at one state at every depth.
+    lts._deterministic = lts._parikh_deterministic = True
     k = max(place_bounds, default=0)
     report = BoundReport(
         status="cutoff-reached" if truncated else "bounded", k_bound=k,
@@ -337,50 +340,20 @@ def _same_parikh_same_end(rows: list, depth: int) -> bool:
     return True
 
 
-def _state_equation_certificate(lts: Lts) -> bool:
-    """True when the payloads are int tuples of one length and every label
-    moves them by one fixed displacement vector.
-
-    Then the payload at the end of a path is the payload at its start plus
-    the displacements weighted by the path's Parikh vector (the state
-    equation M = M0 + C*Parikh(sigma)), and since payloads are injective,
-    two paths with one Parikh vector from one state, or into one state,
-    end at one state at every depth.
-    """
-    payload = lts.payload
-    if payload is None:
-        return False
-    width = None
-    for v in payload.values():
-        if type(v) is not tuple or not all(type(x) is int for x in v):
-            return False
-        if width is None:
-            width = len(v)
-        elif len(v) != width:
-            return False
-    delta = {}
-    for s, a, s2 in lts.edges:
-        d = tuple(map(sub, payload[s2], payload[s]))
-        if delta.setdefault(a, d) != d:
-            return False
-    return True
-
-
 def lts_properties(lts: Lts, spot_depth: int = 3) -> LtsReport:
     """Finiteness, total reachability, determinism and deadlocks.
 
     Determinism combines per-state label functionality (successor and
     predecessor form) with the Parikh formulation: same-Parikh paths from
-    one state, or into one state, end at one state.  On an LTS whose
-    payloads are int vectors that every label shifts by one fixed
-    displacement (reachability graphs: the state equation) that holds at
-    every depth and is certified in one pass over the edges.  Any other LTS
-    falls back to a spot check of paths up to spot_depth, since deciding
-    the full Parikh formulation on arbitrary LTS would be exhaustive.
+    one state, or into one state, end at one state.  For a reachability
+    graph that holds at every depth and is recorded by build_rg, which
+    proves it by the state equation.  Any other LTS gets a spot check of
+    paths up to spot_depth, since deciding the full Parikh formulation on
+    arbitrary LTS would be exhaustive.
     """
     totally = len(_bfs_tree(lts)[0]) == len(lts.states)
     deterministic = lts.is_label_deterministic() and (
-        _state_equation_certificate(lts) or _parikh_spot_check(lts, spot_depth))
+        lts._parikh_deterministic or _parikh_spot_check(lts, spot_depth))
     return LtsReport(
         finite=True, totally_reachable=totally, deterministic=deterministic,
         deadlocks=lts.deadlocks())

@@ -252,16 +252,18 @@ def _persistent_levels(net, m0, max_len, memo=None):
     return total
 
 
-def _class_bfs(net, m0, word, guard, memo=None):
+def _class_bfs(net, m0, word, guard=None, memo=None):
     """The permutation class of the firable word, breadth-first from word,
     as (member, markings along it).
 
     By the state equation a transposition of positions i and i+1 changes
     only the marking between them, so a neighbour's markings are its
     parent's with that one entry replaced.  memo is a _steps memo.  A
-    member beyond the guard-th is yielded, then ResourceExceededError is
-    raised carrying the members found so far.
+    member beyond the guard-th (default_class_guard() when guard is None)
+    is yielded, then ResourceExceededError is raised carrying the members
+    found so far.
     """
+    guard = default_class_guard() if guard is None else guard
     memo = {} if memo is None else memo
     marks = _markings_along(net, m0, word)
     seen = {word}
@@ -320,7 +322,6 @@ def equivalence_class(net: Net, m0: Marking, seq: Sequence[str],
     """
     seq = _word(seq)
     fire_sequence(net, m0, seq)  # validates firability
-    guard = default_class_guard() if guard is None else guard
     return {w for w, _ in _class_bfs(net, m0, seq, guard)}
 
 
@@ -338,7 +339,6 @@ def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
         return False
     if s1 == s2:
         return True
-    guard = default_class_guard() if guard is None else guard
     return any(w == s2 for w, _ in _class_bfs(net, m0, s1, guard))
 
 
@@ -357,7 +357,6 @@ def persistent_perm_equivalent(net: Net, m0: Marking, seq: Sequence[str],
     if sequence_persistence(net, m0, seq).persistent:
         return seq
     fire_sequence(net, m0, seq)  # validates firability
-    guard = default_class_guard() if guard is None else guard
     memo = {}
     best = None
     for w, marks in _class_bfs(net, m0, seq, guard, memo):
@@ -483,7 +482,6 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
     count = _persistent_levels(net, start, bound, memo)
     if count is not None:
         return SpeVerdict(mode, bound, "holds-up-to-bound", None, count)
-    guard = default_class_guard() if guard is None else guard
     settled_words = set()  # class members already known to have an equivalent
     words = _firable_words(net, start, bound, memo)
     next(words)  # the empty word

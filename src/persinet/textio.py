@@ -248,16 +248,13 @@ def emit_dot(lts: Lts, highlights: Optional[Embedding] = None,
     """Render an LTS as a DOT digraph with stable node and edge order.
 
     With an embedding, the image states and arcs are drawn bold and each
-    excluded pair is annotated on its image state.  The companion pattern
-    supplies the arc and exclusion sets; the built-in consequence patterns
-    are resolved by label arity when it is omitted.
+    excluded pair is annotated on its image state.  The embedded pattern
+    must be given with it: it supplies the arc and exclusion sets.
     """
     bold_states, bold_edges, excluded = set(), set(), {}
     if highlights is not None:
         if pattern is None:
-            from .patterns import builtin_pattern
-            name = "nonDC" if len(highlights.state_map) > 3 else "nonpers"
-            pattern = builtin_pattern(name)
+            raise InputError("emit_dot: highlights need the embedded pattern")
         bold_states = {highlights.state_map[s] for s in pattern.states}
         for s, a, s2 in pattern.arcs:
             bold_edges.add((highlights.state_map[s], highlights.label_map[a],

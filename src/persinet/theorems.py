@@ -453,7 +453,7 @@ def _check_spe_implies_fpe_probe(report, net, bounds, seed, max_states):
     probe = None
     if not spe_check(net, bounds.sequence_len, SPE).refuted:
         try:
-            probe = _fair_nonpersistent_lasso(net, bounds)
+            probe = _fair_nonpersistent_lasso(net, bounds, max_states)
         except ResourceExceededError:
             report.skips.append((_STATE_BUDGET_SKIP, net.name))
             return
@@ -494,7 +494,10 @@ def check_theorem(theorem: str, net: Net,
     return report
 
 
-def _fair_nonpersistent_lasso(net, bounds):
+_PROBE_MAX_STATES = 2000
+
+
+def _fair_nonpersistent_lasso(net, bounds, max_states=_PROBE_MAX_STATES):
     """A strongly fair, nonpersistent lasso of the net, if a short one exists.
 
     Entry states are taken in BFS order up to depth bounds.max_prefix, each
@@ -514,10 +517,11 @@ def _fair_nonpersistent_lasso(net, bounds):
     only while it can still return within the bound, so no returning walk
     is pruned.  A graph without a nonpersistent step has no such lasso and
     is answered at once.  Only the lasso returned is replayed on the net; a
-    disagreement there raises InvariantError.  The graph is capped at 2000
-    states, and one cut off there raises ResourceExceededError.
+    disagreement there raises InvariantError.  The graph is capped at
+    max_states, and never above 2000 states; one cut off there raises
+    ResourceExceededError.
     """
-    rg, _ = complete_rg(net, 2000)
+    rg, _ = complete_rg(net, min(_PROBE_MAX_STATES, max_states))
     rows, back_rows = rg._index_rows(), rg._reverse_rows()
     en = [sum(1 << a for a in row) for row in rows]  # enabled labels, as bits
 
@@ -671,6 +675,7 @@ IMPLICATIONS = (("APE", "JPE"), ("APE", "SPE"), ("JPE", "FPE"))
 REFUTED = "refuted"
 REFUTED_IN_BOUNDS = "refuted-within-bounds"
 HOLDS_EVIDENCE = "holds-evidence"
+_STRENGTH = (HOLDS_EVIDENCE, REFUTED_IN_BOUNDS, REFUTED)  # weakest first
 
 
 @dataclass
@@ -700,31 +705,26 @@ def implication_matrix(net: Net, probes, bounds: Optional[AnalysisBounds] = None
         witnesses["SPE"] = matrix.spe.counterexample
 
     def refute(notion, status, run):
-        order = (HOLDS_EVIDENCE, REFUTED_IN_BOUNDS, REFUTED)
-        if order.index(status) > order.index(evidence[notion]):
+        if _STRENGTH.index(status) > _STRENGTH.index(evidence[notion]):
             evidence[notion] = status
             witnesses[notion] = run
 
-    for row in matrix.probes:
-        if row.equivalent == "found":
-            continue
-        exact = row.equivalent == "none"
-        status = REFUTED if exact else REFUTED_IN_BOUNDS
-        refute("APE", status, row.run)
-        if row.just:
-            refute("JPE", status, row.run)
-        if row.fair:
-            refute("FPE", status, row.run)
+    # each notion quantifies over its own probe rows
+    for notion, rows in (("APE", matrix.ape_probes), ("JPE", matrix.jpe_probes),
+                         ("FPE", matrix.fpe_probes)):
+        for row in rows:
+            if row.equivalent != "found":
+                exact = row.equivalent == "none"
+                refute(notion, REFUTED if exact else REFUTED_IN_BOUNDS, row.run)
 
     # an exact SPE counterexample is a run, hence also an APE witness
     if evidence["SPE"] == REFUTED:
         refute("APE", REFUTED, witnesses["SPE"])
 
     violations = []
-    rank = {REFUTED: 0, REFUTED_IN_BOUNDS: 1, HOLDS_EVIDENCE: 2}
     for strong, weak in IMPLICATIONS:
         # if the weaker notion is refuted the stronger one must be refuted
-        if rank[evidence[weak]] < rank[evidence[strong]]:
+        if _STRENGTH.index(evidence[weak]) > _STRENGTH.index(evidence[strong]):
             violations.append(
                 f"{strong} => {weak} violated: {weak} is {evidence[weak]} "
                 f"while {strong} is {evidence[strong]}")

@@ -82,6 +82,15 @@ def test_pattern_file(tmp_path):
     assert out.returncode == 0
 
 
+def test_pattern_name_and_file_exclude(tmp_path):
+    # the consequence line belongs to the built-in pattern searched
+    doc = tmp_path / "p.pat"
+    doc.write_text("pattern one\nstate u\nstate v\narc u a v\n")
+    out = run("pattern", "fig5_acbc", "--file", str(doc), "--name", "nonpers")
+    assert out.returncode == 2 and "not allowed with" in out.stderr
+    assert "consequence" not in out.stdout
+
+
 def test_fairness():
     out = run("fairness", "fig6_unfair", "--lasso", "y ; x a c",
               "--search-equivalent")

@@ -156,12 +156,12 @@ class TestProperties:
                       ("x", "b", "p"), ("y", "a", "q")], "s",
                      payload={"s": (0, 0), "x": (1, 0), "y": (0, 1),
                               "p": (1, 1), "q": (2, 2)})
-        assert not lts_mod._state_equation_certificate(tricky)
         assert not lts_properties(tricky).deterministic
 
     @pytest.mark.parametrize("payload", [
         {"s0": (0,), "s1": (1,), "s2": (3,)},   # a moves by 1, then by 2
         {"s0": "x", "s1": "y", "s2": "z"},      # not int vectors
+        {"s0": (0,), "s1": (1,), "s2": (2,)},   # the state equation holds
         None,
     ])
     def test_uncertified_falls_back_to_spot_check(self, monkeypatch, payload):

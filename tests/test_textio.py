@@ -1,7 +1,9 @@
 import pytest
 
 from persinet import (
+    InputError,
     ParseError,
+    Pattern,
     build_rg,
     builtin_pattern,
     corpus_load,
@@ -161,6 +163,15 @@ class TestDot:
         assert '"M4" [penwidth=2.5];' in dot
         assert '"M6" [penwidth=2.5, xlabel="no b"];' in dot
         assert '"M4" -> "M6" [label="a", penwidth=2.5];' in dot
+
+    def test_highlights_need_their_pattern(self, fig1):
+        rg, _ = build_rg(fig1)
+        two = Pattern("step", ("u", "v"), ("x",), (("u", "x", "v"),), ())
+        emb = find_embedding(two, rg)
+        assert emb is not None
+        with pytest.raises(InputError, match="highlights need the embedded pattern"):
+            emit_dot(rg, highlights=emb)
+        assert '"M1" -> "M3" [label="a", penwidth=2.5];' in emit_dot(rg, emb, two)
 
     def test_single_node_graph(self):
         from persinet import Lts

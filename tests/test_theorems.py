@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -262,7 +263,7 @@ _REPORT_SUITES = (
     ("DC-main", {"class_constraint": ("pure", "plain")}),
     ("spe-implies-fpe-probe", {}),
 )
-_REPORTS_DIGEST = "ddc9c1bb423ce8a70db5370482f6546371ad51301de9c4e693aa88145c636ed3"
+_REPORTS_DIGEST = "b02e9ce354061af8e2d59fd0de743f34e9f47f95ad326084592f1d719fc45947"
 
 
 class TestReportsPinned:
@@ -303,6 +304,13 @@ class TestCompleteGraphGate:
     def test_derivation(self, fig1):
         with pytest.raises(pn.ResourceExceededError, match="cut off at 2 states"):
             pn.derive_nonDC_embedding(fig1, max_states=2)
+
+    def test_probe_checker_skips(self):
+        net = _par(3)
+        rep = check_theorem("spe-implies-fpe-probe", net, max_states=7)
+        assert rep.skips == [("reachability graph exceeded the state budget", "par3")]
+        rep = check_theorem("spe-implies-fpe-probe", net, max_states=8)
+        assert rep.skips == [("no fair nonpersistent lasso found to probe", "par3")]
 
     @pytest.mark.parametrize("theorem", ("CF-persistent", "EC-main", "DC-main"))
     def test_checkers_skip(self, theorem):
@@ -541,7 +549,104 @@ class TestOracleEquivalence:
                 assert fast.counterexample == slow.counterexample
 
 
+def _reference_assembly(matrix):
+    """implication_matrix's evidence assembly written as one pass over the
+    probe rows: each row refutes APE and, when just or fair, JPE or FPE."""
+    evidence = {n: "holds-evidence" for n in pn.theorems.NOTIONS}
+    witnesses = {}
+    if matrix.spe.refuted:
+        evidence["SPE"] = "refuted"
+        witnesses["SPE"] = matrix.spe.counterexample
+
+    def refute(notion, status, run):
+        order = ("holds-evidence", "refuted-within-bounds", "refuted")
+        if order.index(status) > order.index(evidence[notion]):
+            evidence[notion] = status
+            witnesses[notion] = run
+
+    for row in matrix.probes:
+        if row.equivalent == "found":
+            continue
+        status = "refuted" if row.equivalent == "none" else "refuted-within-bounds"
+        refute("APE", status, row.run)
+        if row.just:
+            refute("JPE", status, row.run)
+        if row.fair:
+            refute("FPE", status, row.run)
+    if evidence["SPE"] == "refuted":
+        refute("APE", "refuted", witnesses["SPE"])
+
+    violations = []
+    rank = {"refuted": 0, "refuted-within-bounds": 1, "holds-evidence": 2}
+    for strong, weak in pn.theorems.IMPLICATIONS:
+        if rank[evidence[weak]] < rank[evidence[strong]]:
+            violations.append(
+                f"{strong} => {weak} violated: {weak} is {evidence[weak]} "
+                f"while {strong} is {evidence[strong]}")
+    for row in matrix.probes:
+        if row.fair and not row.just:
+            violations.append(f"probe {row.run} is fair but not just")
+        if row.just and not row.progress:
+            violations.append(f"probe {row.run} is just but lacks progress")
+    return evidence, witnesses, violations
+
+
+def _seeded_probes(net, rng):
+    """Three random finite runs of the net, then the lassos through up to
+    four random states, each closing the shortest cycle back to its state."""
+    rg, _ = complete_rg(net, 200)
+    nxt = rg.next_states()
+    runs = []
+    for _ in range(3):
+        s, word = rg.initial, []
+        for _ in range(rng.randint(0, 5)):
+            if not nxt[s]:
+                break
+            a = rng.choice(sorted(nxt[s]))
+            word.append(a)
+            s = nxt[s][a]
+        runs.append(tuple(word))
+    for s in rng.sample(rg.states, min(4, len(rg.states))):
+        paths, queue, cycles = {s: ()}, [s], []  # paths: shortest word from s
+        for u in queue:  # queue grows while it is read
+            for a, v in nxt[u].items():
+                if v == s:
+                    cycles.append(paths[u] + (a,))
+                elif v not in paths:
+                    paths[v] = paths[u] + (a,)
+                    queue.append(v)
+        if cycles:
+            runs.append(Lasso(shortest_path(rg, s), min(cycles, key=len)))
+    return runs
+
+
 class TestImplicationMatrix:
+    SMALL = pn.AnalysisBounds(sequence_len=4, max_prefix=3, max_cycle=4, depth=4)
+
+    def _agrees(self, net, probes, bounds=None):
+        result = implication_matrix(net, probes, bounds)
+        assert (result.evidence, result.witnesses, result.violations) == \
+            _reference_assembly(result.matrix), net.name
+        return result
+
+    def test_assembly_on_corpus_probes(self):
+        refuted = 0
+        for name in pn.corpus_names():
+            entry = corpus_load(name)
+            probes = [pn.parse_lasso(l, entry.net) if ";" in l else seq(l)
+                      for l in entry.probes]
+            result = self._agrees(entry.net, probes)
+            refuted += sum(v != "holds-evidence" for v in result.evidence.values())
+        assert refuted >= 5
+
+    def test_assembly_on_seeded_probes(self):
+        statuses = set()
+        for s in range(40):
+            net = gen_random_net(GenConfig(seed=s, places=3, transitions=3))
+            result = self._agrees(net, _seeded_probes(net, random.Random(s)), self.SMALL)
+            statuses.update(result.evidence.items())
+        assert {("JPE", "refuted-within-bounds"), ("APE", "refuted")} <= statuses
+
     def test_fig6(self, fig6):
         result = implication_matrix(fig6, [Lasso(("y",), seq("x a c"))])
         assert result.evidence["SPE"] == "holds-evidence"
