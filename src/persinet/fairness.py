@@ -251,13 +251,13 @@ class LassoSearchResult:
         return self.status == "found"
 
 
-def _cycles_with_parikh(net, entry, budget, persistent=False):
+def _cycles_with_parikh(net, entry, budget, persistent=False, memo=None):
     """Firable words from entry with exactly the budget Parikh vector that
     return to entry, in canonical order; persistent keeps those whose every
     step from entry is persistent.  By the state equation every word with
     the budget vector leads from entry to entry + sum budget[t] (post_t -
     pre_t), so either all realisations return to entry or none does, and
-    which is known before any search."""
+    which is known before any search.  memo is a _steps memo."""
     shift = [0] * len(entry)
     for t, n in budget.items():
         ti = net._tidx[t]
@@ -267,7 +267,8 @@ def _cycles_with_parikh(net, entry, budget, persistent=False):
             shift[pi] += n * w
     if any(shift):
         return []
-    return list(sequences._realisations(net, entry, budget, persistent=persistent))
+    return list(sequences._realisations(net, entry, budget, persistent=persistent,
+                                        memo=memo))
 
 
 def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
@@ -293,7 +294,8 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
     support, finite_counts = infinite_parikh_signature(lasso)
     base = parikh(lasso.cycle)
     cycles = {}  # (entry, k) -> its persistent cycles; many prefixes share an entry
-    for prefix, entry, pers in sequences._firable_words(net, net.initial, max_prefix):
+    memo = {}  # one _steps memo for the prefix and cycle searches
+    for prefix, entry, pers in sequences._firable_words(net, net.initial, max_prefix, memo):
         if not pers:
             continue
         pref_par = parikh(prefix)
@@ -307,7 +309,8 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
             if sum(budget.values()) > max_cycle:
                 break
             if (entry, k) not in cycles:
-                cycles[entry, k] = _cycles_with_parikh(net, entry, budget, persistent=True)
+                cycles[entry, k] = _cycles_with_parikh(net, entry, budget,
+                                                       persistent=True, memo=memo)
             for cyc in cycles[entry, k]:
                 cand = Lasso(prefix, cyc)
                 verdict = lasso_equiv_at_depth(net, lasso, cand, depth, window)

@@ -322,16 +322,18 @@ def derive_nonDC_embedding(net: Net, spe_bound: int = 8,
     M1 = fire(net, M, leg_a)
     M2 = fire(net, M, leg_b)
 
+    memo = {}  # one _steps memo for every route search
+
     def route(leg):
         target = parikh(delta + (leg,))
         # prefer a route whose last letter avoids both legs: a route ending
         # in the opposite leg cannot exclude that leg at its corner
         found = next(_realisations(net, net.initial, target, persistent=True,
                                    forbidden_last={leg_a, leg_b},
-                                   node_budget=search_bound), None)
+                                   node_budget=search_bound, memo=memo), None)
         if found is None:
             found = next(_realisations(net, net.initial, target, persistent=True,
-                                       node_budget=search_bound), None)
+                                       node_budget=search_bound, memo=memo), None)
         if found is None:
             if len(delta) + 1 > spe_bound:
                 raise ResourceExceededError(
@@ -349,16 +351,14 @@ def derive_nonDC_embedding(net: Net, spe_bound: int = 8,
 
     constructed = None
     try:
-        if alpha[-1] == leg_a or fire_sequence(net, net.initial, alpha[:-1]) == M:
-            raise InvariantError("persistent route to the corner passes the choice state")
-        if beta_hat[-1] == leg_b or fire_sequence(net, net.initial, beta_hat[:-1]) == M:
+        K1 = fire_sequence(net, net.initial, alpha[:-1])
+        K2 = fire_sequence(net, net.initial, beta_hat[:-1])
+        if alpha[-1] == leg_a or beta_hat[-1] == leg_b or M in (K1, K2):
             raise InvariantError("persistent route to the corner passes the choice state")
         sigma1, J1 = unify_parikh_equivalent(net, alpha, delta + (leg_a,),
                                              check_premises=False)
         sigma2, J2 = unify_parikh_equivalent(net, delta + (leg_b,), beta_hat,
                                              check_premises=False)
-        K1 = fire_sequence(net, net.initial, alpha[:-1])
-        K2 = fire_sequence(net, net.initial, beta_hat[:-1])
         roles = {"s1": J1, "s2": J2, "s3": K1, "s4": M,
                  "s5": K2, "s6": M1, "s7": M2}
         emb = Embedding(

@@ -32,6 +32,7 @@ from .net import (
     _enabled_i,
     _fire_i,
     classify_structure,
+    deficient_place,
     enabled,
     fire,
     fire_sequence,
@@ -50,10 +51,6 @@ def parikh(seq: Sequence[str]) -> dict:
     return counts
 
 
-def _word(seq) -> tuple:
-    return tuple(seq)
-
-
 @dataclass
 class SeqPersistenceVerdict:
     persistent: bool
@@ -70,7 +67,7 @@ def sequence_persistence(net: Net, m0: Marking, seq: Sequence[str]) -> SeqPersis
     The failing index is 0-based; replaying that step re-disables the
     reported transition.  Non-firable input is an input error.
     """
-    seq = _word(seq)
+    seq = tuple(seq)
     if seq:
         net._check_state(m0)
     cur = m0
@@ -78,7 +75,7 @@ def sequence_persistence(net: Net, m0: Marking, seq: Sequence[str]) -> SeqPersis
         before = _enabled_i(net, cur)
         ai = net.transition_index(a)
         if ai not in before:
-            raise NotEnabledError(a, index=i)
+            raise NotEnabledError(a, place=deficient_place(net, cur, a), index=i)
         cur = _fire_i(net, cur, ai)
         u = _disabled_by(net, before, ai, cur)
         if u is not None:
@@ -101,11 +98,18 @@ def _markings_along(net, m0, seq):
 #
 # Every exhaustive search of the package is one of three: the realisations of
 # a Parikh vector, the firable words up to a length, and the members of a
-# permutation class.  Each runs on the index-level firing rule and yields in
-# canonical order, so a caller's "first" answer is the first one yielded.
+# permutation class.  Each yields in canonical order, so a caller's "first"
+# answer is the first one yielded.  By the state equation a step's successor
+# and its persistence depend only on the marking it leaves, so every search
+# (and the Parikh pass of spe_check) expands a marking through _steps alone,
+# and the searches of one decision share one _steps memo.  The persistent-step
+# test _disabled_by has one other caller, sequence_persistence: it replays one
+# given word, firing one step per marking, and names the transition a step
+# disables; oracle_spe_check relies on it as a reference independent of the
+# search kernels.
 
 def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
-                  node_budget=None):
+                  node_budget=None, memo=None):
     """Firable words from m0 with Parikh vector target, lexicographic.
 
     persistent keeps the words whose every step is persistent, pruning a
@@ -114,6 +118,7 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
     node_budget caps the steps tried; exhausting it raises
     ResourceExceededError carrying the partial word reached.  The search
     is an explicit-stack depth-first search, so word length is unbounded.
+    memo is a _steps memo.
 
     Dead vectors are memoised: by the state equation the marking after a
     prefix depends only on its Parikh vector, so whether a prefix has a
@@ -123,6 +128,7 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
     words yielded and their order are unchanged.
     """
     net._check_state(m0)
+    memo = {} if memo is None else memo
     names = net.transitions
     left = [0] * len(names)
     for t, n in dict(target).items():
@@ -139,19 +145,19 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
     yielded = 0
     dead = set()  # remaining counts from which no completion exists
     word = []
-    first = _enabled_i(net, m0)
-    # per prefix: marking, enabled, untried, words yielded before its push
-    stack = [(m0, first, iter(first), 0)]
+    # per prefix: its untried steps, words yielded before its push
+    stack = [(iter(_steps(net, m0, memo).items()), 0)]
     while stack:
-        m, before, untried, mark = stack[-1]
-        ti = next(untried, None)
-        if ti is None:
+        untried, mark = stack[-1]
+        step = next(untried, None)
+        if step is None:
             stack.pop()
             if word:
                 if yielded == mark:
                     dead.add(tuple(left))
                 left[word.pop()] += 1
             continue
+        ti, (m2, ok) = step
         if not left[ti]:
             continue
         last = len(word) == total - 1
@@ -171,8 +177,7 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
                     f"route search exhausted its {node_budget}-step budget",
                     partial={"word": tuple(names[x] for x in word),
                              "target": dict(target)})
-        m2 = _fire_i(net, m, ti)
-        if persistent and _disabled_by(net, before, ti, m2) is not None:
+        if persistent and not ok:
             continue
         if last:
             yielded += 1
@@ -180,8 +185,7 @@ def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
             continue
         left[ti] -= 1
         word.append(ti)
-        after = _enabled_i(net, m2)
-        stack.append((m2, after, iter(after), yielded))
+        stack.append((iter(_steps(net, m2, memo).items()), yielded))
 
 
 def _steps(net, m, memo):
@@ -307,12 +311,6 @@ def _swaps(net, word, marks, memo):
     return out
 
 
-def _swap_neighbours(net, m0, word, marks):
-    """Firable words one adjacent transposition away from word, in position
-    order.  marks are the markings along word."""
-    return [w for w, _, _ in _swaps(net, word, marks, {})]
-
-
 def equivalence_class(net: Net, m0: Marking, seq: Sequence[str],
                       guard: Optional[int] = None) -> set:
     """The full permutation-equivalence class of seq, as a set of words.
@@ -320,7 +318,7 @@ def equivalence_class(net: Net, m0: Marking, seq: Sequence[str],
     Classes are finite (fixed multiset of letters); a configurable guard
     caps the exploration and raises ResourceExceededError beyond it.
     """
-    seq = _word(seq)
+    seq = tuple(seq)
     fire_sequence(net, m0, seq)  # validates firability
     return {w for w, _ in _class_bfs(net, m0, seq, guard)}
 
@@ -332,7 +330,7 @@ def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
     Unequal Parikh vectors short-circuit to False (permutation equivalence
     preserves letter counts).
     """
-    s1, s2 = _word(s1), _word(s2)
+    s1, s2 = tuple(s1), tuple(s2)
     fire_sequence(net, m0, s1)
     fire_sequence(net, m0, s2)
     if parikh(s1) != parikh(s2):
@@ -353,7 +351,7 @@ def persistent_perm_equivalent(net: Net, m0: Marking, seq: Sequence[str],
     A persistent input is returned unchanged (identity permutation); the
     class is finite, so None is a definitive no.
     """
-    seq = _word(seq)
+    seq = tuple(seq)
     if sequence_persistence(net, m0, seq).persistent:
         return seq
     fire_sequence(net, m0, seq)  # validates firability
@@ -406,11 +404,6 @@ SPE = "perm"
 SPE_PARIKH = "parikh"
 
 
-def lex_min_realization(net: Net, m0: Marking, target) -> Optional[tuple]:
-    """Lexicographically first firable sequence with this Parikh vector."""
-    return next(_realisations(net, m0, target), None)
-
-
 def spe_check(net: Net, bound: int, mode: str = SPE,
               m0: Optional[Marking] = None,
               guard: Optional[int] = None) -> SpeVerdict:
@@ -440,8 +433,8 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
     vectors that have none, so every vector of the levels before has one,
     and a vector has one iff some step into it is persistent.  Every
     realisation of a refuting vector is a counterexample, the canonical one
-    being reported.  searched_count is the number of nonempty vectors
-    visited.
+    being reported; the pass and that search read one _steps memo.
+    searched_count is the number of nonempty vectors visited.
     """
     if mode not in (SPE, SPE_PARIKH):
         raise InputError(f"unknown mode '{mode}' (want '{SPE}' or '{SPE_PARIKH}')")
@@ -450,6 +443,7 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
     start = net.initial if m0 is None else m0
     net._check_state(start)
     searched = 0
+    memo = {}  # one _steps memo for every pass of the check
 
     if mode == SPE_PARIKH:
         names = net.transitions
@@ -458,19 +452,16 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
             nxt = {}
             good = set()  # the vectors entered by some persistent step
             for v, m in frontier.items():
-                before = _enabled_i(net, m)
-                for ti in before:
+                for ti, (m2, ok) in _steps(net, m, memo).items():
                     v2 = v[:ti] + (v[ti] + 1,) + v[ti + 1:]
-                    m2 = nxt.get(v2)
-                    if m2 is None:
-                        m2 = nxt[v2] = _fire_i(net, m, ti)
-                    if v2 not in good and _disabled_by(net, before, ti, m2) is None:
+                    nxt[v2] = m2
+                    if ok:
                         good.add(v2)
             searched += len(nxt)
             bad = [v for v in nxt if v not in good]
             if bad:
-                witness = min((lex_min_realization(
-                    net, start, {names[i]: n for i, n in enumerate(v) if n})
+                witness = min((next(_realisations(
+                    net, start, {names[i]: n for i, n in enumerate(v) if n}, memo=memo))
                     for v in bad), key=lambda w: _lex_key(net, w))
                 return SpeVerdict(mode, bound, "refuted", witness, searched)
             frontier = nxt
@@ -478,7 +469,6 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
                 break
         return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)
 
-    memo = {}  # one _steps memo for the level, word and class passes
     count = _persistent_levels(net, start, bound, memo)
     if count is not None:
         return SpeVerdict(mode, bound, "holds-up-to-bound", None, count)
@@ -582,7 +572,7 @@ def unify_parikh_equivalent(net: Net, alpha: Sequence[str], beta: Sequence[str],
     check_premises defaults to on for n <= 8 (the verification enumerates
     every short sequence and is exponential).  Returns (sigma, J).
     """
-    alpha, beta = _word(alpha), _word(beta)
+    alpha, beta = tuple(alpha), tuple(beta)
     n = len(alpha)
     report = classify_structure(net)
     if not report.plain or not report.pure:

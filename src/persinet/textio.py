@@ -113,7 +113,8 @@ def print_net(net: Net) -> str:
 
 def parse_lts(text: str) -> Lts:
     name, initial = None, None
-    states, labels, edges = [], [], []
+    states, edges = [], []
+    labels = {}  # first-use order
     seen_states, seen_edges = set(), set()
     for no, tok in _lines(text):
         kind = tok[0]
@@ -143,8 +144,7 @@ def parse_lts(text: str) -> Lts:
             if (s, a, s2) in seen_edges:
                 raise ParseError(f"duplicate edge {s} {a} {s2}", no)
             seen_edges.add((s, a, s2))
-            if a not in labels:
-                labels.append(a)
+            labels[a] = None
             edges.append((s, a, s2))
         else:
             raise ParseError(f"unknown declaration '{kind}'", no)
@@ -153,7 +153,7 @@ def parse_lts(text: str) -> Lts:
     if initial is None:
         raise ParseError("missing 'initial <id>'")
     try:
-        return Lts(name, states, labels, edges, initial)
+        return Lts(name, states, list(labels), edges, initial)
     except InputError as exc:
         raise ParseError(str(exc)) from None
 
@@ -168,7 +168,8 @@ def print_lts(lts: Lts) -> str:
 
 def parse_pattern(text: str) -> Pattern:
     name = None
-    states, labels, arcs, exclusions = [], [], [], []
+    states, arcs, exclusions = [], [], []
+    labels = {}  # first-use order
     seen_states = set()
     for no, tok in _lines(text):
         kind = tok[0]
@@ -189,22 +190,20 @@ def parse_pattern(text: str) -> Pattern:
             if len(tok) != 4:
                 raise ParseError(f"usage: {kind} <state> <label> <state>", no)
             s, a, s2 = tok[1:4]
-            if a not in labels:
-                labels.append(a)
+            labels[a] = None
             arcs.append((s, a, s2))
         elif kind == "exclude":
             if len(tok) != 3:
                 raise ParseError("usage: exclude <state> <label>", no)
             s, a = tok[1], tok[2]
-            if a not in labels:
-                labels.append(a)
+            labels[a] = None
             exclusions.append((s, a))
         else:
             raise ParseError(f"unknown declaration '{kind}'", no)
     if name is None:
         raise ParseError("missing 'pattern <name>' header")
     try:
-        return Pattern(name, states, labels, arcs, exclusions)
+        return Pattern(name, states, list(labels), arcs, exclusions)
     except InputError as exc:
         raise ParseError(str(exc)) from None
 

@@ -53,6 +53,17 @@ def test_seq_modes():
         assert _bad_input(out) and "unknown transition 'zz'" in out.stderr
 
 
+def test_seq_modes_name_the_same_deficient_place():
+    # replaying and the persistence test reject an unfirable run alike
+    for word, line in (("a", "(place 'p2' lacks tokens) at step 0"),
+                       ("c a b", "(place 'p3' lacks tokens) at step 2")):
+        plain = run("seq", "fig1_basic", "--run", word)
+        checked = run("seq", "fig1_basic", "--run", word, "--persistence")
+        assert _bad_input(plain) and _bad_input(checked)
+        assert line in plain.stderr
+        assert checked.stderr == plain.stderr
+
+
 def test_equiv():
     out = run("equiv", "fig1_basic", "--a", "d c a", "--b", "c a d")
     assert "equivalent: yes" in out.stdout

@@ -114,7 +114,7 @@ class TestFiringRule:
         # equal multisets of fired transitions land on the same marking
         import random
 
-        from persinet.sequences import _markings_along, _swap_neighbours
+        from persinet.sequences import _markings_along, _swaps
 
         for s in range(40):
             net = gen_random_net(GenConfig(seed=s, token_budget=4))
@@ -129,8 +129,8 @@ class TestFiringRule:
                 m = fire(net, m, t)
             cur = tuple(word)
             for _ in range(4):
-                opts = _swap_neighbours(net, net.initial, cur,
-                                        _markings_along(net, net.initial, cur))
+                opts = [w for w, _, _ in _swaps(
+                    net, cur, _markings_along(net, net.initial, cur), {})]
                 if not opts:
                     break
                 cur = rng.choice(opts)

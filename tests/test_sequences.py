@@ -26,7 +26,7 @@ from persinet import (
     spe_check,
     unify_parikh_equivalent,
 )
-from persinet.sequences import lex_min_realization
+from persinet.sequences import _realisations
 
 
 def seq(text):
@@ -57,8 +57,12 @@ class TestSequencePersistence:
         assert not sequence_persistence(net, net.initial, seq("a c")).persistent
 
     def test_unfirable_is_input_error(self, fig1):
-        with pytest.raises(NotEnabledError):
+        with pytest.raises(NotEnabledError) as err:
             sequence_persistence(fig1, fig1.initial, seq("a"))
+        assert (err.value.index, err.value.place) == (0, "p2")
+        with pytest.raises(NotEnabledError) as err:
+            persistent_perm_equivalent(fig1, fig1.initial, seq("c b"))
+        assert (err.value.index, err.value.place) == (1, "p4")
 
     def test_unknown_transition(self, fig1):
         with pytest.raises(UnknownIdError, match="unknown transition 'zz'"):
@@ -204,7 +208,7 @@ class TestLongVectors:
         target = {"a": 1500, "b": 1500}
         assert persistent_parikh_equivalent(net, net.initial, target) == \
             ("a", "b") * 1500
-        assert lex_min_realization(net, net.initial, target) == ("a", "b") * 1500
+        assert next(_realisations(net, net.initial, target), None) == ("a", "b") * 1500
 
 
 def _brute_words(net, m0, max_len):
@@ -234,7 +238,6 @@ class TestKernelsAgainstOracle:
 
     def test_realisation_searches(self):
         from persinet.fairness import _cycles_with_parikh
-        from persinet.sequences import _realisations
         from persinet.theorems import _all_with_parikh
 
         checked = cycles = 0
@@ -246,7 +249,7 @@ class TestKernelsAgainstOracle:
                 every = _all_with_parikh(net, m0, target)
                 persistent = [w for w in every
                               if sequence_persistence(net, m0, w).persistent]
-                assert lex_min_realization(net, m0, target) == every[0]
+                assert next(_realisations(net, m0, target), None) == every[0]
                 assert persistent_parikh_equivalent(net, m0, target) == \
                     next(iter(persistent), None)
                 for forbidden in [{t} for t in net.transitions] + [set(net.transitions[:2])]:
@@ -465,8 +468,6 @@ class TestDeadVectorMemo:
         # exhausted prefixes settles this in 80 steps; the word-level search
         # without the memo needs 3410, since it re-explores the dead suffix
         # after every interleaving of the par letters.
-        from persinet.sequences import _realisations
-
         net = pn.disjoint_sum(corpus_load("fig10_fpe_not_spe").net, _par(3))
         target = {"y": 1, "b": 1}
         target.update({t: 1 for t in _par(3).transitions})
@@ -476,7 +477,7 @@ class TestDeadVectorMemo:
     def test_lists_against_oracle(self):
         # long vectors on small nets, plus each with one letter traded for
         # another, which is often not realisable at all: dead prefixes abound
-        from persinet.sequences import _firable_words, _realisations
+        from persinet.sequences import _firable_words
         from persinet.theorems import _all_with_parikh
 
         checked = empty = 0
@@ -510,6 +511,39 @@ class TestDeadVectorMemo:
                 checked += 1
                 empty += not persistent
         assert checked >= 300 and empty >= 200
+
+
+class TestSharedStepMemo:
+    """The searches of one decision share one _steps memo: sharing it must
+    change nothing they yield, and every entry must be the marking's true
+    steps."""
+
+    def test_realisations_share_one_memo(self):
+        from persinet.corpus import corpus_names
+        from persinet.sequences import _firable_words, _steps
+
+        nets = [corpus_load(name).net for name in corpus_names()]
+        nets = [net for net in nets if net is not None]
+        nets += [gen_random_net(GenConfig(seed=s, places=3, transitions=3, token_budget=2))
+                 for s in range(150)]
+        checked = entries = 0
+        for net in nets:
+            m0 = net.initial
+            targets = sorted({tuple(sorted(parikh(w).items()))
+                              for w, _, _ in _firable_words(net, m0, 4) if w})
+            last = frozenset(net.transitions[:1])
+            modes = [{}, {"persistent": True}, {"forbidden_last": last},
+                     {"persistent": True, "forbidden_last": last}]
+            memo = {}
+            for key in targets:
+                for kw in modes:
+                    fresh = list(_realisations(net, m0, dict(key), **kw))
+                    assert list(_realisations(net, m0, dict(key), memo=memo, **kw)) == fresh
+                    checked += 1
+            for m, steps in memo.items():
+                assert steps == _steps(net, m, {})
+            entries += len(memo)
+        assert checked > 2500 and entries > 300
 
 
 class TestPersistentLevels:

@@ -72,6 +72,11 @@ class TestParseLts:
         with pytest.raises(ParseError):
             parse_lts("lts x\nstate s\ninitial s\nedge s a s\nedge s a s\n")
 
+    def test_labels_in_first_use_order(self):
+        lts = parse_lts("lts x\nstate s\nstate t\ninitial s\n"
+                        "edge s b t\nedge t a s\nedge s a s\nedge t b t\n")
+        assert lts.labels == ("b", "a")
+
 
 class TestParseLasso:
     def test_fig6(self, fig6):
@@ -105,6 +110,12 @@ class TestParsePattern:
         a = parse_pattern("pattern x\nstate s\nstate t\narc s a t\n")
         b = parse_pattern("pattern x\nstate s\nstate t\nedge s a t\n")
         assert a == b
+
+    def test_labels_in_first_use_order(self):
+        # arcs and exclusions name labels in one order, that of their lines
+        p = parse_pattern("pattern x\nstate s\nstate t\nexclude s c\n"
+                          "arc s b t\nexclude t b\narc t a s\narc s c t\n")
+        assert p.labels == ("c", "b", "a")
 
 
 class TestRoundTrip:
