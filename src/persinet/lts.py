@@ -7,8 +7,9 @@ for a fixed net.  State identity is the full marking vector; there is no
 symmetry reduction, which keeps every witness literal and replayable.
 
 An Lts holds one adjacency, its index rows (state index -> label index ->
-target indices); every analysis here, the pattern search and the probe
-search read them, and map indices back to names only for their answers.
+target indices), which its constructor builds in the pass that validates
+the edges; every analysis here, the pattern search and the probe search
+read them, and map indices back to names only for their answers.
 """
 
 from __future__ import annotations
@@ -34,41 +35,59 @@ class Lts:
     state, and payloads are injective (markings identify states).
 
     Every analysis reads one adjacency, the index rows: per state index a
-    dict {label index: [target indices]}, labels in declaration order and
-    targets in edge order.  build_rg hands over the rows its exploration
-    fills; any other LTS builds them from its edges on first use.  The
-    reverse rows {label index: [source indices]}, sources in edge order,
-    are built only when predecessors are asked for.  The name-level
-    accessors below are projections of the rows.
+    dict {label index: (target indices)}, labels in declaration order and
+    targets in edge order.  The constructor builds them in the one pass
+    over the edges that also validates them, so the edge in hand when an id
+    lookup fails is the first offender.  The reverse rows {label index:
+    [source indices]}, sources in state order, are derived from them only
+    when predecessors are asked for.  The name-level accessors below are
+    projections of the rows.
     """
 
     def __init__(self, name, states, labels, edges, initial, payload=None):
         states = tuple(states)
         labels = tuple(labels)
-        if len(set(states)) != len(states):
-            raise InputError(f"lts '{name}': duplicate state ids")
-        if len(set(labels)) != len(labels):
-            raise InputError(f"lts '{name}': duplicate label ids")
-        state_set, label_set = set(states), set(labels)
-        if initial not in state_set:
+        sidx = _id_index(name, "state", states)
+        lidx = _id_index(name, "label", labels)
+        if initial not in states:  # a scan, so an unhashable id is just unknown
             raise UnknownIdError(f"lts '{name}': initial state '{initial}' not declared")
         edges = tuple(edges)
-        if not _edges_valid(edges, state_set, label_set):
-            # name the first offending edge
-            seen = set()
-            for s, a, s2 in edges:
-                if s not in state_set or s2 not in state_set:
-                    raise UnknownIdError(f"lts '{name}': edge ({s},{a},{s2}) uses unknown state")
-                if a not in label_set:
-                    raise UnknownIdError(f"lts '{name}': edge ({s},{a},{s2}) uses unknown label")
-                if (s, a, s2) in seen:
+        rows = [{} for _ in states]
+        last = [-1] * len(states)  # the last label index added to each row
+        unsorted = set()  # rows that received a label before a larger one
+        try:
+            for e in edges:
+                s, a, s2 = e
+                i, j, ai = sidx[s], sidx[s2], lidx[a]
+                row = rows[i]
+                if ai not in row:
+                    row[ai] = (j,)
+                    if ai < last[i]:
+                        unsorted.add(i)
+                    last[i] = ai
+                elif j in row[ai]:
                     raise InputError(f"lts '{name}': duplicate edge ({s},{a},{s2})")
-                seen.add((s, a, s2))
+                else:
+                    row[ai] += (j,)
+        except (KeyError, TypeError, ValueError):
+            try:
+                s, a, s2 = e
+                what = "label" if s in sidx and s2 in sidx else "state"
+            except (TypeError, ValueError):
+                raise InputError(
+                    f"lts '{name}': edge {e!r} is not a triple of hashable ids") from None
+            raise UnknownIdError(
+                f"lts '{name}': edge ({s},{a},{s2}) uses unknown {what}") from None
+        for i in unsorted:
+            rows[i] = dict(sorted(rows[i].items()))
         of_payload = None
         if payload is not None:
-            if set(payload) != state_set:
+            if payload.keys() != sidx.keys():
                 raise InputError(f"lts '{name}': payload must cover exactly the states")
-            of_payload = {v: s for s, v in payload.items()}
+            try:
+                of_payload = {v: s for s, v in payload.items()}
+            except TypeError:
+                raise InputError(f"lts '{name}': state payloads must be hashable") from None
             if len(of_payload) != len(payload):
                 raise InputError(f"lts '{name}': state payloads must be injective")
 
@@ -79,57 +98,36 @@ class Lts:
         self.initial = initial
         self.payload = dict(payload) if payload is not None else None
 
-        self._label_index = {a: i for i, a in enumerate(labels)}
-        self._state_ix = None
-        self._rows = None
+        self._state_index = sidx
+        self._label_index = lidx
+        self._rows = rows
         self._rev = None
         self._tree = None
         self._deterministic = None
         self._parikh_deterministic = False  # same-Parikh paths meet, at any depth
         self._of_payload = of_payload
 
-    def _state_index(self) -> dict:
-        """{state: index}, built on first use."""
-        if self._state_ix is None:
-            self._state_ix = {s: i for i, s in enumerate(self.states)}
-        return self._state_ix
-
-    def _edge_rows(self, src, dst) -> list:
-        """Per state index at edge end src, {label index: [indices at end
-        dst]}, in edge order."""
-        sidx, lidx = self._state_index(), self._label_index
-        rows = [{} for _ in self.states]
-        for e in self.edges:
-            rows[sidx[e[src]]].setdefault(lidx[e[1]], []).append(sidx[e[dst]])
-        return rows
-
-    def _index_rows(self) -> list:
-        """The forward index rows (see the class docstring)."""
-        if self._rows is None:
-            rows = self._edge_rows(0, 2)
-            for i, row in enumerate(rows):
-                if len(row) > 1:
-                    rows[i] = dict(sorted(row.items()))
-            self._rows = rows
-        return self._rows
-
     def _reverse_rows(self) -> list:
         if self._rev is None:
-            self._rev = self._edge_rows(2, 0)
+            rev = self._rev = [{} for _ in self.states]
+            for i, row in enumerate(self._rows):
+                for a, tgts in row.items():
+                    for j in tgts:
+                        rev[j].setdefault(a, []).append(i)
         return self._rev
 
     def _project(self, rows, s, a) -> tuple:
         ai = self._label_index.get(a)
         states = self.states
-        return tuple(states[j] for j in rows[self._state_index()[s]].get(ai, ()))
+        return tuple(states[j] for j in rows[self._state_index[s]].get(ai, ()))
 
     def enabled_labels(self, s):
         """Labels with an outgoing edge at s, in label declaration order."""
         labels = self.labels
-        return tuple(labels[a] for a in self._index_rows()[self._state_index()[s]])
+        return tuple(labels[a] for a in self._rows[self._state_index[s]])
 
     def successors(self, s, a):
-        return self._project(self._index_rows(), s, a)
+        return self._project(self._rows, s, a)
 
     def predecessors(self, s, a):
         return self._project(self._reverse_rows(), s, a)
@@ -150,7 +148,7 @@ class Lts:
         naming the first state with two same-labelled outgoing edges."""
         states, labels = self.states, self.labels
         out = {}
-        for s, row in zip(states, self._index_rows()):
+        for s, row in zip(states, self._rows):
             nxt = out[s] = {}
             for a, tgts in row.items():
                 if len(tgts) > 1:
@@ -165,12 +163,12 @@ class Lts:
             # (state, label) keys of the rows number |E| exactly when every
             # row entry holds one target
             n = len(self.edges)
-            self._deterministic = (sum(map(len, self._index_rows())) == n
+            self._deterministic = (sum(map(len, self._rows)) == n
                                    and len(set(map(itemgetter(2, 1), self.edges))) == n)
         return self._deterministic
 
     def deadlocks(self):
-        return tuple(s for s, row in zip(self.states, self._index_rows()) if not row)
+        return tuple(s for s, row in zip(self.states, self._rows) if not row)
 
     def state_of_payload(self, value):
         if self.payload is None:
@@ -194,18 +192,15 @@ class Lts:
     __hash__ = None
 
 
-def _edges_valid(edges, state_set, label_set) -> bool:
-    """Set-level check: no duplicate edge and only declared ids."""
-    if not edges:
-        return True
+def _id_index(name, kind, ids) -> dict:
+    """{id: index} over declared ids, rejecting unhashable and duplicate ids."""
     try:
-        if len(set(edges)) != len(edges):
-            return False
-        sources, labels, targets = zip(*edges)
-    except (TypeError, ValueError):
-        return False
-    return (state_set.issuperset(sources) and state_set.issuperset(targets)
-            and label_set.issuperset(labels))
+        index = {x: i for i, x in enumerate(ids)}
+    except TypeError:
+        raise InputError(f"lts '{name}': {kind} ids must be hashable") from None
+    if len(index) != len(ids):
+        raise InputError(f"lts '{name}': duplicate {kind} ids")
+    return index
 
 
 @dataclass
@@ -239,11 +234,13 @@ def build_rg(net: Net, max_states: Optional[int] = None):
 
     index = {net.initial: 0}
     order = [net.initial]
-    rows = []  # the index rows, one per state in discovery order
+    names = ["M0"]
+    labels = net.transitions
+    edges = []
     place_bounds = list(net.initial)
     truncated = False
-    for m in order:  # order grows while it is read: it is the BFS queue
-        row = {}
+    for i, m in enumerate(order):  # order grows while it is read: it is the BFS queue
+        s = names[i]
         for ti in _enabled_i(net, m):
             m2 = _fire_i(net, m, ti)
             j = index.get(m2)
@@ -253,24 +250,14 @@ def build_rg(net: Net, max_states: Optional[int] = None):
                     continue
                 j = index[m2] = len(order)
                 order.append(m2)
+                names.append(f"M{j}")
                 for pi, n in enumerate(m2):
                     if n > place_bounds[pi]:
                         place_bounds[pi] = n
-            row[ti] = [j]
-        rows.append(row)
+            edges.append((s, labels[ti], names[j]))
 
-    names = [f"M{i}" for i in range(len(order))]
-    labels = net.transitions
-    lts = Lts(
-        name=f"rg({net.name})",
-        states=names,
-        labels=labels,
-        edges=[(names[i], labels[ti], names[j])
-               for i, row in enumerate(rows) for ti, (j,) in row.items()],
-        initial=names[0],
-        payload={names[i]: order[i] for i in range(len(order))},
-    )
-    lts._rows = rows
+    lts = Lts(name=f"rg({net.name})", states=names, labels=labels, edges=edges,
+              initial=names[0], payload=dict(zip(names, order)))
     # firing is a function of the marking, and a marking is the unique
     # predecessor of its successor under t (M = M' - C[t]); markings name
     # the states, so the graph is label-deterministic both ways.  By the
@@ -312,7 +299,7 @@ def _parikh_spot_check(lts: Lts, depth: int = 3) -> bool:
     Complements the structural per-state label functionality: full
     determinism also forbids same-Parikh paths joining distinct states.
     """
-    return (_same_parikh_same_end(lts._index_rows(), depth)
+    return (_same_parikh_same_end(lts._rows, depth)
             and _same_parikh_same_end(lts._reverse_rows(), depth))
 
 
@@ -378,7 +365,7 @@ def persistence_check(lts: Lts) -> PersistenceVerdict:
     if not lts.is_label_deterministic():
         raise UnsupportedClassError(
             f"persistence check needs a deterministic LTS, '{lts.name}' is not")
-    rows = lts._index_rows()
+    rows = lts._rows
     for i, out in enumerate(rows):
         if len(out) < 2:
             continue
@@ -425,10 +412,10 @@ def isomorphic(l1: Lts, l2: Lts) -> IsoVerdict:
     if len(l1.states) != len(l2.states):
         return IsoVerdict(False, mismatch=(None, "state counts differ"))
 
-    rows1, rows2 = l1._index_rows(), l2._index_rows()
+    rows1, rows2 = l1._rows, l2._rows
     names = l1.labels
     to2 = [l2._label_index[a] for a in names]  # label index in l1 -> in l2
-    i1, i2 = l1.states.index(l1.initial), l2.states.index(l2.initial)
+    i1, i2 = l1._state_index[l1.initial], l2._state_index[l2.initial]
     fwd = {i1: i2}
     bwd = {i2: i1}
     queue = [(i1, i2)]
@@ -463,8 +450,8 @@ def _bfs_tree(lts: Lts) -> tuple:
     distance (None when unreachable).  Built once per LTS and kept.
     """
     if lts._tree is None:
-        rows = lts._index_rows()
-        root = lts.states.index(lts.initial)
+        rows = lts._rows
+        root = lts._state_index[lts.initial]
         parent = [None] * len(rows)
         depth = [None] * len(rows)
         depth[root] = 0
@@ -491,7 +478,7 @@ def bfs_depths(lts: Lts) -> dict:
 def shortest_path(lts: Lts, target: str) -> tuple:
     """Canonical shortest label path from the initial state to target."""
     _, parent, depth = _bfs_tree(lts)
-    j = lts._state_index().get(target)
+    j = lts._state_index.get(target)
     if j is None or depth[j] is None:
         raise UnknownIdError(f"state '{target}' unreachable in '{lts.name}'")
     path = []

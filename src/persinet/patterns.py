@@ -180,7 +180,7 @@ def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
     decl = {s: i for i, s in enumerate(pattern.states)}
     state_order = sorted(pattern.states, key=lambda s: (-weight[s], decl[s]))
     plan = _candidate_plan(pattern, state_order)
-    rows = lts._index_rows()
+    rows = lts._rows
     enablers: dict = {}
 
     def candidates(step, state_map, label_map):

@@ -522,7 +522,7 @@ def _fair_nonpersistent_lasso(net, bounds, max_states=_PROBE_MAX_STATES):
     ResourceExceededError.
     """
     rg, _ = complete_rg(net, min(_PROBE_MAX_STATES, max_states))
-    rows, back_rows = rg._index_rows(), rg._reverse_rows()
+    rows, back_rows = rg._rows, rg._reverse_rows()
     en = [sum(1 << a for a in row) for row in rows]  # enabled labels, as bits
 
     def persistent(i, a, j):

@@ -45,6 +45,31 @@ class TestLtsConstruction:
         with pytest.raises(InputError, match="injective"):
             Lts("x", ["s", "t"], ["a"], [("s", "a", "t")], "s",
                 payload={"s": (1,), "t": (1,)})
+        # one edge with an unknown label and an unknown target names the state
+        with pytest.raises(UnknownIdError, match=r"\(s,b,z\) uses unknown state"):
+            Lts("x", ["s", "t"], ["a"], [("s", "b", "z")], "s")
+        # a duplicate listed before an unknown label is the first offender
+        with pytest.raises(InputError, match=r"duplicate edge \(s,a,t\)"):
+            Lts("x", ["s", "t"], ["a"],
+                [("s", "a", "t"), ("s", "a", "t"), ("t", "b", "s")], "s")
+        # however many good edges come first
+        chain = [f"s{i}" for i in range(1001)]
+        good = [(chain[i], "a", chain[i + 1]) for i in range(1000)]
+        with pytest.raises(UnknownIdError, match=r"\(s0,b,s1\) uses unknown label"):
+            Lts("x", chain, ["a"], good + [("s0", "b", "s1")], "s0")
+
+    @pytest.mark.parametrize("states, edges, payload, message", [
+        (["s", "t"], [("s", "a")], None, r"edge \('s', 'a'\) is not a triple"),
+        (["s", "t"], [("s", "a", "t", "s")], None, "is not a triple"),
+        (["s", "t"], [(["s"], "a", "t")], None, "is not a triple of hashable ids"),
+        (["s", ["t"]], [], None, "state ids must be hashable"),
+        (["s", "t"], [("s", "a", "t")], {"s": [0], "t": [1]},
+         "state payloads must be hashable"),
+    ], ids=["pair-edge", "quadruple-edge", "unhashable-edge-state", "unhashable-state",
+            "unhashable-payload"])
+    def test_malformed_input_is_an_input_error(self, states, edges, payload, message):
+        with pytest.raises(InputError, match=r"^lts 'x': .*" + message):
+            Lts("x", states, ["a"], edges, "s", payload)
 
     def test_state_of_payload(self, fig1):
         rg, _ = build_rg(fig1)
@@ -457,8 +482,8 @@ def _canonical(g):
 
 
 class TestIndexRows:
-    """build_rg hands its exploration's rows to the Lts; any other Lts builds
-    them from its edges.  Either way the answers must be the same."""
+    """The constructor builds the index rows from the edges, in whatever
+    order they come: the answers must not depend on the edge order."""
 
     @staticmethod
     def _graphs():
@@ -513,3 +538,10 @@ class TestIndexRows:
         assert branchy.successors("t", "a") == ("u", "s")
         assert branchy.predecessors("s", "a") == ("t",)
         assert branchy.successors("s", "zz") == ()
+
+    def test_predecessors_in_state_order(self):
+        # the reverse rows come from the forward rows, so sources follow the
+        # state declaration order, not the edge order
+        g = Lts("in", ["s", "t", "u"], ["a"], [("u", "a", "s"), ("t", "a", "s")], "s")
+        assert g.predecessors("s", "a") == ("t", "u")
+        assert g.successors("u", "a") == g.successors("t", "a") == ("s",)
