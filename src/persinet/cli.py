@@ -23,12 +23,10 @@ DUMP_HEADER = {"format": "persinet-report", "version": 1}
 
 
 def _load_net(spec):
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            return textio.parse_net(fh.read())
-    if spec in corpus.corpus_names():
-        return corpus.corpus_load(spec).net
-    raise InputError(f"'{spec}' is neither a file nor a corpus entry")
+    net, _ = _load_lts_or_net(spec)
+    if net is None:
+        raise InputError(f"'{spec}' is an LTS document; this command needs a net")
+    return net
 
 
 def _load_lts_or_net(spec):

@@ -20,6 +20,7 @@ from .errors import InputError, ResourceExceededError, UnsupportedClassError
 from .net import (
     Marking,
     Net,
+    _replay,
     classify_structure,
     concurrently_enables,
     enabled,
@@ -131,7 +132,7 @@ def fairness_classify(net: Net, run: Run,
             maximal=maximal)
 
     entry = validate_lasso(net, run)
-    marks = sequences._markings_along(net, entry, run.cycle[:-1])  # cycle step sources
+    marks = _replay(net, entry, run.cycle[:-1])  # cycle step sources
     cycle_letters = set(run.cycle)
     plain = classify_structure(net).plain
 
@@ -287,7 +288,6 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
     tested with the depth-bounded equivalence; "none-within-bounds" is
     evidence, not proof.  A persistent input is returned unchanged.
     """
-    validate_lasso(net, lasso)
     if lasso_persistence(net, lasso).persistent:
         return LassoSearchResult("found", lasso, max_prefix, max_cycle, depth)
 

@@ -116,15 +116,21 @@ class Lts:
                         rev[j].setdefault(a, []).append(i)
         return self._rev
 
+    def _state_i(self, s) -> int:
+        try:
+            return self._state_index[s]
+        except (KeyError, TypeError):  # a TypeError: s is unhashable
+            raise UnknownIdError(f"lts '{self.name}': unknown state '{s}'") from None
+
     def _project(self, rows, s, a) -> tuple:
-        ai = self._label_index.get(a)
+        i = self._state_i(s)
         states = self.states
-        return tuple(states[j] for j in rows[self._state_index[s]].get(ai, ()))
+        return tuple(states[j] for j in rows[i].get(self._label_index.get(a), ()))
 
     def enabled_labels(self, s):
         """Labels with an outgoing edge at s, in label declaration order."""
         labels = self.labels
-        return tuple(labels[a] for a in self._rows[self._state_index[s]])
+        return tuple(labels[a] for a in self._rows[self._state_i(s)])
 
     def successors(self, s, a):
         return self._project(self._rows, s, a)

@@ -145,6 +145,9 @@ class Net:
                 f"its marking carries no semantics")
 
     def _check_marking(self, m):
+        if type(m) is not tuple:
+            raise InputError(
+                f"marking must be a tuple of token counts, got {type(m).__name__}")
         if len(m) != len(self.places):
             raise InputError(
                 f"marking has {len(m)} entries, net '{self.name}' has "
@@ -152,9 +155,9 @@ class Net:
 
     def _check_state(self, m):
         """The check of every public entry point taking a marking:
-        _check_behavioural, then _check_marking, behind one test of both
+        _check_behavioural, then _check_marking, behind one test of their
         conditions so that valid input costs one branch."""
-        if self.structural_only or len(m) != len(self.places):
+        if self.structural_only or type(m) is not tuple or len(m) != len(self.places):
             self._check_behavioural()
             self._check_marking(m)
 
@@ -250,18 +253,24 @@ def fire(net: Net, m: Marking, t: str) -> Marking:
     return m2
 
 
-def fire_sequence(net: Net, m: Marking, seq: Sequence[str]) -> Marking:
-    """Fold the firing rule over seq; the empty sequence returns m unchanged.
-
-    The first disabled step raises NotEnabledError carrying its index.
-    """
-    cur = m
+def _replay(net: Net, m: Marking, seq: Sequence[str]) -> list:
+    """The markings m_0 .. m_n that seq visits from m, each step fired by
+    fire: the one replay of a given word.  The empty sequence gives [m]
+    unchecked; the first disabled step raises NotEnabledError carrying its
+    index."""
+    marks = [m]
     for i, t in enumerate(seq):
         try:
-            cur = fire(net, cur, t)
+            m = fire(net, m, t)
         except NotEnabledError as exc:
             raise NotEnabledError(t, place=exc.place, index=i) from None
-    return cur
+        marks.append(m)
+    return marks
+
+
+def fire_sequence(net: Net, m: Marking, seq: Sequence[str]) -> Marking:
+    """The last marking of _replay: m itself for the empty sequence."""
+    return _replay(net, m, seq)[-1]
 
 
 def firable(net: Net, m: Marking, seq: Sequence[str]) -> bool:

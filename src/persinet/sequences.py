@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from .errors import (
     InputError,
     InvariantError,
-    NotEnabledError,
     PreconditionError,
     ResourceExceededError,
     UnsupportedClassError,
@@ -31,8 +30,8 @@ from .net import (
     _disabled_by,
     _enabled_i,
     _fire_i,
+    _replay,
     classify_structure,
-    deficient_place,
     enabled,
     fire,
     fire_sequence,
@@ -65,33 +64,17 @@ def sequence_persistence(net: Net, m0: Marking, seq: Sequence[str]) -> SeqPersis
     """Check that no step of seq disables a distinct enabled transition.
 
     The failing index is 0-based; replaying that step re-disables the
-    reported transition.  Non-firable input is an input error.
+    reported transition.  Non-firable input is an input error: the whole
+    word is replayed before any step is tested.
     """
     seq = tuple(seq)
-    if seq:
-        net._check_state(m0)
-    cur = m0
+    marks = _replay(net, m0, seq)
     for i, a in enumerate(seq):
-        before = _enabled_i(net, cur)
-        ai = net.transition_index(a)
-        if ai not in before:
-            raise NotEnabledError(a, place=deficient_place(net, cur, a), index=i)
-        cur = _fire_i(net, cur, ai)
-        u = _disabled_by(net, before, ai, cur)
+        u = _disabled_by(net, _enabled_i(net, marks[i]), net._tidx[a], marks[i + 1])
         if u is not None:
             return SeqPersistenceVerdict(False, failing_index=i,
                                          disabled_transition=net.transitions[u])
     return SeqPersistenceVerdict(True)
-
-
-def _markings_along(net, m0, seq):
-    """Markings m_0 .. m_n visited by the firable word seq (length |seq|+1)."""
-    out = [m0]
-    cur = m0
-    for t in seq:
-        cur = _fire_i(net, cur, net._tidx[t])
-        out.append(cur)
-    return out
 
 
 # -- the search kernels ----------------------------------------------------------
@@ -102,11 +85,11 @@ def _markings_along(net, m0, seq):
 # answer is the first one yielded.  By the state equation a step's successor
 # and its persistence depend only on the marking it leaves, so every search
 # (and the Parikh pass of spe_check) expands a marking through _steps alone,
-# and the searches of one decision share one _steps memo.  The persistent-step
-# test _disabled_by has one other caller, sequence_persistence: it replays one
-# given word, firing one step per marking, and names the transition a step
-# disables; oracle_spe_check relies on it as a reference independent of the
-# search kernels.
+# and the searches of one decision share one _steps memo.  A given word is
+# replayed by net._replay alone.  _disabled_by has one other caller,
+# sequence_persistence: it tests each step on the markings of _replay and
+# names the transition a step disables; oracle_spe_check relies on it as a
+# reference independent of _steps.
 
 def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
                   node_budget=None, memo=None):
@@ -257,8 +240,9 @@ def _persistent_levels(net, m0, max_len, memo=None):
 
 
 def _class_bfs(net, m0, word, guard=None, memo=None):
-    """The permutation class of the firable word, breadth-first from word,
-    as (member, markings along it).
+    """The permutation class of word, breadth-first from word, as (member,
+    markings along it); the first member is word itself, replayed (and so
+    validated) by _replay.
 
     By the state equation a transposition of positions i and i+1 changes
     only the marking between them, so a neighbour's markings are its
@@ -267,9 +251,9 @@ def _class_bfs(net, m0, word, guard=None, memo=None):
     is yielded, then ResourceExceededError is raised carrying the members
     found so far.
     """
+    marks = _replay(net, m0, word)
     guard = default_class_guard() if guard is None else guard
     memo = {} if memo is None else memo
-    marks = _markings_along(net, m0, word)
     seen = {word}
     queue = deque([(word, marks)])
     yield word, marks
@@ -318,9 +302,7 @@ def equivalence_class(net: Net, m0: Marking, seq: Sequence[str],
     Classes are finite (fixed multiset of letters); a configurable guard
     caps the exploration and raises ResourceExceededError beyond it.
     """
-    seq = tuple(seq)
-    fire_sequence(net, m0, seq)  # validates firability
-    return {w for w, _ in _class_bfs(net, m0, seq, guard)}
+    return {w for w, _ in _class_bfs(net, m0, tuple(seq), guard)}
 
 
 def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
@@ -352,12 +334,13 @@ def persistent_perm_equivalent(net: Net, m0: Marking, seq: Sequence[str],
     class is finite, so None is a definitive no.
     """
     seq = tuple(seq)
-    if sequence_persistence(net, m0, seq).persistent:
-        return seq
-    fire_sequence(net, m0, seq)  # validates firability
     memo = {}
+    members = _class_bfs(net, m0, seq, guard, memo)
+    w, marks = next(members)  # seq itself
+    if _persistent_along(net, w, marks, memo):
+        return seq
     best = None
-    for w, marks in _class_bfs(net, m0, seq, guard, memo):
+    for w, marks in members:
         if _persistent_along(net, w, marks, memo):
             if best is None or _lex_key(net, w) < _lex_key(net, best):
                 best = w
@@ -533,9 +516,9 @@ def _move_back(net, m0, word, src: int, dst: int):
     """
     w = list(word)
     letter = w[src]
+    marks = _replay(net, m0, w[:src - 1])  # the swaps leave w[:i - 1] alone
     for i in range(src, dst, -1):
-        prefix_mark = fire_sequence(net, m0, w[:i - 1])
-        complete_diamond(net, prefix_mark, w[i - 1], letter)
+        complete_diamond(net, marks[i - 1], w[i - 1], letter)
         w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
 

@@ -37,6 +37,7 @@ from .fairness import (
 from .lts import _bfs_tree, build_rg, complete_rg, persistence_check, shortest_path
 from .net import (
     Net,
+    _replay,
     classify_structure,
     enabled,
     enabled_transitions,
@@ -48,7 +49,6 @@ from .sequences import (
     SPE,
     SPE_PARIKH,
     SpeVerdict,
-    _markings_along,
     _swaps,
     complete_diamond,
     equivalence_class,
@@ -267,7 +267,7 @@ def _random_firable(net, rng, max_len):
 def _random_permutation(net, rng, word, swaps):
     """A firable word reached from word by random firable adjacent swaps."""
     cur = tuple(word)
-    marks = _markings_along(net, net.initial, cur)
+    marks = _replay(net, net.initial, cur)
     memo = {}  # one _steps memo for every swap
     for _ in range(swaps):
         options = _swaps(net, cur, marks, memo)

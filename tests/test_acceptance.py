@@ -116,11 +116,12 @@ def test_criterion_5_permutation_equivalence():
         net = corpus_load("fig1_basic").net
         assert perm_equivalent(net, net.initial, seq("d c a"), seq("c a d"))
         # and within two swaps: one swap reaches cda, a second reaches cad
-        from persinet.sequences import _markings_along, _swaps
+        from persinet.net import _replay
+        from persinet.sequences import _swaps
 
         def neighbours(w):
             return [w2 for w2, _, _ in _swaps(
-                net, w, _markings_along(net, net.initial, w), {})]
+                net, w, _replay(net, net.initial, w), {})]
 
         one = set(neighbours(seq("d c a")))
         two = one | {w2 for w in one for w2 in neighbours(w)}
@@ -198,12 +199,13 @@ def test_criterion_9_property_suites():
                 word.append(t)
                 m = pn.fire(net, m, t)
             word = tuple(word)
-            from persinet.sequences import _markings_along, _swaps
+            from persinet.net import _replay
+            from persinet.sequences import _swaps
 
             cur = word
             for _ in range(3):
                 opts = [w for w, _, _ in _swaps(
-                    net, cur, _markings_along(net, net.initial, cur), {})]
+                    net, cur, _replay(net, net.initial, cur), {})]
                 if not opts:
                     break
                 cur = rng.choice(opts)

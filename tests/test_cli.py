@@ -64,6 +64,25 @@ def test_seq_modes_name_the_same_deficient_place():
         assert checked.stderr == plain.stderr
 
 
+def test_seq_persistence_validates_whole_run():
+    # 'a' is a nonpersistent first step, and the run still has to fire
+    for word, line in (("a a", "transition 'a' is not enabled (place 'p0' lacks "
+                                "tokens) at step 1"),
+                       ("a zz", "unknown transition 'zz'")):
+        out = run("seq", "fig4_perslocal", "--run", word, "--persistence")
+        assert _bad_input(out) and line in out.stderr
+
+
+def test_net_command_rejects_lts_document(tmp_path):
+    from persinet.corpus import LTS_DOCS
+
+    doc = tmp_path / "fig2.lts"
+    doc.write_text(LTS_DOCS["fig2_confuse"])
+    out = run("spe", str(doc), "--bound", "2")
+    assert _bad_input(out)
+    assert f"'{doc}' is an LTS document; this command needs a net" in out.stderr
+
+
 def test_equiv():
     out = run("equiv", "fig1_basic", "--a", "d c a", "--b", "c a d")
     assert "equivalent: yes" in out.stdout

@@ -539,6 +539,18 @@ class TestIndexRows:
         assert branchy.predecessors("s", "a") == ("t",)
         assert branchy.successors("s", "zz") == ()
 
+    @pytest.mark.parametrize("accessor", [
+        lambda g, s: g.successors(s, "a"),
+        lambda g, s: g.predecessors(s, "a"),
+        lambda g, s: g.enabled_labels(s),
+        lambda g, s: g.succ(s, "a"),
+    ], ids=["successors", "predecessors", "enabled_labels", "succ"])
+    @pytest.mark.parametrize("state", ["zz", ["zz"]], ids=["undeclared", "unhashable"])
+    def test_accessors_reject_undeclared_states(self, accessor, state):
+        g = Lts("x", ["s"], ["a"], [("s", "a", "s")], "s")
+        with pytest.raises(UnknownIdError, match=r"lts 'x': unknown state"):
+            accessor(g, state)
+
     def test_predecessors_in_state_order(self):
         # the reverse rows come from the forward rows, so sources follow the
         # state declaration order, not the edge order

@@ -84,6 +84,27 @@ class TestFiringRule:
                     call()
                 assert type(err.value) is error and str(err.value) == message
 
+    @pytest.mark.parametrize("call", [
+        lambda net, m: fire(net, m, "c"),
+        lambda net, m: enabled(net, m, "c"),
+        lambda net, m: enabled_transitions(net, m),
+        lambda net, m: fire_sequence(net, m, seq("c")),
+        lambda net, m: pn.sequence_persistence(net, m, seq("c")),
+        lambda net, m: pn.spe_check(net, 3, m0=m),
+        lambda net, m: pn.equivalence_class(net, m, seq("c d")),
+        lambda net, m: pn.perm_equivalent(net, m, seq("c d"), seq("d c")),
+        lambda net, m: pn.persistent_perm_equivalent(net, m, seq("c d")),
+        lambda net, m: pn.persistent_parikh_equivalent(net, m, {"c": 1}),
+    ], ids=["fire", "enabled", "enabled_transitions", "fire_sequence",
+            "sequence_persistence", "spe_check", "equivalence_class",
+            "perm_equivalent", "persistent_perm_equivalent",
+            "persistent_parikh_equivalent"])
+    def test_markings_must_be_tuples(self, fig1, call):
+        for m in (list(fig1.initial), 5):
+            with pytest.raises(InputError, match="marking must be a tuple of "
+                               f"token counts, got {type(m).__name__}"):
+                call(fig1, m)
+
     def test_fire_sequence_reaches_m6(self, fig1):
         m6 = (0, 0, 0, 0, 1)
         assert fire_sequence(fig1, fig1.initial, seq("c d a")) == m6
@@ -114,7 +135,8 @@ class TestFiringRule:
         # equal multisets of fired transitions land on the same marking
         import random
 
-        from persinet.sequences import _markings_along, _swaps
+        from persinet.net import _replay
+        from persinet.sequences import _swaps
 
         for s in range(40):
             net = gen_random_net(GenConfig(seed=s, token_budget=4))
@@ -130,7 +152,7 @@ class TestFiringRule:
             cur = tuple(word)
             for _ in range(4):
                 opts = [w for w, _, _ in _swaps(
-                    net, cur, _markings_along(net, net.initial, cur), {})]
+                    net, cur, _replay(net, net.initial, cur), {})]
                 if not opts:
                     break
                 cur = rng.choice(opts)

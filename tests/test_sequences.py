@@ -64,6 +64,15 @@ class TestSequencePersistence:
             persistent_perm_equivalent(fig1, fig1.initial, seq("c b"))
         assert (err.value.index, err.value.place) == (1, "p4")
 
+    def test_validates_whole_word(self):
+        # 'a' disables 'b' at step 0, yet the rest of the word must fire
+        net = corpus_load("fig4_perslocal").net
+        with pytest.raises(NotEnabledError) as err:
+            sequence_persistence(net, net.initial, seq("a a"))
+        assert (err.value.index, err.value.place) == (1, "p0")
+        with pytest.raises(UnknownIdError, match="unknown transition 'zz'"):
+            sequence_persistence(net, net.initial, seq("a zz"))
+
     def test_unknown_transition(self, fig1):
         with pytest.raises(UnknownIdError, match="unknown transition 'zz'"):
             sequence_persistence(fig1, fig1.initial, seq("c zz"))
@@ -166,6 +175,9 @@ class TestPersistentEquivalents:
 
     def test_identity_on_persistent(self, fig1):
         assert persistent_perm_equivalent(fig1, fig1.initial, seq("d b")) == seq("d b")
+        # the class also holds the lexicographically smaller persistent a0 a1
+        par2 = _par(2)
+        assert persistent_perm_equivalent(par2, par2.initial, seq("a1 a0")) == seq("a1 a0")
 
     def test_rejects_unfirable_after_nonpersistent_step(self):
         # 'a' disables 'b' at step 0, so the persistence test stops there;
@@ -350,7 +362,8 @@ class TestClassKernel:
     CORPUS = [corpus_load(name).net for name in pn.corpus.NET_DOCS]
 
     def _agrees(self, net, max_len, per_net):
-        from persinet.sequences import _class_bfs, _firable_words, _markings_along
+        from persinet.net import _replay
+        from persinet.sequences import _class_bfs, _firable_words
 
         m0 = net.initial
         words = sorted((w for w, _, _ in _firable_words(net, m0, max_len) if w),
@@ -360,7 +373,7 @@ class TestClassKernel:
             want = list(_replayed_class_bfs(net, m0, word, 10 ** 6))
             got = []
             for w, marks in _class_bfs(net, m0, word, 10 ** 6):
-                assert marks == _markings_along(net, m0, w)
+                assert marks == _replay(net, m0, w)
                 got.append(w)
             assert got == want
             guard = len(want) // 2
