@@ -202,7 +202,7 @@ def cmd_pattern(args):
 
 def cmd_fairness(args):
     net = _load_net(args.net)
-    lasso = textio.parse_lasso(args.lasso, net)
+    lasso = textio.parse_lasso(args.lasso)
     regime = (fairness.MAXIMAL_FINITE_IS_FAIR if args.regime == "maximal"
               else fairness.FINITE_IS_FAIR)
     report = fairness.fairness_classify(net, lasso, regime)
@@ -231,7 +231,7 @@ def cmd_pe_matrix(args):
         lines = corpus.corpus_load(args.net).probes
     else:
         lines = []
-    probe_runs = [textio.parse_lasso(l, net) if ";" in l else textio.parse_sequence(l)
+    probe_runs = [textio.parse_lasso(l) if ";" in l else textio.parse_sequence(l)
                   for l in lines]
     result = theorems.implication_matrix(net, probe_runs)
     print(f"SPE:  {result.matrix.spe.status}")

@@ -20,6 +20,7 @@ from .fairness import (
     lasso_equiv_at_depth,
     lasso_persistence,
     search_persistent_equivalent_lasso,
+    validate_lasso,
 )
 from .lts import Lts, complete_rg, isomorphic, persistence_check
 from .net import Net, classify_structure, disjoint_sum, fire_sequence
@@ -750,30 +751,30 @@ def _run_claim(entry: CorpusEntry, claim: dict) -> ClaimResult:
             return res(True)
         return res(False, "diamond completion did not reject the net")
     if kind == "lasso_valid":
-        textio.parse_lasso(claim["lasso"], net)
+        validate_lasso(net, textio.parse_lasso(claim["lasso"]))
         return res(True)
     if kind == "lasso_fairness":
-        report = fairness_classify(net, textio.parse_lasso(claim["lasso"], net))
+        report = fairness_classify(net, textio.parse_lasso(claim["lasso"]))
         bad = [key for key in ("strongly_fair", "weakly_fair", "progress")
                if key in claim and getattr(report, key) != claim[key]]
         return res(not bad, f"mismatched tiers: {bad}")
     if kind == "lasso_persistent":
-        verdict = lasso_persistence(net, textio.parse_lasso(claim["lasso"], net))
+        verdict = lasso_persistence(net, textio.parse_lasso(claim["lasso"]))
         return res(verdict.persistent == claim["value"],
                    f"persistent={verdict.persistent}")
     if kind == "lasso_search":
         result = search_persistent_equivalent_lasso(
-            net, textio.parse_lasso(claim["lasso"], net))
+            net, textio.parse_lasso(claim["lasso"]))
         if result.status != claim["status"]:
             return res(False, f"status={result.status}")
         if "expect" in claim:
-            want = textio.parse_lasso(claim["expect"], net)
+            want = textio.parse_lasso(claim["expect"])
             return res(result.lasso == want, f"found {result.lasso}")
         return res(True)
     if kind == "lasso_equiv":
         verdict = lasso_equiv_at_depth(
-            net, textio.parse_lasso(claim["a"], net),
-            textio.parse_lasso(claim["b"], net), claim["depth"])
+            net, textio.parse_lasso(claim["a"]),
+            textio.parse_lasso(claim["b"]), claim["depth"])
         return res(verdict.status == claim["status"], f"status={verdict.status}")
     raise InputError(f"unknown manifest check '{kind}'")
 

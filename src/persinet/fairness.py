@@ -68,15 +68,24 @@ class Lasso:
 Run = Union[Lasso, Sequence[str]]
 
 
+def _lasso_marks(net: Net, lasso: Lasso) -> list:
+    """The markings m_0 .. m_{|prefix|+|cycle|} of prefix . cycle: the one
+    replay of a given lasso.  The prefix and the cycle are replayed apart,
+    so a NotEnabledError index counts within the part that fails; a cycle
+    that does not return to its entry marking is an input error."""
+    marks = _replay(net, net.initial, lasso.prefix)
+    entry = marks[-1]
+    marks += _replay(net, entry, lasso.cycle)[1:]
+    if marks[-1] != entry:
+        raise InputError(
+            f"cycle '{' '.join(lasso.cycle)}' leads from {entry} to {marks[-1]}, "
+            f"not back to its entry marking")
+    return marks
+
+
 def validate_lasso(net: Net, lasso: Lasso) -> Marking:
     """Check firability and that the cycle returns to its entry marking."""
-    entry = fire_sequence(net, net.initial, lasso.prefix)
-    back = fire_sequence(net, entry, lasso.cycle)
-    if back != entry:
-        raise InputError(
-            f"cycle '{' '.join(lasso.cycle)}' leads from {entry} to {back}, "
-            f"not back to its entry marking")
-    return entry
+    return _lasso_marks(net, lasso)[len(lasso.prefix)]
 
 
 # neglect diagnosis tags, one per transition, ordered by severity
@@ -131,8 +140,7 @@ def fairness_classify(net: Net, run: Run,
             strongly_fair=fair, weakly_fair=fair, progress=maximal,
             maximal=maximal)
 
-    entry = validate_lasso(net, run)
-    marks = _replay(net, entry, run.cycle[:-1])  # cycle step sources
+    marks = _lasso_marks(net, run)[len(run.prefix):-1]  # cycle step sources
     cycle_letters = set(run.cycle)
     plain = classify_structure(net).plain
 
@@ -169,8 +177,8 @@ def fairness_classify(net: Net, run: Run,
 
 def lasso_persistence(net: Net, lasso: Lasso) -> SeqPersistenceVerdict:
     """Persistence of the infinite run, decided on prefix plus one cycle."""
-    validate_lasso(net, lasso)
-    return sequence_persistence(net, net.initial, lasso.prefix + lasso.cycle)
+    return sequences._persistence_along(net, lasso.prefix + lasso.cycle,
+                                        _lasso_marks(net, lasso))
 
 
 def infinite_parikh_signature(lasso: Lasso):
@@ -189,6 +197,13 @@ class LassoEquivVerdict:
 
     def __bool__(self):
         return self.status == "equivalent-at-depth"
+
+
+def _check_bounds(**bounds):
+    """Reject a negative search bound; None stands for a default."""
+    for name, value in bounds.items():
+        if value is not None and value < 0:
+            raise InputError(f"{name} must be >= 0, got {value}")
 
 
 def _prefix_match_search(net, m0, word, want_prefix, guard):
@@ -215,8 +230,15 @@ def lasso_equiv_at_depth(net: Net, l1: Lasso, l2: Lasso, depth: int,
     covers every smaller n.  A mismatching infinite Parikh signature is a
     proof of non-equivalence; an exhausted window is only evidence.
     """
+    _check_bounds(depth=depth, window=window)
     validate_lasso(net, l1)
     validate_lasso(net, l2)
+    return _equiv_at_depth(net, l1, l2, depth, window, guard)
+
+
+def _equiv_at_depth(net, l1, l2, depth, window, guard=None):
+    """lasso_equiv_at_depth on two lassos known to be valid.  The class
+    searches replay the unrollings, so nothing is fired twice."""
     if window is None:
         window = 2 * max(len(l1.cycle), len(l2.cycle))
     if infinite_parikh_signature(l1) != infinite_parikh_signature(l2):
@@ -288,6 +310,8 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
     tested with the depth-bounded equivalence; "none-within-bounds" is
     evidence, not proof.  A persistent input is returned unchanged.
     """
+    _check_bounds(max_prefix=max_prefix, max_cycle=max_cycle, depth=depth,
+                  window=window)
     if lasso_persistence(net, lasso).persistent:
         return LassoSearchResult("found", lasso, max_prefix, max_cycle, depth)
 
@@ -312,8 +336,10 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
                 cycles[entry, k] = _cycles_with_parikh(net, entry, budget,
                                                        persistent=True, memo=memo)
             for cyc in cycles[entry, k]:
+                # the candidate fires and returns by construction, and
+                # lasso_persistence has validated the input
                 cand = Lasso(prefix, cyc)
-                verdict = lasso_equiv_at_depth(net, lasso, cand, depth, window)
+                verdict = _equiv_at_depth(net, lasso, cand, depth, window)
                 if verdict.status == "equivalent-at-depth":
                     return LassoSearchResult("found", cand, max_prefix, max_cycle, depth)
     return LassoSearchResult("none-within-bounds", None, max_prefix, max_cycle, depth)
@@ -381,9 +407,11 @@ def probe_run(net: Net, run: Run, bounds: AnalysisBounds,
     """Fairness tiers, persistence and equivalent search for one run."""
     fairness = fairness_classify(net, run, finite_regime)
     if isinstance(run, Lasso):
-        persistent = lasso_persistence(net, run).persistent
         search = search_persistent_equivalent_lasso(
             net, run, bounds.max_prefix, bounds.max_cycle, bounds.depth)
+        # exact: the search returns a persistent run unchanged and builds
+        # persistent candidates only
+        persistent = search.lasso == run
         equivalent = "found" if search else "none-within-bounds"
         witness = search.lasso
     else:

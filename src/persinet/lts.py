@@ -124,8 +124,12 @@ class Lts:
 
     def _project(self, rows, s, a) -> tuple:
         i = self._state_i(s)
+        try:
+            ai = self._label_index.get(a)
+        except TypeError:  # a is unhashable, so no label: like an unknown one
+            return ()
         states = self.states
-        return tuple(states[j] for j in rows[i].get(self._label_index.get(a), ()))
+        return tuple(states[j] for j in rows[i].get(ai, ()))
 
     def enabled_labels(self, s):
         """Labels with an outgoing edge at s, in label declaration order."""

@@ -68,7 +68,12 @@ def sequence_persistence(net: Net, m0: Marking, seq: Sequence[str]) -> SeqPersis
     word is replayed before any step is tested.
     """
     seq = tuple(seq)
-    marks = _replay(net, m0, seq)
+    return _persistence_along(net, seq, _replay(net, m0, seq))
+
+
+def _persistence_along(net: Net, seq: tuple, marks: list) -> SeqPersistenceVerdict:
+    """The step test of sequence_persistence on marks, the markings along
+    seq: no step memo, so it stays a reference independent of _steps."""
     for i, a in enumerate(seq):
         u = _disabled_by(net, _enabled_i(net, marks[i]), net._tidx[a], marks[i + 1])
         if u is not None:
@@ -86,10 +91,11 @@ def sequence_persistence(net: Net, m0: Marking, seq: Sequence[str]) -> SeqPersis
 # and its persistence depend only on the marking it leaves, so every search
 # (and the Parikh pass of spe_check) expands a marking through _steps alone,
 # and the searches of one decision share one _steps memo.  A given word is
-# replayed by net._replay alone.  _disabled_by has one other caller,
-# sequence_persistence: it tests each step on the markings of _replay and
-# names the transition a step disables; oracle_spe_check relies on it as a
-# reference independent of _steps.
+# replayed by net._replay alone, and a given lasso by fairness._lasso_marks.
+# _disabled_by has one other caller, _persistence_along: it tests each step
+# on the markings of one replay and names the transition a step disables;
+# sequence_persistence and lasso_persistence answer through it, and
+# oracle_spe_check relies on it as a reference independent of _steps.
 
 def _realisations(net, m0, target, persistent=False, forbidden_last=frozenset(),
                   node_budget=None, memo=None):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InputError, ParseError
-from .fairness import Lasso, validate_lasso
+from .fairness import Lasso
 from .lts import Lts
 from .net import Net
 from .patterns import Embedding, Pattern
@@ -216,17 +216,15 @@ def print_pattern(pattern: Pattern) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_lasso(text: str, net: Optional[Net] = None) -> Lasso:
-    """Parse "prefix ; cycle"; with a net given the lasso is validated."""
+def parse_lasso(text: str) -> Lasso:
+    """Parse "prefix ; cycle".  Only the syntax is checked: whether the
+    lasso fires on a net is decided by the question asked of it."""
     if ";" not in text:
         raise ParseError("a lasso is written '<prefix> ; <cycle>'")
     prefix_text, cycle_text = text.split(";", 1)
     if not cycle_text.split():
         raise ParseError("a lasso needs a nonempty cycle")
-    lasso = Lasso(tuple(prefix_text.split()), tuple(cycle_text.split()))
-    if net is not None:
-        validate_lasso(net, lasso)
-    return lasso
+    return Lasso(tuple(prefix_text.split()), tuple(cycle_text.split()))
 
 
 def print_lasso(lasso: Lasso) -> str:

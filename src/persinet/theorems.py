@@ -32,7 +32,6 @@ from .fairness import (
     lasso_persistence,
     pe_probe_matrix,
     search_persistent_equivalent_lasso,
-    validate_lasso,
 )
 from .lts import _bfs_tree, build_rg, complete_rg, persistence_check, shortest_path
 from .net import (
@@ -576,11 +575,10 @@ def _confirmed_probe(net, rg, entry, cycle):
     names = net.transitions
     lasso = Lasso(shortest_path(rg, rg.states[entry]), tuple(names[a] for a in cycle))
     try:
-        validate_lasso(net, lasso)
+        report = fairness_classify(net, lasso)
     except InputError as exc:
         raise InvariantError(f"probe lasso {lasso} does not replay: {exc}") from None
-    if (not fairness_classify(net, lasso).strongly_fair
-            or lasso_persistence(net, lasso).persistent):
+    if not report.strongly_fair or lasso_persistence(net, lasso).persistent:
         raise InvariantError(
             f"probe lasso {lasso} is not strongly fair and nonpersistent on the net")
     return lasso

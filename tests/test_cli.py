@@ -149,6 +149,17 @@ def test_pe_matrix_probes_file(tmp_path):
     assert "probe [y b]:" in out.stdout and out.stdout.count("probe [") == 1
 
 
+def test_pe_matrix_probes_file_first_bad_probe(tmp_path):
+    # each probe is validated by its own question, in file order
+    probes = tmp_path / "probes.txt"
+    probes.write_text("y y\ny ; x a\n")
+    out = run("pe-matrix", "fig6_unfair", "--probes", str(probes))
+    assert _bad_input(out) and "transition 'y' is not enabled" in out.stderr
+    probes.write_text("y ; x a\n")
+    out = run("pe-matrix", "fig6_unfair", "--probes", str(probes))
+    assert _bad_input(out) and "not back to its entry marking" in out.stderr
+
+
 def test_pattern_on_lts_file(tmp_path):
     from persinet import corpus_load
 

@@ -72,7 +72,7 @@ class TestFairnessClassify:
                 ("fig8_variant", " ; c d a e"), ("fig8_variant", " ; c a d e")]
         for name, text in runs:
             net = corpus_load(name).net
-            rep = fairness_classify(net, parse_lasso(text, net))
+            rep = fairness_classify(net, parse_lasso(text))
             assert not rep.strongly_fair or rep.weakly_fair
             assert not rep.weakly_fair or rep.progress
 
@@ -100,7 +100,7 @@ class TestLassoPersistence:
                  ("fig14_counterexample", "y ; x a1 a2 b c")]
         for name, text in cases:
             net = corpus_load(name).net
-            lasso = parse_lasso(text, net)
+            lasso = parse_lasso(text)
             once = lasso_persistence(net, lasso).persistent
             twice = sequence_persistence(
                 net, net.initial, lasso.prefix + lasso.cycle * 2).persistent
@@ -157,6 +157,32 @@ class TestLassoEquivalence:
         verdict = lasso_equiv_at_depth(fig6, with_y, without, depth=6)
         assert verdict.status == "not-equivalent"
         assert "signatures" in verdict.reason
+
+
+class TestNegativeBounds:
+    def test_equivalence_rejects_negative_depth_and_window(self, fig6):
+        lasso = Lasso(("y",), seq("x a c"))
+        for bounds in ({"depth": -1}, {"depth": 8, "window": -5}):
+            with pytest.raises(InputError, match="must be >= 0"):
+                lasso_equiv_at_depth(fig6, lasso, lasso, **bounds)
+        assert lasso_equiv_at_depth(fig6, lasso, lasso, depth=0, window=0)
+
+    @pytest.mark.parametrize("bound", ["max_prefix", "max_cycle", "depth", "window"])
+    def test_search_rejects_negative_bounds(self, fig5, fig6, bound):
+        # a persistent input too, which the search returns before any bound
+        # is used
+        for net, lasso in ((fig6, Lasso(("y",), seq("x a c"))),
+                           (fig5, Lasso((), seq("a c b c")))):
+            with pytest.raises(InputError, match=f"{bound} must be >= 0"):
+                search_persistent_equivalent_lasso(net, lasso, **{bound: -1})
+
+    def test_search_accepts_zero_bounds(self):
+        net = corpus_load("fig8_variant").net
+        lasso = Lasso((), seq("c d a e"))
+        result = search_persistent_equivalent_lasso(net, lasso, depth=0, window=0)
+        assert result.status == "found"
+        result = search_persistent_equivalent_lasso(net, lasso, max_prefix=0, max_cycle=0)
+        assert result.status == "none-within-bounds"
 
 
 class TestSearchEquivalentLasso:
@@ -368,7 +394,7 @@ class TestLassoSearchAgainstReference:
     def test_corpus_lassos(self):
         for name, text in self.CORPUS:
             net = corpus_load(name).net
-            lasso = parse_lasso(text, net)
+            lasso = parse_lasso(text)
             validate_lasso(net, lasso)
             assert search_persistent_equivalent_lasso(net, lasso) == \
                 _reference_lasso_search(net, lasso), (name, text)
@@ -384,3 +410,78 @@ class TestLassoSearchAgainstReference:
             assert got == _reference_lasso_search(net, lasso, 3, 8, 6), (net.name, lasso)
             found += got.status == "found"
         assert 0 < found < 50
+
+
+@pytest.fixture
+def fires(monkeypatch):
+    """count(question) is the number of net.fire calls question makes:
+    every replay of a given word or lasso fires each step through it."""
+    import persinet.net
+
+    calls = []
+    fire = persinet.net.fire
+
+    def counting(net, m, t):
+        calls.append(t)
+        return fire(net, m, t)
+
+    monkeypatch.setattr(persinet.net, "fire", counting)
+
+    def count(question):
+        calls.clear()
+        question()
+        return len(calls)
+    return count
+
+
+class TestOneReplayPerQuestion:
+    def test_probe_run_counts(self, fires, fig6, fig14):
+        from persinet.fairness import AnalysisBounds, probe_run
+
+        bounds = AnalysisBounds()
+        # one replay each for fairness_classify and the search, which finds
+        # no candidate to test
+        assert fires(lambda: probe_run(fig6, Lasso(("y",), seq("x a c")), bounds)) == 8
+        assert fires(lambda: probe_run(fig14, Lasso(("y",), seq("x a1 a2 b c")),
+                                       bounds)) == 12
+
+    def test_each_question_fires_its_lasso_once(self, fires):
+        for name, text in TestLassoSearchAgainstReference.CORPUS:
+            net = corpus_load(name).net
+            lasso = parse_lasso(text)
+            once = len(lasso.prefix) + len(lasso.cycle)
+            assert fires(lambda: validate_lasso(net, lasso)) == once, text
+            assert fires(lambda: fairness_classify(net, lasso)) == once, text
+            assert fires(lambda: lasso_persistence(net, lasso)) == once, text
+            if lasso_persistence(net, lasso).persistent:
+                assert fires(lambda: search_persistent_equivalent_lasso(net, lasso)) \
+                    == once, text
+
+    def test_searches_replay_only_unrollings(self, fires, fig6):
+        # both lassos once, then each class search replays one unrolling
+        # of length depth + window
+        lasso = Lasso(("y",), seq("x a c"))
+        assert fires(lambda: lasso_equiv_at_depth(fig6, lasso, lasso, 8)) == \
+            4 + 4 + 2 * (8 + 6)
+        # the input once, then one candidate, c a d e, is tested without
+        # validating either lasso again
+        net = corpus_load("fig8_variant").net
+        assert fires(lambda: search_persistent_equivalent_lasso(
+            net, Lasso((), seq("c d a e")))) == 4 + 2 * (8 + 8)
+
+
+class TestSearchDecidesPersistence:
+    def test_input_returned_iff_persistent(self):
+        cases = [(corpus_load(name).net, parse_lasso(text))
+                 for name, text in TestLassoSearchAgainstReference.CORPUS]
+        cases += [(corpus_load(name).net, parse_lasso(line))
+                  for name in pn.corpus_names()
+                  for line in corpus_load(name).probes if ";" in line]
+        for net, lasso in cases:
+            search = search_persistent_equivalent_lasso(net, lasso)
+            assert (search.lasso == lasso) == lasso_persistence(net, lasso).persistent, \
+                (net.name, lasso)
+        for net, lasso in _seeded_lassos(50):
+            search = search_persistent_equivalent_lasso(net, lasso, 3, 8, 6)
+            assert (search.lasso == lasso) == lasso_persistence(net, lasso).persistent, \
+                (net.name, lasso)

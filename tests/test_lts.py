@@ -551,6 +551,13 @@ class TestIndexRows:
         with pytest.raises(UnknownIdError, match=r"lts 'x': unknown state"):
             accessor(g, state)
 
+    @pytest.mark.parametrize("label", ["zz", ["zz"]], ids=["unknown", "unhashable"])
+    def test_accessors_answer_no_label(self, label):
+        # a label id that names no label has no edges, hashable or not
+        g = Lts("x", ["s"], ["a"], [("s", "a", "s")], "s")
+        assert g.successors("s", label) == g.predecessors("s", label) == ()
+        assert g.succ("s", label) is None
+
     def test_predecessors_in_state_order(self):
         # the reverse rows come from the forward rows, so sources follow the
         # state declaration order, not the edge order

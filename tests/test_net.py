@@ -355,7 +355,7 @@ class TestConstructions:
 
     def test_project_sequence(self):
         s = corpus_load("fig15_sum").net
-        lasso = parse_lasso(" ; a", s)
+        lasso = parse_lasso(" ; a")
         assert project_sequence(s, lasso, "r") == ()
         assert project_sequence(s, lasso, "l") == lasso
         assert project_sequence(s, ("a", "a"), "r") == ()

@@ -79,8 +79,8 @@ class TestParseLts:
 
 
 class TestParseLasso:
-    def test_fig6(self, fig6):
-        lasso = parse_lasso("y ; x a c", fig6)
+    def test_fig6(self):
+        lasso = parse_lasso("y ; x a c")
         assert lasso.prefix == ("y",) and lasso.cycle == ("x", "a", "c")
 
     def test_empty_cycle_rejected(self):
@@ -91,9 +91,9 @@ class TestParseLasso:
         with pytest.raises(ParseError):
             parse_lasso("a b c")
 
-    def test_roundtrip(self, fig6):
-        lasso = parse_lasso("y ; x a c", fig6)
-        assert parse_lasso(print_lasso(lasso), fig6) == lasso
+    def test_roundtrip(self):
+        lasso = parse_lasso("y ; x a c")
+        assert parse_lasso(print_lasso(lasso)) == lasso
 
     def test_sequences(self):
         assert parse_sequence("") == ()

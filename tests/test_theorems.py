@@ -633,7 +633,7 @@ class TestImplicationMatrix:
         refuted = 0
         for name in pn.corpus_names():
             entry = corpus_load(name)
-            probes = [pn.parse_lasso(l, entry.net) if ";" in l else seq(l)
+            probes = [pn.parse_lasso(l) if ";" in l else seq(l)
                       for l in entry.probes]
             result = self._agrees(entry.net, probes)
             refuted += sum(v != "holds-evidence" for v in result.evidence.values())
