@@ -211,11 +211,16 @@ def cmd_fairness(args):
     print(f"progress: {_flag_text(report.progress)}")
     for t, tag in report.neglected.items():
         print(f"  {t}: {tag}")
-    persistence = fairness.lasso_persistence(net, lasso)
-    print(f"persistent: {_flag_text(persistence.persistent)}")
-    payload = {"fairness": report, "persistent": persistence.persistent}
     if args.search_equivalent:
         result = fairness.search_persistent_equivalent_lasso(net, lasso)
+        # exact, as in probe_run: the search returns a persistent input
+        # unchanged and builds persistent candidates only
+        persistent = result.lasso == lasso
+    else:
+        persistent = fairness.lasso_persistence(net, lasso).persistent
+    print(f"persistent: {_flag_text(persistent)}")
+    payload = {"fairness": report, "persistent": persistent}
+    if args.search_equivalent:
         print(f"persistent equivalent: {result.status}"
               + (f" ({result.lasso})" if result.lasso else ""))
         payload["search"] = result

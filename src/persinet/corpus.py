@@ -479,12 +479,14 @@ _MANIFESTS = {
                                         "asymmetric_choice": None,
                                         "dc_tilde": None}},
         {"check": "rg", "states": 3, "edges": 3},
-        {"check": "net_persistent", "value": False},
+        {"check": "net_persistent", "value": False,
+         "witness_state": "M0", "witness_pair": ["x", "y"]},
         {"check": "isomorphic_rg_lts"},
         {"check": "embeds", "pattern": "nonpers", "in": "lts", "found": True},
     ],
     "fig4_perslocal": [
-        {"check": "net_persistent", "value": False},
+        {"check": "net_persistent", "value": False,
+         "witness_state": "M0", "witness_pair": ["a", "b"]},
         {"check": "seq_persistent", "run": "c", "value": True},
         {"check": "seq_persistent", "run": "a", "value": False},
         {"check": "seq_persistent", "run": "b", "value": False},
@@ -507,7 +509,8 @@ _MANIFESTS = {
         # the companion drawing omits the two states reachable by re-firing
         # x after x a (the a step returns the token x consumes)
         {"check": "rg", "states": 10, "edges": 17, "safe": True},
-        {"check": "net_persistent", "value": False},
+        {"check": "net_persistent", "value": False,
+         "witness_state": "M4", "witness_pair": ["a", "b"]},
         {"check": "spe", "mode": "perm", "bound": 8, "status": "holds-up-to-bound"},
         {"check": "lasso_valid", "lasso": "y ; x a c"},
         {"check": "lasso_fairness", "lasso": "y ; x a c",
@@ -523,14 +526,17 @@ _MANIFESTS = {
         {"check": "rg_isomorphic_to", "other": "fig7_right"},
         {"check": "lasso_equiv", "a": " ; a b", "b": " ; b a", "depth": 10,
          "status": "equivalent-at-depth"},
+        {"check": "net_persistent", "value": True},
     ],
     "fig7_right": [
         {"check": "rg", "states": 1, "edges": 2},
+        {"check": "net_persistent", "value": True},
     ],
     "fig8_variant": [
         {"check": "classify", "flags": {"plain": True, "pure": True}},
         {"check": "rg", "states": 8, "safe": True},
-        {"check": "net_persistent", "value": False},
+        {"check": "net_persistent", "value": False,
+         "witness_state": "M4", "witness_pair": ["a", "b"]},
         {"check": "lasso_persistent", "lasso": " ; c d a e", "value": False},
         {"check": "lasso_search", "lasso": " ; c d a e", "status": "found",
          "expect": " ; c a d e"},
@@ -551,7 +557,8 @@ _MANIFESTS = {
     "fig10_fpe_not_spe": [
         {"check": "classify", "flags": {"plain": True, "pure": True}},
         {"check": "rg", "safe": True},
-        {"check": "net_persistent", "value": False},
+        {"check": "net_persistent", "value": False,
+         "witness_state": "M2", "witness_pair": ["b", "c"]},
         {"check": "spe", "mode": "perm", "bound": 2, "status": "refuted",
          "counterexample": "y b"},
         {"check": "spe", "mode": "parikh", "bound": 2, "status": "refuted",
@@ -568,12 +575,16 @@ _MANIFESTS = {
         {"check": "rg", "safe": True},
         {"check": "parikh_equal", "a": "a b c", "b": "c b a", "value": True},
         {"check": "perm_equiv", "a": "a b c", "b": "c b a", "value": False},
+        {"check": "net_persistent", "value": False,
+         "witness_state": "M0", "witness_pair": ["a", "c"]},
     ],
     "fig13_impure_diamond": [
         {"check": "classify", "flags": {"plain": True, "pure": False,
                                         "free_choice": True}},
         {"check": "rg", "states": 2, "safe": True},
         {"check": "diamond_unsupported", "y": "y", "x": "x"},
+        {"check": "net_persistent", "value": False,
+         "witness_state": "M0", "witness_pair": ["x", "y"]},
     ],
     "fig14_counterexample": [
         {"check": "classify", "flags": {
@@ -590,29 +601,37 @@ _MANIFESTS = {
         {"check": "lasso_persistent", "lasso": "y ; x a1 a2 b c", "value": False},
         {"check": "lasso_search", "lasso": "y ; x a1 a2 b c",
          "status": "none-within-bounds"},
-        {"check": "net_persistent", "value": False},
+        {"check": "net_persistent", "value": False,
+         "witness_state": "M4", "witness_pair": ["a1", "b"]},
     ],
     "fig15_a_star": [
         {"check": "rg", "states": 1, "edges": 1},
         {"check": "lasso_fairness", "lasso": " ; a", "strongly_fair": True},
+        {"check": "net_persistent", "value": True},
     ],
     "fig15_b": [
         {"check": "rg", "states": 2, "edges": 1},
+        {"check": "net_persistent", "value": True},
     ],
     "fig15_sum": [
         {"check": "rg", "states": 2, "edges": 3},
         {"check": "lasso_fairness", "lasso": " ; a", "strongly_fair": False,
          "weakly_fair": False, "progress": False},
+        {"check": "net_persistent", "value": True},
     ],
     "fig15_choice": [
         {"check": "lasso_fairness", "lasso": " ; a", "strongly_fair": False,
          "weakly_fair": False, "progress": True},
+        {"check": "net_persistent", "value": False,
+         "witness_state": "M0", "witness_pair": ["b", "a"]},
     ],
     "fig16_appendix": [
         {"check": "classify", "flags": {
             "plain": True, "pure": True, "free_choice": False,
             "asymmetric_choice": True, "dissymmetric_choice": True,
             "dc_tilde": True}},
+        {"check": "net_persistent", "value": False,
+         "witness_state": "M0", "witness_pair": ["c", "e"]},
     ],
 }
 

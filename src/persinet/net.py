@@ -226,6 +226,25 @@ def _disabled_by(net: Net, before, ti: int, m2: Marking) -> Optional[int]:
     return next((u for u in before if u != ti and u not in still), None)
 
 
+def _may_disable(net: Net) -> list:
+    """The may-disable table: per transition index t, the increasing indices
+    u != t that firing t can disable.  Firing t lowers the tokens on p only
+    if post_t(p) < pre_t(p), and it can disable u only by lowering a place
+    of u's preset, so every other u keeps its enabling.  A self-loop on p
+    (post_t(p) >= pre_t(p)) lists none of p's other consumers."""
+    consumers = [[] for _ in net.places]
+    for ui, pre in enumerate(net._pre):
+        for pi in pre:
+            consumers[pi].append(ui)
+    table = []
+    for ti, (pre, post) in enumerate(zip(net._pre, net._post)):
+        hit = {ui for pi, w in pre.items() if post.get(pi, 0) < w
+               for ui in consumers[pi]}
+        hit.discard(ti)
+        table.append(sorted(hit))
+    return table
+
+
 def enabled(net: Net, m: Marking, t: str) -> bool:
     """True iff every place holds at least the input weight of t."""
     net._check_state(m)

@@ -51,7 +51,17 @@ def test_truncated_graph_gives_no_verdict(monkeypatch):
     # not read the reachability graph and keeps its verdict
     monkeypatch.setenv("PERSINET_MAX_STATES", "2")
     results = {r.description: r for r in verify_entry(corpus_load("fig2_confuse"))}
-    for desc in ("rg states=3 edges=3", "net_persistent value=False", "isomorphic_rg_lts"):
+    for desc in ("rg states=3 edges=3",
+                 "net_persistent value=False witness_state=M0 witness_pair=['x', 'y']",
+                 "isomorphic_rg_lts"):
         assert not results[desc].ok
         assert "cut off at 2 states" in results[desc].detail
     assert results["embeds pattern=nonpers in=lts found=True"].ok
+
+
+def test_every_net_pins_its_persistence_verdict():
+    # a moved first witness fails the claim of whichever net it moves on
+    for name in corpus_names():
+        claims = [c for c in corpus_load(name).manifest if c["check"] == "net_persistent"]
+        assert len(claims) == 1, name
+        assert claims[0]["value"] or "witness_state" in claims[0], name

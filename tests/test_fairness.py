@@ -445,6 +445,19 @@ class TestOneReplayPerQuestion:
         assert fires(lambda: probe_run(fig14, Lasso(("y",), seq("x a1 a2 b c")),
                                        bounds)) == 12
 
+    def test_cli_fairness_counts(self, fires, capsys):
+        from persinet import cli
+
+        # one replay for fairness_classify, then one for the search, which
+        # also decides the persistence line; without the search,
+        # lasso_persistence replays it instead
+        argv = ["fairness", "fig14_counterexample", "--lasso", "y ; x a1 a2 b c"]
+        assert fires(lambda: cli.main(argv + ["--search-equivalent"])) == 12
+        assert "persistent: no\npersistent equivalent: none-within-bounds\n" in \
+            capsys.readouterr().out
+        assert fires(lambda: cli.main(argv)) == 12
+        assert capsys.readouterr().out.endswith("persistent: no\n")
+
     def test_each_question_fires_its_lasso_once(self, fires):
         for name, text in TestLassoSearchAgainstReference.CORPUS:
             net = corpus_load(name).net

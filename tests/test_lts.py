@@ -6,14 +6,20 @@ from persinet import (
     GenConfig,
     InputError,
     Lts,
+    SPE,
+    SPE_PARIKH,
     UnknownIdError,
     UnsupportedClassError,
     build_rg,
     corpus_load,
     corpus_names,
+    disjoint_sum,
     gen_random_net,
     isomorphic,
+    lasso_persistence,
     lts_properties,
+    oracle_spe_check,
+    parse_lasso,
     persistence_check,
     sequence_persistence,
 )
@@ -295,6 +301,170 @@ def _all_sequences_persistent(net, max_len):
                 nxt.append((w2, fire(net, m, t)))
         frontier = nxt
     return True
+
+
+def _par(k):
+    """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i: a
+    conflict-free net with 2^k reachable markings."""
+    places, transitions, arcs = [], [], []
+    for i in range(k):
+        p, q, a, b = f"p{i}", f"q{i}", f"a{i}", f"b{i}"
+        places += [p, q]
+        transitions += [a, b]
+        arcs += [(p, a, 1), (a, q, 1), (q, b, 1), (b, p, 1)]
+    return Net(f"par{k}", places, transitions, arcs, {f"p{i}": 1 for i in range(k)})
+
+
+def _full_scan(lts):
+    """The reference verdict: every ordered pair of enabled labels at every
+    state, in declaration order, with no may-disable table."""
+    rows = lts._rows
+    for i, out in enumerate(rows):
+        for t, (j,) in out.items():
+            for u in out:
+                if u != t and u not in rows[j]:
+                    return False, (lts.states[i], lts.labels[t], lts.labels[u])
+    return True, None
+
+
+def _open_diamond(lts):
+    """The first (state, t, u) whose two orders both fire but end apart."""
+    rows = lts._rows
+    for i, out in enumerate(rows):
+        for t, (j,) in out.items():
+            for u, (k,) in out.items():
+                if u > t and u in rows[j] and t in rows[k] and rows[j][u] != rows[k][t]:
+                    return lts.states[i], lts.labels[t], lts.labels[u]
+    return None
+
+
+def _table_nets():
+    """Corpus nets, generated nets (default config, max_weight=2 and a large
+    token budget, impure, self-loops among them), par_k and fig1_basic +
+    par_k."""
+    nets = [corpus_load(n).net for n in corpus_names()]
+    for kw in ({}, {"max_weight": 2}, {"token_budget": 16}):
+        nets += [gen_random_net(GenConfig(seed=s, **kw)) for s in range(60)]
+    nets += [_par(k) for k in range(1, 9)]
+    fig1 = corpus_load("fig1_basic").net
+    nets += [disjoint_sum(fig1, _par(k)) for k in range(1, 6)]
+    return nets
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The nets whose may-disable table persistence_check builds."""
+    built = []
+    real = lts_mod._may_disable
+
+    def spy(net):
+        built.append(net)
+        return real(net)
+
+    monkeypatch.setattr(lts_mod, "_may_disable", spy)
+    return built
+
+
+class TestPersistenceTable:
+    """persistence_check reads the may-disable table on complete
+    reachability graphs, and skips the diamond check build_rg proved."""
+
+    def test_same_answer_as_full_scan(self, table_builds):
+        graphs = refuted = 0
+        for net in _table_nets():
+            rg, rep = build_rg(net, 3000)
+            if rep.status != "bounded":
+                continue
+            assert rg._net is net
+            verdict = persistence_check(rg)
+            assert (verdict.persistent, verdict.witness) == _full_scan(rg), net.name
+            graphs += 1
+            if table_builds and table_builds[-1] is net and not verdict.persistent:
+                refuted += 1
+        assert graphs >= 100
+        # the table answered many graphs, refutations among them
+        assert len(table_builds) >= 30 and refuted >= 20
+        assert {"par8", "fig1_basic+par5"} <= {net.name for net in table_builds}
+
+    def test_rent_rule(self, table_builds):
+        # scanning a small graph costs less than the table: fig5_acbc and
+        # fig1_basic never build it.  par8 (16 labels, 8 enabled at every
+        # state) has paid the table's rent of 16 * 36 pair tests after 9
+        # states
+        for name in ("fig5_acbc", "fig1_basic"):
+            persistence_check(build_rg(corpus_load(name).net)[0])
+        assert table_builds == []
+        assert persistence_check(build_rg(_par(8))[0]).persistent
+        assert [net.name for net in table_builds] == ["par8"]
+
+    def test_rgs_close_their_diamonds(self):
+        # the state equation proves it on every graph build_rg makes, cut
+        # off or not, so persistence_check does not check it there
+        graphs = 0
+        for net in _table_nets():
+            for budget in (3000, 5):
+                rg, _ = build_rg(net, budget)
+                assert rg._parikh_deterministic
+                assert _open_diamond(rg) is None, net.name
+                graphs += 1
+        assert graphs >= 200
+
+    def test_cut_off_graph_gets_the_full_scan(self, table_builds):
+        # frontier states have no rows, so the persistent par3 shows a false
+        # witness; it stays the full scan's answer
+        rg, rep = build_rg(_par(3), 3)
+        assert rep.status == "cutoff-reached" and rg._net is None
+        assert persistence_check(rg).witness == ("M0", "a0", "a1") == _full_scan(rg)[1]
+        for net in _table_nets():
+            rg, rep = build_rg(net, 6)
+            if rep.status == "bounded":
+                continue
+            verdict = persistence_check(rg)
+            assert (verdict.persistent, verdict.witness) == _full_scan(rg), net.name
+        assert table_builds == []
+
+    def test_copies_without_the_record_agree(self, table_builds):
+        # an LTS built from a graph's edges carries no net: it gets the full
+        # scan and the diamond check, with the same answer
+        for net in _table_nets()[:40]:
+            rg, rep = build_rg(net, 3000)
+            if rep.status != "bounded":
+                continue
+            copy = Lts(rg.name, rg.states, rg.labels, rg.edges, rg.initial, rg.payload)
+            assert copy._net is None and not copy._parikh_deterministic
+            assert persistence_check(copy) == persistence_check(rg)
+
+    def test_sequence_questions_never_read_the_table(self, monkeypatch):
+        # sequence_persistence and lasso_persistence are the references the
+        # oracle decides persistence with: they test each step by the firing
+        # rule alone
+        import sys
+
+        real = lts_mod._may_disable
+
+        def refuse(net):
+            raise AssertionError("the may-disable table was consulted")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("persinet") and getattr(module, "_may_disable", None) is real:
+                monkeypatch.setattr(module, "_may_disable", refuse)
+        with pytest.raises(AssertionError, match="consulted"):
+            persistence_check(build_rg(_par(8))[0])  # the patch is in force
+        for name in corpus_names():
+            entry = corpus_load(name)
+            net = entry.net
+            for claim in entry.manifest:
+                if claim["check"] == "seq_persistent":
+                    sequence_persistence(net, net.initial, tuple(claim["run"].split()))
+                elif claim["check"] in ("lasso_persistent", "lasso_valid"):
+                    lasso_persistence(net, parse_lasso(claim["lasso"]))
+            for probe in entry.probes:
+                if ";" in probe:
+                    lasso_persistence(net, parse_lasso(probe))
+                else:
+                    sequence_persistence(net, net.initial, tuple(probe.split()))
+            for mode in (SPE, SPE_PARIKH):
+                oracle_spe_check(net, 4, mode)
 
 
 class TestIsomorphism:

@@ -23,7 +23,8 @@ from persinet import (
     project_sequence,
     reverse_dual,
 )
-from persinet.net import ClassReport, replay_class_witness
+from persinet.net import (ClassReport, _enabled_i, _fire_i, _may_disable,
+                          replay_class_witness)
 
 
 def seq(text):
@@ -302,6 +303,57 @@ class TestClassTable:
         assert not replay_class_witness(fig1, "pure", ("p3", "a"))
         with pytest.raises(InputError):
             replay_class_witness(fig1, "safe", ("p0", "p1"))
+
+
+class TestMayDisable:
+    """net._may_disable lists, per transition t, every u that firing t can
+    disable, by the structure alone."""
+
+    @staticmethod
+    def _nets():
+        nets = [pn.corpus_load(name).net for name in pn.corpus_names()]
+        for kw in ({}, {"max_weight": 2}, {"token_budget": 6}):
+            nets += [gen_random_net(GenConfig(seed=s, **kw)) for s in range(80)]
+        return nets
+
+    def test_sound_at_every_reachable_marking(self):
+        steps = disabling = self_loops = 0
+        for net in self._nets():
+            table = _may_disable(net)
+            self_loops += any(pi in post for pre, post in zip(net._pre, net._post)
+                              for pi in pre)
+            rg, _ = pn.build_rg(net, 500)
+            for m in rg.payload.values():
+                before = _enabled_i(net, m)
+                for t in before:
+                    still = _enabled_i(net, _fire_i(net, m, t))
+                    steps += 1
+                    for u in before:
+                        if u != t and u not in still:
+                            disabling += 1
+                            assert u in table[t], (net.name, m, t, u)
+        assert steps > 2500 and disabling > 1000 and self_loops > 100
+
+    def test_definition(self):
+        # u != t is listed iff t removes tokens from a place of u's preset
+        for net in self._nets():
+            pre, post = net._pre, net._post
+            assert _may_disable(net) == [
+                [u for u in range(len(pre)) if u != t
+                 and any(post[t].get(p, 0) < pre[t].get(p, 0) for p in pre[u])]
+                for t in range(len(pre))], net.name
+
+    def test_self_loops_and_weights(self):
+        # t is a self-loop on p, u consumes p, v takes 2 from p and returns
+        # 1, w returns more to q than it takes
+        net = Net("loops", ["p", "q"], ["t", "u", "v", "w"],
+                  [("p", "t", 1), ("t", "p", 1), ("p", "u", 1),
+                   ("p", "v", 2), ("v", "p", 1), ("q", "w", 1), ("w", "q", 2)],
+                  {"p": 2, "q": 1})
+        assert _may_disable(net) == [[], [0, 2], [0, 1], []]
+        # fig7_left's two self-loops on one place disable nothing: a
+        # conflict-free net though they share their input place
+        assert not any(_may_disable(pn.corpus_load("fig7_left").net))
 
 
 class TestConstructions:
