@@ -95,15 +95,21 @@ def cmd_rg(args):
     print(f"states: {bound.state_count}")
     print(f"edges: {bound.edge_count}")
     print(f"status: {bound.status}")
+    deadlocks = graph.deadlocks()
     if bound.status == "bounded":
         print(f"k_bound: {bound.k_bound}")
         print(f"safe: {_flag_text(bound.safe)}")
-    print(f"deadlocks: {' '.join(graph.deadlocks()) or '-'}")
+    else:
+        # a cut-off graph drops the edges into undiscovered states, so an
+        # empty row is a deadlock only where the marking enables nothing
+        deadlocks = tuple(s for s in deadlocks
+                          if not net_mod.enabled_transitions(net, graph.payload[s]))
+    print(f"deadlocks: {' '.join(deadlocks) or '-'}")
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(textio.emit_dot(graph))
         print(f"dot written to {args.dot}")
-    _dump(args, {"bound": bound, "deadlocks": list(graph.deadlocks())})
+    _dump(args, {"bound": bound, "deadlocks": list(deadlocks)})
 
 
 def cmd_persistence(args):

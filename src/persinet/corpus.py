@@ -678,7 +678,9 @@ class ClaimResult:
     detail: str = ""
 
 
-def _run_claim(entry: CorpusEntry, claim: dict) -> ClaimResult:
+def _run_claim(entry: CorpusEntry, claim: dict, graph) -> ClaimResult:
+    """One claim's result; graph() is the entry's complete reachability
+    graph and report, built on first use and shared by its claims."""
     net = entry.net
     kind = claim["check"]
     seq = textio.parse_sequence
@@ -692,12 +694,12 @@ def _run_claim(entry: CorpusEntry, claim: dict) -> ClaimResult:
                if report.flag(f) != want}
         return res(not bad, f"mismatches: {bad}" if bad else "")
     if kind == "embeds":
-        target = complete_rg(net)[0] if claim["in"] == "rg" else entry.lts
+        target = graph()[0] if claim["in"] == "rg" else entry.lts
         emb = find_embedding(builtin_pattern(claim["pattern"]), target)
         return res((emb is not None) == claim["found"], f"embedding: {emb}")
     if kind in ("rg", "deadlocks", "net_persistent", "place_bound",
                 "isomorphic_rg_lts", "rg_isomorphic_to"):
-        rg, report = complete_rg(net)
+        rg, report = graph()
         if kind == "rg":
             checks = []
             for key, actual in (("states", report.state_count),
@@ -808,6 +810,25 @@ def _describe(claim: dict) -> str:
     return " ".join(parts)
 
 
+def _graph_once(net):
+    """A function returning complete_rg(net), built on its first call: a
+    graph cut off at its state budget raises the same ResourceExceededError
+    at every call."""
+    made = []
+
+    def graph():
+        if not made:
+            try:
+                made.append(complete_rg(net))
+            except ResourceExceededError as exc:
+                made.append(exc)
+        if isinstance(made[0], ResourceExceededError):
+            raise made[0]
+        return made[0]
+
+    return graph
+
+
 def verify_entry(entry: CorpusEntry) -> list:
     results = []
     if entry.net_text:
@@ -818,9 +839,10 @@ def verify_entry(entry: CorpusEntry) -> list:
         reparsed = textio.parse_lts(textio.print_lts(entry.lts))
         results.append(ClaimResult(entry.name, "lts round-trip",
                                    reparsed == entry.lts))
+    graph = _graph_once(entry.net)
     for claim in entry.manifest:
         try:
-            results.append(_run_claim(entry, claim))
+            results.append(_run_claim(entry, claim, graph))
         except ResourceExceededError as exc:
             # a resource bound (a truncated graph, say) gives no verdict
             results.append(ClaimResult(entry.name, _describe(claim), False, str(exc)))

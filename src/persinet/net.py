@@ -56,6 +56,8 @@ class Net:
         # sparse weights per transition index: {place index: weight}
         self._pre = [dict() for _ in transitions]
         self._post = [dict() for _ in transitions]
+        #: the largest output arc weight: no firing adds more to a place
+        self._max_out = 0
         for src, dst, w in arcs:
             if not isinstance(w, int) or w < 1:
                 raise InputError(f"net '{name}': arc {src} -> {dst} weight must be >= 1")
@@ -65,6 +67,8 @@ class Net:
             elif src in self._tidx and dst in self._pidx:
                 tgt = self._post[self._tidx[src]]
                 key = self._pidx[dst]
+                if w > self._max_out:
+                    self._max_out = w
             else:
                 raise UnknownIdError(
                     f"net '{name}': arc {src} -> {dst} does not join a declared "

@@ -221,6 +221,30 @@ def test_resource_exit_code(monkeypatch):
     assert out.returncode == 3
 
 
+def test_rg_cut_off_reports_only_real_deadlocks(tmp_path):
+    # a cut-off graph drops the edges into undiscovered states: at 3 states
+    # M1 and M2 of fig1_basic have empty rows, yet both enable transitions
+    dump = tmp_path / "rg.json"
+    out = run("rg", "fig1_basic", "--max-states", "3", "--dump", str(dump))
+    assert out.returncode == 0 and "status: cutoff-reached" in out.stdout
+    assert "deadlocks: -\n" in out.stdout
+    assert json.loads(dump.read_text())["report"]["deadlocks"] == []
+    assert "deadlocks: M6\n" in run("rg", "fig1_basic", "--max-states", "7").stdout
+    assert "deadlocks: M6 M7\n" in run("rg", "fig1_basic").stdout
+
+
+def test_rg_of_an_unbounded_net_under_a_state_budget(tmp_path):
+    # g generates tokens on p for ever; u and v consume them
+    doc = tmp_path / "gen.net"
+    doc.write_text("net gen\nplace q init 1\nplace p\ntrans g\ntrans u\ntrans v\n"
+                   "arc q -> g\narc g -> q\narc g -> p\narc p -> u\narc p -> v\n")
+    out = run("rg", str(doc), "--max-states", "5")
+    assert out.returncode == 0
+    assert "states: 5\n" in out.stdout and "status: cutoff-reached\n" in out.stdout
+    assert "deadlocks: -\n" in run("rg", str(doc), "--max-states", "1").stdout
+    assert run("persistence", str(doc), "--max-states", "50").returncode == 3
+
+
 def test_persistence_refuses_truncated_graph():
     out = run("persistence", "fig1_basic", "--max-states", "3")
     assert out.returncode == 3 and "persistent:" not in out.stdout

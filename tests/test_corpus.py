@@ -65,3 +65,47 @@ def test_every_net_pins_its_persistence_verdict():
         claims = [c for c in corpus_load(name).manifest if c["check"] == "net_persistent"]
         assert len(claims) == 1, name
         assert claims[0]["value"] or "witness_state" in claims[0], name
+
+
+@pytest.fixture
+def graphs_built(monkeypatch):
+    """The names of the nets build_rg is called on."""
+    from persinet import lts as lts_mod
+
+    built = []
+    real = lts_mod.build_rg
+
+    def spy(net, max_states=None):
+        built.append(net.name)
+        return real(net, max_states)
+
+    monkeypatch.setattr(lts_mod, "build_rg", spy)
+    return built
+
+
+def test_one_graph_per_entry(graphs_built):
+    # every graph claim of an entry reads the entry's one graph; fig7_left's
+    # rg_isomorphic_to claim also builds fig7_right's
+    results = verify_corpus()
+    assert all(r.ok for r in results)
+    assert len(graphs_built) == 18
+    assert sorted(graphs_built) == sorted(corpus_names() + ["fig7_right"])
+
+
+def test_cut_off_graph_fails_every_graph_claim_alike(graphs_built, monkeypatch):
+    # fig1_basic has six claims on its 8-state graph, among them two
+    # embeddings in it; a graph cut off at 5 states is built once and fails
+    # each of them with the same text
+    monkeypatch.setenv("PERSINET_MAX_STATES", "5")
+    entry = corpus_load("fig1_basic")
+    results = verify_entry(entry)
+    assert [r.description for r in results[:2]] == ["net round-trip", "lts round-trip"]
+    failed = [r for claim, r in zip(entry.manifest, results[2:])
+              if claim["check"] in ("rg", "deadlocks", "net_persistent", "isomorphic_rg_lts")
+              or claim.get("in") == "rg"]
+    assert len(failed) == 6
+    assert graphs_built == ["fig1_basic"]
+    text = "reachability graph of net 'fig1_basic' cut off at 5 states; " \
+           "a truncated graph gives no verdict"
+    for r in failed:
+        assert not r.ok and r.detail == text, r.description

@@ -142,6 +142,197 @@ class TestBuildRg:
         assert rep.status == "bounded"
 
 
+def _tuple_keyed_rg(net, cutoff):
+    """The reference breadth-first reachability graph: every edge fires its
+    successor marking whole and looks it up by the tuple, and the place
+    bounds grow with each new state."""
+    from persinet.net import _enabled_i, _fire_i
+
+    index = {net.initial: 0}
+    order = [net.initial]
+    names = ["M0"]
+    labels = net.transitions
+    edges = []
+    place_bounds = list(net.initial)
+    truncated = False
+    for i, m in enumerate(order):
+        s = names[i]
+        for ti in _enabled_i(net, m):
+            m2 = _fire_i(net, m, ti)
+            j = index.get(m2)
+            if j is None:
+                if len(order) >= cutoff:
+                    truncated = True
+                    continue
+                j = index[m2] = len(order)
+                order.append(m2)
+                names.append(f"M{j}")
+                for pi, n in enumerate(m2):
+                    if n > place_bounds[pi]:
+                        place_bounds[pi] = n
+            edges.append((s, labels[ti], names[j]))
+    lts = Lts(name=f"rg({net.name})", states=names, labels=labels, edges=edges,
+              initial=names[0], payload=dict(zip(names, order)))
+    k = max(place_bounds, default=0)
+    report = lts_mod.BoundReport(
+        status="cutoff-reached" if truncated else "bounded", k_bound=k,
+        place_bounds={p: place_bounds[i] for i, p in enumerate(net.places)},
+        safe=None if truncated else k <= 1, state_count=len(order),
+        edge_count=len(edges), cutoff=cutoff)
+    return lts, report, (None if truncated else net)
+
+
+def _same_as_tuple_keyed(net, cutoff):
+    """build_rg(net, cutoff) against the reference: states, edges in order,
+    payloads, every report field and the recorded net.  Returns the report."""
+    rg, rep = build_rg(net, cutoff)
+    ref, ref_rep, ref_net = _tuple_keyed_rg(net, cutoff)
+    assert rg.states == ref.states, net.name
+    assert rg.edges == ref.edges, net.name
+    assert rg.payload == ref.payload, net.name
+    assert vars(rep) == vars(ref_rep), net.name
+    assert rg._net is ref_net, net.name
+    return rep
+
+
+def _generator():
+    """q -> g -> q and g -> p: g puts a token on p at every firing; u and
+    v take one back."""
+    return Net("gen", ["q", "p"], ["g", "u", "v"],
+               [("q", "g", 1), ("g", "q", 1), ("g", "p", 1),
+                ("p", "u", 1), ("p", "v", 1)], {"q": 1})
+
+
+class TestPackedKeys:
+    """build_rg looks markings up by one packed integer per state on nets
+    with _PACKED_PLACES places or more; the graph it builds is the
+    tuple-keyed breadth-first graph, byte for byte.  Every test runs once
+    with every net packed and once with build_rg's own choice."""
+
+    @pytest.fixture(autouse=True, params=["packed", "by place count"])
+    def keying(self, request, monkeypatch):
+        if request.param == "packed":
+            monkeypatch.setattr(lts_mod, "_PACKED_PLACES", 0)
+        return request.param
+
+    def test_choice_by_place_count(self, keying, monkeypatch):
+        packed = []
+        real = lts_mod._bfs_by_key
+
+        def spy(net, cutoff):
+            packed.append(net.name)
+            return real(net, cutoff)
+
+        monkeypatch.setattr(lts_mod, "_bfs_by_key", spy)
+        fig1 = corpus_load("fig1_basic").net
+        for net in (fig1, _par(3), _par(4), disjoint_sum(fig1, _par(2))):
+            build_rg(net)
+        if keying == "packed":
+            assert len(packed) == 4
+        else:
+            assert lts_mod._PACKED_PLACES == 8
+            assert packed == ["par4", "fig1_basic+par2"]
+
+    def test_corpus_and_generated_nets(self):
+        nets = [corpus_load(n).net for n in corpus_names()]
+        for kw in ({}, {"max_weight": 3, "token_budget": 16},
+                   {"class_constraint": ("CF",)}, {"class_constraint": ("EC",)},
+                   {"class_constraint": ("pure", "plain")}):
+            nets += [gen_random_net(GenConfig(seed=s, **kw)) for s in range(40)]
+        cut = complete = 0
+        for net in nets:
+            for cutoff in (1, 2, 7, 3000):
+                rep = _same_as_tuple_keyed(net, cutoff)
+                if rep.status == "bounded":
+                    complete += 1
+                else:
+                    cut += 1
+        assert cut >= 300 and complete >= 300
+
+    def test_par_families(self):
+        fig1 = corpus_load("fig1_basic").net
+        for k in range(1, 8):
+            for cutoff in (5, 100000):
+                _same_as_tuple_keyed(_par(k), cutoff)
+                _same_as_tuple_keyed(disjoint_sum(fig1, _par(k)), cutoff)
+
+    def test_zero_places(self):
+        for transitions, arcs in (([], []), (["t", "u"], [])):
+            rep = _same_as_tuple_keyed(Net("empty", [], transitions, arcs), 10)
+            assert rep.state_count == 1 and rep.place_bounds == {}
+            assert rep.k_bound == 0 and rep.status == "bounded"
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 50])
+    def test_token_generator(self, cutoff):
+        # an empty preset: g fires at every state, so the graph is cut off
+        # at every budget
+        gen = Net("gen", ["p", "q"], ["g", "u"],
+                  [("g", "p", 1), ("p", "u", 1), ("u", "q", 1)])
+        rep = _same_as_tuple_keyed(gen, cutoff)
+        assert rep.status == "cutoff-reached" and rep.state_count == cutoff
+        rep = _same_as_tuple_keyed(_generator(), cutoff)
+        assert rep.status == "cutoff-reached" and rep.state_count == cutoff
+
+    def test_self_loops(self):
+        # a self-loop's incidence is zero: its edge returns to its source
+        loop = Net("loop", ["p", "q"], ["s", "t", "r"],
+                   [("p", "s", 1), ("s", "p", 1), ("p", "t", 2), ("t", "p", 2),
+                    ("q", "t", 1), ("q", "r", 1), ("r", "q", 1)], {"p": 2, "q": 2})
+        for cutoff in (1, 2, 100):
+            _same_as_tuple_keyed(loop, cutoff)
+        rg, rep = build_rg(loop, 100)
+        assert rep.state_count == 3 and rep.status == "bounded"
+        assert {("M0", "s", "M0"), ("M0", "r", "M0"), ("M2", "s", "M2")} <= set(rg.edges)
+
+    def test_weights_up_to_seven(self):
+        rng = random.Random(7)
+        for n in range(60):
+            places = [f"p{i}" for i in range(rng.randint(1, 5))]
+            transitions = [f"t{i}" for i in range(rng.randint(1, 4))]
+            arcs = [(x, y, rng.randint(1, 7)) for t in transitions for p in places
+                    for x, y in ((p, t), (t, p)) if rng.random() < 0.4]
+            marking = {p: rng.randint(0, 9) for p in places}
+            net = Net(f"w{n}", places, transitions, arcs, marking)
+            for cutoff in (1, 4, 40):
+                _same_as_tuple_keyed(net, cutoff)
+        heavy = Net("heavy", ["p", "q"], ["g", "d"],
+                    [("g", "p", 7), ("p", "d", 5), ("d", "q", 7)], {"p": 3})
+        assert heavy._max_out == 7
+        for cutoff in (1, 2, 3, 50):
+            _same_as_tuple_keyed(heavy, cutoff)
+
+    def test_initial_tokens_near_two_to_the_forty(self):
+        # 2^40 - 1 tokens on p: one firing of g takes p to 2^40, and d drains
+        # p whole into q, so (2^40, 0) and (0, 1) are both reached
+        big = 2 ** 40 - 1
+        net = Net("big", ["p", "q"], ["g", "d"],
+                  [("g", "p", 1), ("p", "d", big), ("d", "q", 1)], {"p": big})
+        for cutoff in (1, 2, 3, 50):
+            _same_as_tuple_keyed(net, cutoff)
+        rg, _ = build_rg(net, 50)
+        assert {(2 ** 40, 0), (0, 1)} <= set(rg.payload.values())
+        spread = Net("spread", ["p", "q", "r"], ["t"],
+                     [("p", "t", 1), ("t", "q", 1), ("t", "r", 3)],
+                     {"p": 2 ** 40 + 5, "q": 2 ** 40 - 3})
+        _same_as_tuple_keyed(spread, 20)
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 50])
+    def test_a_place_reaches_the_width_bound(self, cutoff):
+        # M0 enables only t0, after which only g fires, each step adding
+        # _max_out tokens to p: the successor of the last state kept holds
+        # max(M0) + cutoff * _max_out tokens on p, the largest value the
+        # packed key must hold
+        w, m = 3, 5
+        chain = Net("chain", ["p", "q", "r"], ["t0", "g"],
+                    [("q", "t0", 1), ("t0", "r", 1), ("t0", "p", w),
+                     ("r", "g", 1), ("g", "r", 1), ("g", "p", w)], {"p": m, "q": 1})
+        rep = _same_as_tuple_keyed(chain, cutoff)
+        assert rep.status == "cutoff-reached"
+        assert rep.place_bounds["p"] == m + (cutoff - 1) * w
+        rg, _ = build_rg(chain, cutoff + 1)
+        assert max(mk[0] for mk in rg.payload.values()) == m + cutoff * w
+
+
 class TestProperties:
     def test_fig1_report(self, fig1):
         rg, _ = build_rg(fig1)
