@@ -99,11 +99,6 @@ def cmd_rg(args):
     if bound.status == "bounded":
         print(f"k_bound: {bound.k_bound}")
         print(f"safe: {_flag_text(bound.safe)}")
-    else:
-        # a cut-off graph drops the edges into undiscovered states, so an
-        # empty row is a deadlock only where the marking enables nothing
-        deadlocks = tuple(s for s in deadlocks
-                          if not net_mod.enabled_transitions(net, graph.payload[s]))
     print(f"deadlocks: {' '.join(deadlocks) or '-'}")
     if args.dot:
         with open(args.dot, "w") as fh:

@@ -121,6 +121,7 @@ class Lts:
         self._deterministic = None
         self._parikh_deterministic = False  # same-Parikh paths meet, at any depth
         self._net = None  # the net whose complete reachability graph this is
+        self._cut = None  # build_rg: state indices that lost an edge to its budget
         self._of_payload = of_payload
 
     def _reverse_rows(self) -> list:
@@ -194,7 +195,11 @@ class Lts:
         return self._deterministic
 
     def deadlocks(self):
-        return tuple(s for s, row in zip(self.states, self._rows) if not row)
+        """States with no outgoing edge, leaving out those of a reachability
+        graph whose edges into undiscovered states its budget dropped."""
+        cut = self._cut or ()
+        return tuple(s for i, (s, row) in enumerate(zip(self.states, self._rows))
+                     if not row and i not in cut)
 
     def state_of_payload(self, value):
         if self.payload is None:
@@ -260,7 +265,8 @@ _PACKED_PLACES = 8
 
 def _bfs_by_key(net: Net, cutoff: int) -> tuple:
     """build_rg's breadth-first search on packed keys; returns (markings,
-    names, edges, truncated, place bounds).
+    names, edges, the indices of the states that lost an edge to the
+    cutoff, place bounds).
 
     Place p's tokens fill bits [b*p, b*(p+1)) of a marking's key, and t's
     incidence key is the sum over p of (post_t(p) - pre_t(p)) * 2^(b*p),
@@ -280,7 +286,7 @@ def _bfs_by_key(net: Net, cutoff: int) -> tuple:
     names = ["M0"]
     labels = net.transitions
     edges = []
-    truncated = False
+    cut = set()
     for i, m in enumerate(order):  # order grows while it is read: it is the BFS queue
         s = names[i]
         k = keys[i]
@@ -297,14 +303,14 @@ def _bfs_by_key(net: Net, cutoff: int) -> tuple:
             j = index.get(k2)
             if j is None:
                 if len(order) >= cutoff:
-                    truncated = True
+                    cut.add(i)
                     continue
                 j = index[k2] = len(order)
                 keys.append(k2)
                 order.append(_fire_i(net, m, ti))
                 names.append(f"M{j}")
             edges.append((s, labels[ti], names[j]))
-    return order, names, edges, truncated, list(map(max, zip(*order)))
+    return order, names, edges, cut, list(map(max, zip(*order)))
 
 
 def build_rg(net: Net, max_states: Optional[int] = None):
@@ -331,14 +337,14 @@ def build_rg(net: Net, max_states: Optional[int] = None):
 
     labels = net.transitions
     if len(net.places) >= _PACKED_PLACES:
-        order, names, edges, truncated, place_bounds = _bfs_by_key(net, cutoff)
+        order, names, edges, cut, place_bounds = _bfs_by_key(net, cutoff)
     else:
         index = {net.initial: 0}
         order = [net.initial]
         names = ["M0"]
         edges = []
         place_bounds = list(net.initial)
-        truncated = False
+        cut = set()  # the states that lost an edge to the cutoff
         for i, m in enumerate(order):  # order grows while it is read: it is the BFS queue
             s = names[i]
             for ti in _enabled_i(net, m):
@@ -346,7 +352,7 @@ def build_rg(net: Net, max_states: Optional[int] = None):
                 j = index.get(m2)
                 if j is None:
                     if len(order) >= cutoff:
-                        truncated = True
+                        cut.add(i)
                         continue
                     j = index[m2] = len(order)
                     order.append(m2)
@@ -364,13 +370,15 @@ def build_rg(net: Net, max_states: Optional[int] = None):
     # state equation M = M0 + C*Parikh(sigma), paths with one Parikh vector
     # from one state, or into one state, end at one state at every depth.
     lts._deterministic = lts._parikh_deterministic = True
-    if not truncated:
+    if cut:
+        lts._cut = cut
+    else:
         lts._net = net
     k = max(place_bounds, default=0)
     report = BoundReport(
-        status="cutoff-reached" if truncated else "bounded", k_bound=k,
+        status="cutoff-reached" if cut else "bounded", k_bound=k,
         place_bounds={p: place_bounds[i] for i, p in enumerate(net.places)},
-        safe=None if truncated else k <= 1, state_count=len(order),
+        safe=None if cut else k <= 1, state_count=len(order),
         edge_count=len(lts.edges), cutoff=cutoff)
     return lts, report
 

@@ -249,6 +249,46 @@ def _may_disable(net: Net) -> list:
     return table
 
 
+def _components(net: Net) -> list:
+    """The connected components of the net as (transition indices, place
+    indices) pairs, both increasing, ordered by least transition index.
+    Transitions joined by a chain of arcs share a component, found by
+    union-find over the arcs; a place with no arc lies in none.  Like
+    _may_disable it is built per call and stored on no Net."""
+    parent = list(range(len(net.transitions)))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    owner = {}  # place index -> the first transition with an arc to it
+    for ti, (pre, post) in enumerate(zip(net._pre, net._post)):
+        for pi in (*pre, *post):
+            a, b = root(ti), root(owner.setdefault(pi, ti))
+            if a != b:  # the root of a component is its least transition
+                parent[max(a, b)] = min(a, b)
+    groups = {}
+    for ti in range(len(parent)):
+        groups.setdefault(root(ti), ([], []))[0].append(ti)
+    for pi in sorted(owner):
+        groups[root(owner[pi])][1].append(pi)
+    return list(groups.values())
+
+
+def _sub_net(net: Net, transitions, places, m: Marking, name=None) -> Net:
+    """The net of the given transition and place indices, with every arc
+    between them and marking m restricted to the places."""
+    P, T = net.places, net.transitions
+    keep = set(places)
+    arcs = [(P[pi], T[ti], w) for ti in transitions
+            for pi, w in net._inputs[ti] if pi in keep]
+    arcs += [(T[ti], P[pi], w) for ti in transitions
+             for pi, w in net._outputs[ti] if pi in keep]
+    return Net(name or f"{net.name}[{T[transitions[0]]}]", [P[pi] for pi in places],
+               [T[ti] for ti in transitions], arcs, {P[pi]: m[pi] for pi in places})
+
+
 def enabled(net: Net, m: Marking, t: str) -> bool:
     """True iff every place holds at least the input weight of t."""
     net._check_state(m)
@@ -570,9 +610,7 @@ def restrict_to_component(net: Net, component: str, name=None) -> Net:
     """The sub-net of a disjoint sum consisting of one component."""
     if net.components is None:
         raise InputError(f"net '{net.name}' carries no component tags")
-    places = [p for p in net.places if net.components.get(p) == component]
-    transitions = [t for t in net.transitions if net.components.get(t) == component]
-    keep = set(places) | set(transitions)
-    arcs = [(s, d, w) for s, d, w in net.arcs() if s in keep and d in keep]
-    marking = {p: net.initial[net.place_index(p)] for p in places}
-    return Net(name or f"{net.name}[{component}]", places, transitions, arcs, marking)
+    tag = net.components.get
+    return _sub_net(net, [ti for ti, t in enumerate(net.transitions) if tag(t) == component],
+                    [pi for pi, p in enumerate(net.places) if tag(p) == component],
+                    net.initial, name or f"{net.name}[{component}]")

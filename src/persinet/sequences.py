@@ -29,8 +29,11 @@ from .net import (
     Net,
     _disabled_by,
     _enabled_i,
+    _components,
     _fire_i,
+    _may_disable,
     _replay,
+    _sub_net,
     classify_structure,
     enabled,
     fire,
@@ -231,6 +234,8 @@ def _persistent_levels(net, m0, max_len, memo=None):
     level = {m0: 1}
     total = 0
     for _ in range(max_len):
+        # _next_level's loop with the persistence test inside: a separate
+        # test pass cost this pass about 15% on small random nets
         nxt = {}
         for m, n in level.items():
             steps = _steps(net, m, memo).values()
@@ -407,12 +412,38 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
     markings (_persistent_levels); when no marking reached in fewer than
     bound steps has a nonpersistent step, every word is persistent and the
     check holds, searched_count being the number of nonempty words.
-    Otherwise it enumerates sequences breadth-first and exhausts whole
-    permutation classes (memoised, so each class is settled once), and
-    searched_count is the number of nonempty words visited.  The level,
-    word and class passes read one step memo (_steps), so each marking is
-    expanded once per check, and a class member's swaps and persistence
-    are read off it instead of replaying the member.  Mode
+    Otherwise, on a connected net, it enumerates sequences breadth-first
+    and exhausts whole permutation classes (memoised, so each class is
+    settled once), and searched_count is the number of nonempty words
+    visited.  The level, word and class passes read one step memo
+    (_steps), so each marking is expanded once per check, and a class
+    member's swaps and persistence are read off it instead of replaying
+    the member.
+
+    A net of two or more connected components (net._components) is
+    searched one component at a time.  Transitions of different components
+    share no place, so neither can disable the other, and adjacent letters
+    of different components always swap.  Hence a word w has a persistent
+    permutation equivalent iff each projection w|C onto a component C has
+    one in C's sub-net: the projections of a swap sequence from w to a
+    persistent v are swap sequences from each w|C to the persistent v|C,
+    and conversely the persistent equivalents of the projections,
+    concatenated, are persistent and equivalent to w.  So if w refutes,
+    some w|C refutes, and w|C is itself a word of the net, no longer than
+    w; the shortest counterexamples therefore use the letters of one
+    component only, and a one-component word refutes in the net iff it
+    refutes in its component.  Restriction keeps the transition order, so
+    lex order within a component is the net's.  Each component with a
+    nonempty may-disable row (the others have only persistent steps) is
+    searched as above on its sub-net, marked by the start marking
+    restricted to its places, with the same guard, and each later one up
+    to the length of the best counterexample so far; the verdict is the
+    least counterexample by (length, lex order), or holds.  searched_count
+    is the same number the enumeration of the whole net gives, counted
+    over its markings on the one step memo (_shortlex_rank): the words up
+    to the bound, or the words shortlex-before the counterexample plus
+    one.  The guard therefore bounds the classes of each component's
+    search, not those of the whole net.  Mode
     "parikh" exploits that the answer depends on the Parikh vector alone:
     by the state equation the marking after a sequence depends only on its
     vector, and so does whether a step from there is persistent.  One
@@ -458,9 +489,30 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
                 break
         return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)
 
+    word, searched = _perm_search(net, start, bound, guard, memo)
+    if word is None:
+        return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)
+    return SpeVerdict(mode, bound, "refuted", word, searched)
+
+
+def _perm_search(net, start, bound, guard, memo, split=True):
+    """Perm-mode spe_check from start: (its counterexample or None, its
+    searched_count).  split=False searches the net whole, as each
+    component's sub-net is searched: a component is connected."""
     count = _persistent_levels(net, start, bound, memo)
     if count is not None:
-        return SpeVerdict(mode, bound, "holds-up-to-bound", None, count)
+        return None, count
+    parts = _conflicting_parts(net, start) if split else None
+    if parts is not None:
+        best = None
+        for sub in parts:
+            w, _ = _perm_search(sub, sub.initial, bound if best is None else len(best),
+                                guard, {}, split=False)
+            if w is not None and (best is None or (len(w), _lex_key(net, w))
+                                  < (len(best), _lex_key(net, best))):
+                best = w
+        return best, _shortlex_rank(net, start, bound, memo, best)
+    searched = 0
     settled_words = set()  # class members already known to have an equivalent
     words = _firable_words(net, start, bound, memo)
     next(words)  # the empty word
@@ -474,9 +526,67 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
             members.append(w)
             good = good or _persistent_along(net, w, marks, memo)
         if not good:
-            return SpeVerdict(mode, bound, "refuted", w2, searched)
+            return w2, searched
         settled_words.update(members)
-    return SpeVerdict(mode, bound, "holds-up-to-bound", None, searched)
+    return None, searched
+
+
+def _conflicting_parts(net, m):
+    """The sub-nets, marked by m, of the components of a net with two or
+    more that can refute, in component order; None on a connected net.  A
+    component none of whose transitions can disable another (every
+    may-disable row empty) has only persistent steps, and gets no sub-net."""
+    components = _components(net)
+    if len(components) < 2:
+        return None
+    table = _may_disable(net)
+    return [_sub_net(net, ts, ps, m) for ts, ps in components
+            if any(table[ti] for ti in ts)]
+
+
+def _next_level(net, level, memo):
+    """The level after level, a map from markings to word counts: each
+    successor marking gets the counts of the markings stepping into it."""
+    nxt = {}
+    for m, n in level.items():
+        for m2, _ in _steps(net, m, memo).values():
+            nxt[m2] = nxt.get(m2, 0) + n
+    return nxt
+
+
+def _shortlex_rank(net, m0, max_len, memo, word=None):
+    """The number of nonempty firable words from m0 up to and including
+    word in shortlex order (by length, then lexicographically); with no
+    word, those of length <= max_len.
+
+    The count runs over markings, as _persistent_levels does: the words of
+    each length shorter than word's, then the words of its length that are
+    lex-before it.  Such a word first differs from word at some position i
+    with a smaller letter x there, so below maps each marking at depth i+1
+    to the number of those words' prefixes reaching it: one more for each
+    x < word[i] enabled after word[:i], carried on by _next_level.
+    """
+    depth = max_len if word is None else len(word) - 1
+    level = {m0: 1}
+    total = 0
+    for _ in range(depth):
+        level = _next_level(net, level, memo)
+        total += sum(level.values())
+    if word is None:
+        return total
+    index = net._tidx
+    below = {}
+    m = m0
+    for t in word:
+        below = _next_level(net, below, memo)
+        steps = _steps(net, m, memo)
+        ti = index[t]
+        for x, (m2, _) in steps.items():
+            if x >= ti:
+                break
+            below[m2] = below.get(m2, 0) + 1
+        m = steps[ti][0]
+    return total + sum(below.values()) + 1
 
 
 # -- diamonds and unification --------------------------------------------------

@@ -348,6 +348,27 @@ class TestProperties:
         lone = Lts("one", ["s"], [], [], "s")
         assert lts_properties(lone).deadlocks == ("s",)
 
+    def test_cut_off_graph_lists_only_real_deadlocks(self, fig1):
+        # a state budget drops the edges into undiscovered states; a state
+        # that lost one enables a transition, so it is no deadlock.  fig1
+        # has 5 places, fig10 8 and fig1 + par2 9: both BFS of build_rg.
+        from persinet import enabled_transitions
+
+        assert build_rg(fig1, 3)[0].deadlocks() == ()
+        par2 = Net("par2", ["p0", "q0", "p1", "q1"], ["a0", "b0", "a1", "b1"],
+                   [("p0", "a0", 1), ("a0", "q0", 1), ("q0", "b0", 1), ("b0", "p0", 1),
+                    ("p1", "a1", 1), ("a1", "q1", 1), ("q1", "b1", 1), ("b1", "p1", 1)],
+                   {"p0": 1, "p1": 1})
+        fig10 = corpus_load("fig10_fpe_not_spe").net
+        for net in (fig1, fig10, disjoint_sum(fig1, par2)):
+            total = build_rg(net)[1].state_count
+            for budget in range(1, total + 2):
+                rg, rep = build_rg(net, budget)
+                real = tuple(s for s in rg.states
+                             if not enabled_transitions(net, rg.payload[s]))
+                assert rg.deadlocks() == lts_properties(rg).deadlocks == real
+                assert (rep.status == "bounded") == (budget >= total)
+
     def test_nondeterministic_detected(self):
         branchy = Lts("nd", ["s", "t", "u"], ["a"],
                       [("s", "a", "t"), ("s", "a", "u")], "s")

@@ -23,8 +23,8 @@ from persinet import (
     project_sequence,
     reverse_dual,
 )
-from persinet.net import (ClassReport, _enabled_i, _fire_i, _may_disable,
-                          replay_class_witness)
+from persinet.net import (ClassReport, _components, _enabled_i, _fire_i, _may_disable,
+                          _sub_net, replay_class_witness)
 
 
 def seq(text):
@@ -354,6 +354,68 @@ class TestMayDisable:
         # fig7_left's two self-loops on one place disable nothing: a
         # conflict-free net though they share their input place
         assert not any(_may_disable(pn.corpus_load("fig7_left").net))
+
+
+def _components_by_search(net):
+    """The components by a search from each transition over shared places:
+    a reference for net._components."""
+    touches = [set(pre) | set(post) for pre, post in zip(net._pre, net._post)]
+    seen, out = set(), []
+    for t0 in range(len(touches)):
+        if t0 in seen:
+            continue
+        group, todo = {t0}, [t0]
+        while todo:
+            t = todo.pop()
+            for u in range(len(touches)):
+                if u not in group and touches[t] & touches[u]:
+                    group.add(u)
+                    todo.append(u)
+        seen |= group
+        out.append((sorted(group), sorted(set().union(*(touches[t] for t in group)))))
+    return out
+
+
+class TestComponents:
+    """net._components splits the transitions into connected components,
+    ordered by least transition index, each with the places its arcs reach."""
+
+    def test_against_search(self):
+        nets = [corpus_load(name).net for name in pn.corpus_names()]
+        nets = [net for net in nets if net is not None]
+        for s in range(150):
+            a = gen_random_net(GenConfig(seed=s))
+            b = gen_random_net(GenConfig(seed=s, places=3, transitions=3, token_budget=2))
+            nets += [a, disjoint_sum(a, b), disjoint_sum(b, disjoint_sum(a, b))]
+        split = 0
+        for net in nets:
+            got = _components(net)
+            assert got == _components_by_search(net), net.name
+            assert sorted(t for ts, _ in got for t in ts) == list(range(len(net.transitions)))
+            split += len(got) > 1
+        assert split > 300
+
+    def test_sum_order_and_isolated_places(self, fig1):
+        # par-like cycles interleaved by declaration order, an isolated place
+        # and a transition without arcs
+        net = Net("mix", ["p", "q", "z", "r"], ["a", "c", "b", "e"],
+                  [("p", "a", 1), ("a", "q", 1), ("r", "c", 1), ("q", "b", 1), ("b", "p", 1)],
+                  {"p": 1})
+        assert _components(net) == [([0, 2], [0, 1]), ([1], [3]), ([3], [])]
+        assert _components(disjoint_sum(fig1, fig1)) == [
+            ([0, 1, 2, 3], [0, 1, 2, 3, 4]), ([4, 5, 6, 7], [5, 6, 7, 8, 9])]
+
+    def test_sub_net(self, fig1):
+        net = disjoint_sum(fig1, corpus_load("fig2_confuse").net)
+        m = fire(net, net.initial, "c")
+        (ts, ps), (ts2, ps2) = _components(net)
+        left = _sub_net(net, ts, ps, m)
+        assert left.places == fig1.places and left.transitions == fig1.transitions
+        assert left.structurally_equal(fig1)
+        assert left.initial == fire(fig1, fig1.initial, "c")
+        right = pn.restrict_to_component(net, "r")
+        assert right.structurally_equal(_sub_net(net, ts2, ps2, net.initial))
+        assert right.initial == tuple(net.initial[pi] for pi in ps2)
 
 
 class TestConstructions:

@@ -645,6 +645,141 @@ class TestPersistentLevels:
             monkeypatch.setattr(sequences, "_enabled_i", real)
 
 
+def _split(net, bound):
+    """Whether perm spe_check splits net: a nonpersistent step below the
+    bound, and two or more components."""
+    from persinet.net import _components
+    from persinet.sequences import _persistent_levels
+
+    return (_persistent_levels(net, net.initial, bound) is None
+            and len(_components(net)) > 1)
+
+
+class TestComponentSplit:
+    """Perm-mode spe_check on a net of two or more components searches each
+    component that can refute alone and counts searched_count over the whole
+    net's markings: status, counterexample and count must be the unpruned
+    oracle's on the whole net."""
+
+    @staticmethod
+    def _agrees(net, bound):
+        from persinet.theorems import oracle_spe_check
+
+        fast = spe_check(net, bound, pn.SPE)
+        slow = oracle_spe_check(net, bound, pn.SPE)
+        assert (fast.status, fast.counterexample, fast.searched_count) == \
+            (slow.status, slow.counterexample, slow.searched_count), (net.name, bound)
+        return fast
+
+    def test_generator_sums_against_oracle(self):
+        # default-config nets summed with criterion-10 nets, on either side;
+        # random nonpersistent components nearly always refute, so every
+        # criterion-10 net that holds after a nonpersistent step is also
+        # summed with default nets, which gives split sums that hold
+        from persinet.sequences import _persistent_levels
+
+        crit = TestKernelsAgainstOracle.NETS
+        holding = [net for net in crit
+                   if _persistent_levels(net, net.initial, 6) is None
+                   and not spe_check(net, 6, pn.SPE).refuted]
+        assert holding
+        sums = []
+        for s in range(150):
+            a, b = gen_random_net(GenConfig(seed=s)), crit[s]
+            sums.append(pn.disjoint_sum(a, b) if s % 2 else pn.disjoint_sum(b, a))
+        for s in range(25):
+            a = gen_random_net(GenConfig(seed=s))
+            for net in holding:
+                sums += [pn.disjoint_sum(net, a), pn.disjoint_sum(a, net)]
+        assert len(sums) >= 200
+        verdicts = {}
+        for net in sums:
+            for bound in (4, 6):
+                verdict = self._agrees(net, bound)
+                if _split(net, bound):
+                    verdicts[verdict.status] = verdicts.get(verdict.status, 0) + 1
+        assert sum(verdicts.values()) >= 100
+        assert min(verdicts.get(k, 0) for k in ("holds-up-to-bound", "refuted")) >= 20
+
+    def test_corpus_with_par2_against_oracle(self):
+        statuses = set()
+        for name in pn.corpus_names():
+            net = corpus_load(name).net
+            if net is None:
+                continue
+            for total in (pn.disjoint_sum(net, _par(2)), pn.disjoint_sum(_par(2), net)):
+                verdict = self._agrees(total, 5)
+                if _split(total, 5):
+                    statuses.add(verdict.status)
+        assert statuses == {"holds-up-to-bound", "refuted"}
+
+    def test_fig1_par3_pinned(self):
+        net = pn.disjoint_sum(corpus_load("fig1_basic").net, _par(3))
+        for bound, words in ((8, 269820), (10, 4298274)):
+            verdict = spe_check(net, bound, pn.SPE)
+            assert (verdict.status, verdict.searched_count) == ("holds-up-to-bound", words)
+
+    def test_lex_least_of_two_refuting_components(self):
+        # fig1 after c refutes with d b; two copies side by side both
+        # refute at length 2, and the left copy's word is lex-first
+        fig1 = corpus_load("fig1_basic").net
+        after_c = Net("fig1c", fig1.places, fig1.transitions, fig1.arcs(),
+                      fig1.marking_dict(fire(fig1, fig1.initial, "c")))
+        assert spe_check(after_c, 6, pn.SPE).counterexample == seq("d b")
+        both = pn.disjoint_sum(after_c, after_c)
+        assert self._agrees(both, 4).counterexample == seq("l.d l.b")
+        # a shorter counterexample in the later component wins
+        fig2 = corpus_load("fig2_confuse").net
+        assert spe_check(fig2, 6, pn.SPE).counterexample == seq("x")
+        assert self._agrees(pn.disjoint_sum(after_c, fig2), 4).counterexample == seq("x")
+        # from other start markings, each restricted to the components, as
+        # the unsplit search of the whole net answers
+        from persinet.sequences import _firable_words, _perm_search
+
+        for total in (both, pn.disjoint_sum(fig1, after_c)):
+            for _, m, _ in _firable_words(total, total.initial, 3):
+                verdict = spe_check(total, 4, pn.SPE, m0=m)
+                assert (verdict.counterexample, verdict.searched_count) == \
+                    _perm_search(total, m, 4, None, {}, split=False)
+
+    def test_sums_expand_each_marking_once(self, monkeypatch):
+        # the level and count passes share the whole net's step memo, and
+        # each component's search has its own: a marking is expanded at most
+        # once per net.  Expansions are keyed by net, since two components
+        # can share a marking tuple.
+        from persinet import sequences
+
+        nets = [pn.disjoint_sum(gen_random_net(GenConfig(seed=s)),
+                                TestKernelsAgainstOracle.NETS[s]) for s in range(40)]
+        fig1 = corpus_load("fig1_basic").net
+        nets += [pn.disjoint_sum(fig1, _par(2)), pn.disjoint_sum(fig1, fig1)]
+        real_steps, real_enabled = sequences._steps, sequences._enabled_i
+        expanded, alive = [], []
+
+        def spy_steps(net, m, memo):
+            if m not in memo:
+                alive.append(net)
+                expanded.append((id(net), m))
+            return real_steps(net, m, memo)
+
+        def spy_enabled(net, m, *a):
+            alive.append(net)
+            expanded.append((id(net), m))
+            return real_enabled(net, m, *a)
+
+        split = 0
+        for net in nets:
+            want = spe_check(net, 5, pn.SPE)
+            split += _split(net, 5)
+            for name, spy in (("_steps", spy_steps), ("_enabled_i", spy_enabled)):
+                monkeypatch.setattr(sequences, name, spy)
+                expanded.clear()
+                assert spe_check(net, 5, pn.SPE) == want
+                assert len(expanded) == len(set(expanded))
+                monkeypatch.undo()
+        assert split >= 20
+
+
 class TestSpeCheck:
     def test_fig1_holds(self, fig1):
         for mode in (pn.SPE, pn.SPE_PARIKH):
