@@ -53,7 +53,9 @@ class Lts:
     dict {label index: (target indices)}, labels in declaration order and
     targets in edge order.  The constructor builds them in the one pass
     over the edges that also validates them, so the edge in hand when an id
-    lookup fails is the first offender.  The reverse rows {label index:
+    lookup fails is the first offender.  That pass is also the only
+    validation of the edges of a parsed LTS: textio.parse_lts keeps no edge
+    set of its own.  The reverse rows {label index:
     [source indices]}, sources in state order, are derived from them only
     when predecessors are asked for.  The name-level accessors below are
     projections of the rows.

@@ -36,7 +36,6 @@ from .net import (
     _sub_net,
     classify_structure,
     enabled,
-    fire,
     fire_sequence,
 )
 
@@ -606,20 +605,24 @@ def complete_diamond(net: Net, m: Marking, y: str, x: str) -> Marking:
             f"('{net.name}' is{' not plain' if not report.plain else ''}"
             f"{' not pure' if not report.pure else ''})")
     net._check_marking(m)
-    if not enabled(net, m, y):
+    net._check_behavioural()
+    yi = net.transition_index(y)
+    m_via_y = _fire_i(net, m, yi)
+    if m_via_y is None:
         raise InputError(f"premise failed: '{y}' is not enabled")
-    m_via_y = fire(net, m, y)
-    if not enabled(net, m_via_y, x):
+    xi = net.transition_index(x)
+    m_via_yx = _fire_i(net, m_via_y, xi)
+    if m_via_yx is None:
         raise InputError(f"premise failed: '{x}' is not enabled after '{y}'")
-    if not enabled(net, m, x):
+    m_via_x = _fire_i(net, m, xi)
+    if m_via_x is None:
         raise InputError(f"premise failed: '{x}' is not enabled")
-    m_via_x = fire(net, m, x)
-    if not enabled(net, m_via_x, y):
+    hat = _fire_i(net, m_via_x, yi)
+    if hat is None:
         raise InvariantError(
             f"diamond completion failed on a pure plain net at {m} with "
             f"y='{y}', x='{x}'")
-    hat = fire(net, m_via_x, y)
-    if hat != fire(net, m_via_y, x):
+    if hat != m_via_yx:
         raise InvariantError("diamond corners disagree; firing rule broken")
     return hat
 

@@ -2,7 +2,11 @@
 lassos, plus DOT export.
 
 One declaration per line, '#' starts a comment, blank lines are ignored.
-Printing emits a canonical form and parsing it back reproduces the object,
+Printing emits a canonical form, and parsing a printed net gives the net
+back.  LTS and pattern documents declare no labels, so parsing declares
+them in order of first use: a printed LTS parses back with the same states,
+edges and initial state, but with its labels in that order and without the
+labels no edge uses.  A parsed LTS prints and parses back unchanged (==),
 which the corpus round-trip suite pins down.
 
     net:      net NAME / place ID [init N] / trans ID / arc ID -> ID [W]
@@ -28,10 +32,14 @@ from .patterns import Embedding, Pattern
 
 
 def _lines(text):
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield no, line.split()
+    """(line number, tokens) of each line with a token, comments removed."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for no, raw in enumerate(lines, start=1):
+        tok = raw.split()
+        if tok:
+            yield no, tok
 
 
 def _nat(token, no, minimum=0):
@@ -112,18 +120,26 @@ def print_net(net: Net) -> str:
 
 
 def parse_lts(text: str) -> Lts:
+    """Parse an LTS document.  Labels are declared in order of first use on
+    an edge.  The Lts constructor is the only check of the edges: it
+    rejects unknown states and duplicate edges."""
+    try:
+        return _parse_lts(text)
+    except ParseError as exc:
+        _raise_earlier_duplicate_edge(text, exc.line)
+        raise
+
+
+def _parse_lts(text: str) -> Lts:
     name, initial = None, None
     states, edges = [], []
-    labels = {}  # first-use order
-    seen_states, seen_edges = set(), set()
+    seen_states = set()
     for no, tok in _lines(text):
         kind = tok[0]
-        if kind == "lts":
-            if name is not None:
-                raise ParseError("duplicate 'lts' header", no)
-            name = tok[1] if len(tok) == 2 else None
-            if name is None:
-                raise ParseError("usage: lts <name>", no)
+        if kind == "edge":
+            if len(tok) != 4:
+                raise ParseError("usage: edge <state> <label> <state>", no)
+            edges.append((tok[1], tok[2], tok[3]))
         elif kind == "state":
             if len(tok) != 2:
                 raise ParseError("usage: state <id>", no)
@@ -131,31 +147,45 @@ def parse_lts(text: str) -> Lts:
                 raise ParseError(f"duplicate state '{tok[1]}'", no)
             seen_states.add(tok[1])
             states.append(tok[1])
+        elif kind == "lts":
+            if name is not None:
+                raise ParseError("duplicate 'lts' header", no)
+            name = tok[1] if len(tok) == 2 else None
+            if name is None:
+                raise ParseError("usage: lts <name>", no)
         elif kind == "initial":
             if len(tok) != 2:
                 raise ParseError("usage: initial <id>", no)
             if initial is not None:
                 raise ParseError("duplicate 'initial'", no)
             initial = tok[1]
-        elif kind == "edge":
-            if len(tok) != 4:
-                raise ParseError("usage: edge <state> <label> <state>", no)
-            s, a, s2 = tok[1:4]
-            if (s, a, s2) in seen_edges:
-                raise ParseError(f"duplicate edge {s} {a} {s2}", no)
-            seen_edges.add((s, a, s2))
-            labels[a] = None
-            edges.append((s, a, s2))
         else:
             raise ParseError(f"unknown declaration '{kind}'", no)
     if name is None:
         raise ParseError("missing 'lts <name>' header")
     if initial is None:
         raise ParseError("missing 'initial <id>'")
+    labels = dict.fromkeys([a for _, a, _ in edges])  # first-use order
     try:
         return Lts(name, states, list(labels), edges, initial)
     except InputError as exc:
         raise ParseError(str(exc)) from None
+
+
+def _raise_earlier_duplicate_edge(text: str, failed_at) -> None:
+    """The error path of parse_lts: an edge line that repeats an earlier
+    edge is reported before any failure on a later line, and before every
+    failure that has no line (a missing header or initial state, or an
+    error of the Lts constructor)."""
+    seen = set()
+    for no, tok in _lines(text):
+        if failed_at is not None and no >= failed_at:
+            return
+        if tok[0] == "edge" and len(tok) == 4:
+            edge = (tok[1], tok[2], tok[3])
+            if edge in seen:
+                raise ParseError(f"duplicate edge {' '.join(edge)}", no) from None
+            seen.add(edge)
 
 
 def print_lts(lts: Lts) -> str:

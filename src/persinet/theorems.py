@@ -36,6 +36,8 @@ from .fairness import (
 from .lts import _bfs_tree, build_rg, complete_rg, persistence_check, shortest_path
 from .net import (
     Net,
+    _enabled_i,
+    _fire_i,
     _replay,
     classify_structure,
     enabled,
@@ -407,14 +409,17 @@ def _check_diamond_completion(report, net, bounds, seed, max_states):
     # complete_diamond checks the closing corner itself and raises
     # InvariantError when it is missing or the corners disagree
     rg, _ = build_rg(net, min(50, max_states))
+    names = net.transitions
     checked = False
     for s in rg.states:
         m = rg.payload[s]
-        for y in enabled_transitions(net, m):
-            for x in enabled_transitions(net, fire(net, m, y)):
-                if not enabled(net, m, x):
+        here = _enabled_i(net, m)
+        for yi in here:
+            for xi in _enabled_i(net, _fire_i(net, m, yi)):
+                if xi not in here:
                     continue
                 checked = True
+                y, x = names[yi], names[xi]
                 try:
                     complete_diamond(net, m, y, x)
                 except InvariantError as exc:

@@ -818,6 +818,33 @@ class TestCompleteDiamond:
         with pytest.raises(UnsupportedClassError):
             complete_diamond(net, net.initial, "y", "x")
 
+    def test_errors_in_check_order(self, fig1):
+        # the marking's shape, then a structural-only net, then y's id, the
+        # premises in diamond order, and x's id only once y has fired
+        m0 = fig1.initial  # enables c and d; a is enabled after c
+        dual = pn.reverse_dual(fig1)
+        cases = [
+            (fig1, (0,), "zz", "c", InputError,
+             "marking has 1 entries, net 'fig1_basic' has 5 places"),
+            (fig1, list(m0), "c", "d", InputError,
+             "marking must be a tuple of token counts, got list"),
+            (dual, (0,), "c", "d", InputError,
+             "marking has 1 entries, net 'rd(fig1_basic)' has 4 places"),
+            (dual, dual.initial, "zz", "c", UnsupportedClassError,
+             "net 'rd(fig1_basic)' is structural-only (reverse dual); "
+             "its marking carries no semantics"),
+            (fig1, m0, "zz", "c", UnknownIdError, "unknown transition 'zz'"),
+            (fig1, m0, "a", "zz", InputError, "premise failed: 'a' is not enabled"),
+            (fig1, m0, "c", "zz", UnknownIdError, "unknown transition 'zz'"),
+            (fig1, m0, "c", "c", InputError,
+             "premise failed: 'c' is not enabled after 'c'"),
+            (fig1, m0, "c", "a", InputError, "premise failed: 'a' is not enabled"),
+        ]
+        for net, m, y, x, kind, message in cases:
+            with pytest.raises(kind) as exc:
+                complete_diamond(net, m, y, x)
+            assert type(exc.value) is kind and str(exc.value) == message
+
     def test_equal_legs_allowed(self):
         net = Net("two", ["p"], ["t"], [("p", "t", 1)], {"p": 2})
         assert complete_diamond(net, net.initial, "t", "t") == (0,)

@@ -77,6 +77,94 @@ class TestParseLts:
                         "edge s b t\nedge t a s\nedge s a s\nedge t b t\n")
         assert lts.labels == ("b", "a")
 
+    def test_parallel_edges_are_no_duplicates(self):
+        doc = "lts x\nstate s\nstate t\ninitial s\nedge s a t\nedge s b t\nedge s a s\n"
+        assert parse_lts(doc).edges == (("s", "a", "t"), ("s", "b", "t"), ("s", "a", "s"))
+
+
+_H = "lts x\nstate s\nstate t\ninitial s\n"
+
+# the message and line of each malformed document.  An edge line that
+# repeats an earlier edge is reported before a failure on a later line and
+# before every failure with no line: a missing header or initial state, or
+# an error of the Lts constructor
+PINNED_LTS_ERRORS = [
+    ('lts x\nlts y\nstate s\ninitial s\n',
+     "line 2: duplicate 'lts' header"),
+    ('lts\nstate s\ninitial s\n',
+     'line 1: usage: lts <name>'),
+    ('lts x y\nstate s\ninitial s\n',
+     'line 1: usage: lts <name>'),
+    ('lts x\nstate\ninitial s\n',
+     'line 2: usage: state <id>'),
+    ('lts x\nstate s t\ninitial s\n',
+     'line 2: usage: state <id>'),
+    ('lts x\nstate s\nstate s\ninitial s\n',
+     "line 3: duplicate state 's'"),
+    ('lts x\nstate s\ninitial\n',
+     'line 3: usage: initial <id>'),
+    ('lts x\nstate s\ninitial s t\n',
+     'line 3: usage: initial <id>'),
+    ('lts x\nstate s\ninitial s\ninitial s\n',
+     "line 4: duplicate 'initial'"),
+    (_H + 'edge s a\n',
+     'line 5: usage: edge <state> <label> <state>'),
+    (_H + 'edge s a t t\n',
+     'line 5: usage: edge <state> <label> <state>'),
+    (_H + 'edge s a t\nedge s a t\n',
+     'line 6: duplicate edge s a t'),
+    (_H + 'bogus s\n',
+     "line 5: unknown declaration 'bogus'"),
+    ('state s\ninitial s\n',
+     "missing 'lts <name>' header"),
+    ('lts x\nstate s\n',
+     "missing 'initial <id>'"),
+    ('lts x\nstate s\ninitial u\n',
+     "lts 'x': initial state 'u' not declared"),
+    (_H + 'edge u a t\n',
+     "lts 'x': edge (u,a,t) uses unknown state"),
+    (_H + 'edge s a u\n',
+     "lts 'x': edge (s,a,u) uses unknown state"),
+    (_H + 'edge s a t\nedge s a t\nbogus\n',
+     'line 6: duplicate edge s a t'),
+    (_H + 'edge s a t\nedge s a t\nedge s b\n',
+     'line 6: duplicate edge s a t'),
+    (_H + 'edge s a t\nedge s a t\nstate s\n',
+     'line 6: duplicate edge s a t'),
+    (_H + 'edge s a t\nedge s a t\nlts y\n',
+     'line 6: duplicate edge s a t'),
+    (_H + 'bogus\nedge s a t\nedge s a t\n',
+     "line 5: unknown declaration 'bogus'"),
+    ('lts x\nstate s\nedge s a s\nedge s a s\n',
+     'line 4: duplicate edge s a s'),
+    ('state s\ninitial s\nedge s a s\nedge s a s\n',
+     'line 4: duplicate edge s a s'),
+    ('edge s a s\nedge s a s\n',
+     'line 2: duplicate edge s a s'),
+    (_H + 'edge u a t\nedge s a t\nedge s a t\n',
+     'line 7: duplicate edge s a t'),
+    ('lts x\nstate s\ninitial u\nedge s a s\nedge s a s\n',
+     'line 5: duplicate edge s a s'),
+    (_H + 'state s\nedge s a t\nedge s a t\n',
+     "line 5: duplicate state 's'"),
+    (_H + 'edge s a t\nedge t b s\nedge t b s\nedge s a t\n',
+     'line 7: duplicate edge t b s'),
+    (_H + 'edge s a t\nedge s\ta  t # again\n',
+     'line 6: duplicate edge s a t'),
+    (_H + '# comment\n\nedge s a t # first\n  \nedge s a t\n',
+     'line 9: duplicate edge s a t'),
+]
+
+
+class TestParseLtsErrors:
+    @pytest.mark.parametrize("doc,message", PINNED_LTS_ERRORS)
+    def test_pinned(self, doc, message):
+        with pytest.raises(ParseError) as exc:
+            parse_lts(doc)
+        assert str(exc.value) == message
+        line = message.split(":", 1)[0]
+        assert exc.value.line == (int(line[5:]) if line.startswith("line ") else None)
+
 
 class TestParseLasso:
     def test_fig6(self):
