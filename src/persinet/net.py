@@ -33,42 +33,39 @@ class Net:
     Arcs are given as (source, target, weight) triples; the direction of an
     arc disambiguates input weights F(p,t) from output weights F(t,p).
     Absent arcs mean weight zero, explicit zero weights are rejected.
+
+    The constructor validates everything it is given.  Code that holds a
+    valid net, or builds one from its own ids and weights, constructs it at
+    index level with Net._of_indices instead.  Both paths end in _finish,
+    which derives the index tables.
     """
 
     def __init__(self, name, places, transitions, arcs=(), marking=None,
                  structural_only=False, components=None):
         places = tuple(places)
         transitions = tuple(transitions)
-        if len(set(places)) != len(places):
+        pidx = {p: i for i, p in enumerate(places)}
+        tidx = {t: i for i, t in enumerate(transitions)}
+        if len(pidx) != len(places):
             raise InputError(f"net '{name}': duplicate place ids")
-        if len(set(transitions)) != len(transitions):
+        if len(tidx) != len(transitions):
             raise InputError(f"net '{name}': duplicate transition ids")
-        overlap = set(places) & set(transitions)
+        overlap = pidx.keys() & tidx.keys()
         if overlap:
             raise InputError(
                 f"net '{name}': ids used both as place and transition: {sorted(overlap)}")
 
-        self.name = name
-        self.places = places
-        self.transitions = transitions
-        self._pidx = {p: i for i, p in enumerate(places)}
-        self._tidx = {t: i for i, t in enumerate(transitions)}
-        # sparse weights per transition index: {place index: weight}
-        self._pre = [dict() for _ in transitions]
-        self._post = [dict() for _ in transitions]
-        #: the largest output arc weight: no firing adds more to a place
-        self._max_out = 0
+        pre = [{} for _ in transitions]
+        post = [{} for _ in transitions]
         for src, dst, w in arcs:
             if not isinstance(w, int) or w < 1:
                 raise InputError(f"net '{name}': arc {src} -> {dst} weight must be >= 1")
-            if src in self._pidx and dst in self._tidx:
-                tgt = self._pre[self._tidx[dst]]
-                key = self._pidx[src]
-            elif src in self._tidx and dst in self._pidx:
-                tgt = self._post[self._tidx[src]]
-                key = self._pidx[dst]
-                if w > self._max_out:
-                    self._max_out = w
+            if src in pidx and dst in tidx:
+                tgt = pre[tidx[dst]]
+                key = pidx[src]
+            elif src in tidx and dst in pidx:
+                tgt = post[tidx[src]]
+                key = pidx[dst]
             else:
                 raise UnknownIdError(
                     f"net '{name}': arc {src} -> {dst} does not join a declared "
@@ -76,14 +73,10 @@ class Net:
             if key in tgt:
                 raise InputError(f"net '{name}': duplicate arc {src} -> {dst}")
             tgt[key] = w
-        # the same weights as (place index, weight) pairs, which the firing
-        # primitives iterate faster than dicts
-        self._inputs = tuple(tuple(pre.items()) for pre in self._pre)
-        self._outputs = tuple(tuple(post.items()) for post in self._post)
 
         marking = dict(marking or {})
         for p in marking:
-            if p not in self._pidx:
+            if p not in pidx:
                 raise UnknownIdError(f"net '{name}': marked place '{p}' not declared")
         tokens = []
         for p in places:
@@ -91,7 +84,43 @@ class Net:
             if not isinstance(n, int) or n < 0:
                 raise InputError(f"net '{name}': marking of '{p}' must be a natural")
             tokens.append(n)
-        self.initial = tuple(tokens)
+        self._finish(name, places, transitions, pre, post, tuple(tokens),
+                     structural_only, components)
+
+    @classmethod
+    def _of_indices(cls, name, places, transitions, pre, post, initial) -> "Net":
+        """The net of per-transition {place index: weight} dicts pre and post
+        and the token tuple initial, which it keeps as given.
+
+        Nothing is validated: places and transitions must be tuples of
+        distinct ids, disjoint from each other, every weight an int >= 1 and
+        initial one natural per place.  So only code that starts from a
+        valid net (_sub_net) or from its own construction (the generator)
+        may call it.
+        """
+        net = cls.__new__(cls)
+        net._finish(name, places, transitions, pre, post, initial)
+        return net
+
+    def _finish(self, name, places, transitions, pre, post, initial,
+                structural_only=False, components=None):
+        """Store a valid net's parts and derive its index tables: the one
+        place where the id indices, the firing rows and _max_out are made."""
+        self.name = name
+        self.places = places
+        self.transitions = transitions
+        self._pidx = {p: i for i, p in enumerate(places)}
+        self._tidx = {t: i for i, t in enumerate(transitions)}
+        # sparse weights per transition index: {place index: weight}
+        self._pre = pre
+        self._post = post
+        # the same weights as (place index, weight) pairs, which the firing
+        # primitives iterate faster than dicts
+        self._inputs = tuple([tuple(row.items()) for row in pre])
+        self._outputs = tuple([tuple(row.items()) for row in post])
+        #: the largest output arc weight: no firing adds more to a place
+        self._max_out = max([max(row.values()) for row in post if row], default=0)
+        self.initial = initial
         #: True for nets produced by reverse_dual: the marking carries no
         #: semantics and behavioural operations must reject the net.
         self.structural_only = bool(structural_only)
@@ -280,13 +309,13 @@ def _sub_net(net: Net, transitions, places, m: Marking, name=None) -> Net:
     """The net of the given transition and place indices, with every arc
     between them and marking m restricted to the places."""
     P, T = net.places, net.transitions
-    keep = set(places)
-    arcs = [(P[pi], T[ti], w) for ti in transitions
-            for pi, w in net._inputs[ti] if pi in keep]
-    arcs += [(T[ti], P[pi], w) for ti in transitions
-             for pi, w in net._outputs[ti] if pi in keep]
-    return Net(name or f"{net.name}[{T[transitions[0]]}]", [P[pi] for pi in places],
-               [T[ti] for ti in transitions], arcs, {P[pi]: m[pi] for pi in places})
+    sub = {pi: i for i, pi in enumerate(places)}  # place index -> sub-net index
+    pre = [{sub[pi]: w for pi, w in net._inputs[ti] if pi in sub} for ti in transitions]
+    post = [{sub[pi]: w for pi, w in net._outputs[ti] if pi in sub} for ti in transitions]
+    return Net._of_indices(name or f"{net.name}[{T[transitions[0]]}]",
+                           tuple([P[pi] for pi in places]),
+                           tuple([T[ti] for ti in transitions]), pre, post,
+                           tuple([m[pi] for pi in places]))
 
 
 def enabled(net: Net, m: Marking, t: str) -> bool:
@@ -398,6 +427,10 @@ class ClassReport:
         return getattr(self, name)
 
 
+#: the ClassReport flag names, in field order
+_FLAGS = tuple(f.name for f in fields(ClassReport) if f.name != "witnesses")
+
+
 def _tangled(a, b) -> bool:
     """a and b meet, yet neither contains the other."""
     return bool(a & b) and not (a <= b or b <= a)
@@ -488,8 +521,7 @@ def classify_structure(net: Net) -> ClassReport:
 
     # every other flag holds iff it has no witness
     report = ClassReport(witnesses=witnesses, **{
-        f.name: flags.get(f.name, f.name not in witnesses)
-        for f in fields(ClassReport) if f.name != "witnesses"})
+        flag: flags.get(flag, flag not in witnesses) for flag in _FLAGS})
     net.__dict__["_class_report"] = report
     return report
 

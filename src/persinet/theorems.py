@@ -114,28 +114,29 @@ class GenConfig:
         object.__setattr__(self, "class_constraint", constraint)
 
 
-def _repair_equal_conflict(rng, pre):
+def _repair_equal_conflict(pre):
     """Copy one input vector across each conflict-connected component.
 
     Duplicating the full input-weight vector is the minimal change that
     makes conflicting transitions agree; copying can create new conflicts,
-    so iterate to a fixpoint.
+    so iterate to a fixpoint.  Each component copies the vector of its
+    least transition, the root of its union-find tree.
     """
     nt = len(pre)
+    parent = list(range(nt))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
     changed = True
     while changed:
         changed = False
-        parent = list(range(nt))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
+        parent[:] = range(nt)
         for i in range(nt):
             for j in range(i + 1, nt):
-                if set(pre[i]) & set(pre[j]):
+                if not pre[i].keys().isdisjoint(pre[j]):
                     ri, rj = find(i), find(j)
                     if ri != rj:
                         parent[max(ri, rj)] = min(ri, rj)
@@ -155,75 +156,82 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
     rejection sampling with fresh draws from the same stream.  Every
     transition keeps at least one input and never produces more tokens than
     it consumes, so the sampled nets are bounded by construction.
+
+    Each draw is built at index level, as per-transition {place index:
+    weight} dicts and a token tuple, and becomes a Net through
+    Net._of_indices: its ids p0.. and t0.. are distinct and every weight
+    is at least 1, so there is nothing for the validating constructor to
+    check.  CF rejects a draw before any Net exists; the class report then
+    re-checks every structural flag demanded, and a safe constraint reads
+    the reachability graph.
     """
     rng = random.Random(cfg.seed)
+    random_, randrange = rng.random, rng.randrange
     want = set(cfg.class_constraint)
     demanded = _demanded_flags(want)
     structural = demanded - {"safe"}  # the flags the class report decides
     plain = "plain" in demanded or cfg.max_weight == 1
+    pure = "pure" in demanded
+    n_places, density, top = cfg.places, cfg.arc_density, cfg.max_weight + 1
+    name = f"gen{cfg.seed}"
+    places = tuple([f"p{i}" for i in range(n_places)])
+    transitions = tuple([f"t{i}" for i in range(cfg.transitions)])
+
+    def shuffle_key(_):  # one draw per item: sorted() by it is a shuffle
+        return random_()
+
     for _ in range(400):
-        places = [f"p{i}" for i in range(cfg.places)]
-        transitions = [f"t{i}" for i in range(cfg.transitions)]
-        pre = [dict() for _ in transitions]
-        post = [dict() for _ in transitions]
-        for ti in range(cfg.transitions):
-            for pi in range(cfg.places):
-                if rng.random() < cfg.arc_density:
-                    pre[ti][pi] = 1 if plain else rng.randint(1, cfg.max_weight)
-                if rng.random() < cfg.arc_density:
-                    post[ti][pi] = 1 if plain else rng.randint(1, cfg.max_weight)
-        if "pure" in demanded:
-            for ti in range(cfg.transitions):
-                for pi in list(pre[ti]):
-                    if pi in post[ti]:
-                        del post[ti][pi]
-        for ti in range(cfg.transitions):
-            if not pre[ti]:
-                pi = rng.randrange(cfg.places)
+        pre, post = [], []
+        for _ in transitions:
+            ins, outs = {}, {}
+            for pi in range(n_places):
+                if random_() < density:
+                    ins[pi] = 1 if plain else randrange(1, top)
+                if random_() < density:
+                    w = 1 if plain else randrange(1, top)
+                    if not (pure and pi in ins):
+                        outs[pi] = w
+            pre.append(ins)
+            post.append(outs)
+        for ins, outs in zip(pre, post):
+            if not ins:
+                pi = randrange(n_places)
+                ins[pi] = 1
+                outs.pop(pi, None)
+        if "CF" in want:
+            taken = set()  # the places an earlier transition consumes from
+            for ins in pre:
+                for pi in ins.keys() & taken:
+                    del ins[pi]
+                taken.update(ins)
+            free = [pi for pi in range(n_places) if pi not in taken]
+            rng.shuffle(free)
+            empty = [ti for ti, ins in enumerate(pre) if not ins]
+            if len(empty) > len(free):
+                continue
+            for ti in empty:
+                pi = free.pop()
                 pre[ti][pi] = 1
                 post[ti].pop(pi, None)
-        if "CF" in want:
-            for pi in range(cfg.places):
-                consumers = [ti for ti in range(cfg.transitions) if pi in pre[ti]]
-                for ti in consumers[1:]:
-                    del pre[ti][pi]
-            free = [pi for pi in range(cfg.places)
-                    if not any(pi in pre[ti] for ti in range(cfg.transitions))]
-            rng.shuffle(free)
-            for ti in range(cfg.transitions):
-                if not pre[ti]:
-                    if not free:
-                        break
-                    pi = free.pop()
-                    pre[ti][pi] = 1
-                    post[ti].pop(pi, None)
-            if any(not pre[ti] for ti in range(cfg.transitions)):
-                continue
         if "FC" in want or "EC" in want:
-            _repair_equal_conflict(rng, pre)
+            _repair_equal_conflict(pre)
         # cap each transition's output weight by its input weight: the total
         # token count can then never grow, which bounds the net outright
-        for ti in range(cfg.transitions):
-            room = sum(pre[ti].values())
+        for ti, (ins, outs) in enumerate(zip(pre, post)):
+            room = sum(ins.values())
             keep = {}
-            for pi in sorted(post[ti], key=lambda x: rng.random()):
-                w = min(post[ti][pi], room)
-                if w >= 1:
-                    keep[pi] = w
-                    room -= w
+            for pi in sorted(outs, key=shuffle_key):
+                if not room:
+                    break
+                w = min(outs[pi], room)
+                keep[pi] = w
+                room -= w
             post[ti] = keep
 
-        marking = {}
+        tokens = [0] * n_places
         for _ in range(cfg.token_budget):
-            p = places[rng.randrange(cfg.places)]
-            marking[p] = marking.get(p, 0) + 1
-        arcs = []
-        for ti, t in enumerate(transitions):
-            for pi, w in pre[ti].items():
-                arcs.append((places[pi], t, w))
-            for pi, w in post[ti].items():
-                arcs.append((t, places[pi], w))
-        net = Net(f"gen{cfg.seed}", places, transitions, arcs, marking)
+            tokens[randrange(n_places)] += 1
+        net = Net._of_indices(name, places, transitions, pre, post, tuple(tokens))
 
         if structural and not all(map(classify_structure(net).flag, structural)):
             continue

@@ -88,6 +88,12 @@ _STREAM_PINS = (
      "fde152304c17fe46a9c3600c7090a581885085bbb82503e3571faecf73773a2d"),
     ({"class_constraint": ("safe",)},
      "3e6ca262c5ad8699eef81c514b4857cd50217988b20f0cd06ccf4ddb98b72313"),
+    ({"class_constraint": ("pure", "plain"), "token_budget": 4},
+     "2ad6ebee66892f8fba86d505369771f5d76a8057d77d684ab277f2c19bae420e"),
+    ({"class_constraint": ("EC",), "max_weight": 3},
+     "1611245d316de617fe03df84448c42648a5fe3fae6b1bb8fc6601ae50c097408"),
+    ({"class_constraint": ("CF",), "max_weight": 2},
+     "8898f3ab316e97555aad8521700d40bb4a26baea6ad15410e9190ffc4624bc62"),
 )
 
 
@@ -162,6 +168,61 @@ class TestGenerator:
             GenConfig(class_constraint=("XX",))
         with pytest.raises(InputError):
             GenConfig(arc_density=2.0)
+
+
+def _rows(pairs):
+    # the firing rule reads each row's (place, weight) pairs as a set
+    return [sorted(row) for row in pairs]
+
+
+class TestIndexConstructor:
+    """The nets made at index level, by the generator and by net._sub_net
+    (and so restrict_to_component), are the nets that Net.__init__ makes of
+    their names, arcs and marking."""
+
+    @staticmethod
+    def _assert_as_rebuilt(net):
+        ref = pn.Net(net.name, net.places, net.transitions, net.arcs(),
+                     net.marking_dict(net.initial))
+        assert net == ref, net.name
+        assert _rows(net._inputs) == _rows(ref._inputs), net.name
+        assert _rows(net._outputs) == _rows(ref._outputs), net.name
+        for attr in ("_max_out", "_pidx", "_tidx", "initial", "structural_only",
+                     "components"):
+            assert getattr(net, attr) == getattr(ref, attr), (net.name, attr)
+        assert classify_structure(net) == classify_structure(ref), net.name
+        # both paths end in Net._finish: hold its tables to their definitions
+        assert net._pidx == {p: i for i, p in enumerate(net.places)}
+        assert net._tidx == {t: i for i, t in enumerate(net.transitions)}
+        assert _rows(net._inputs) == _rows(row.items() for row in net._pre)
+        assert _rows(net._outputs) == _rows(row.items() for row in net._post)
+        assert net._max_out == max((w for src, _, w in net.arcs()
+                                    if src in net.transitions), default=0), net.name
+
+    @pytest.mark.parametrize("kw", [kw for kw, _ in _STREAM_PINS])
+    def test_generator(self, kw):
+        for s in range(60):
+            self._assert_as_rebuilt(gen_random_net(GenConfig(seed=s, **kw)))
+
+    def test_sub_nets_of_sums(self):
+        from persinet.net import _components, _sub_net
+
+        nets = [corpus_load(name).net for name in pn.corpus_names()]
+        nets = [net for net in nets if net is not None and not net.structural_only]
+        nets += [gen_random_net(GenConfig(seed=s, **kw))
+                 for kw in ({}, {"max_weight": 3}, {"class_constraint": ("CF",)})
+                 for s in range(20)]
+        sums = [pn.disjoint_sum(a, b) for a, b in zip(nets, nets[1:] + nets[:1])]
+        subs = 0
+        for net in sums:
+            for tag in ("l", "r"):
+                self._assert_as_rebuilt(pn.restrict_to_component(net, tag))
+            en = pn.enabled_transitions(net, net.initial)
+            m = pn.fire(net, net.initial, en[-1]) if en else net.initial
+            for ts, ps in _components(net):
+                self._assert_as_rebuilt(_sub_net(net, ts, ps, m))
+                subs += 1
+        assert len(sums) > 70 and subs > len(sums)
 
 
 class TestCheckTheorem:
