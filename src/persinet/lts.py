@@ -14,9 +14,12 @@ at most max_states steps from M0 and a step adds at most w tokens to a
 place, so distinct markings get distinct keys.
 
 An Lts holds one adjacency, its index rows (state index -> label index ->
-target indices), which its constructor builds in the pass that validates
-the edges; every analysis here, the pattern search and the probe search
-read them, and map indices back to names only for their answers.
+target indices).  The constructor builds them in the pass that validates
+the edges it is given; build_rg fills them during its search and hands
+them to Lts._of_rows, which validates nothing, and such a graph's edges
+are projected from the rows when first read.  Every analysis here, the
+pattern search and the probe search read the rows, and map indices back
+to names only for their answers.
 
 persistence_check reads what the net's structure proves on a complete
 reachability graph: firing t can disable u only if t removes tokens from a
@@ -30,7 +33,6 @@ made by build_rg, gets the full pairwise scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 from .errors import (InputError, ResourceExceededError, UnknownIdError,
@@ -45,19 +47,23 @@ def default_max_states() -> int:
 class Lts:
     """A finite labelled transition system with an initial state.
 
-    states and labels keep declaration order; edges are (state, label, state)
-    triples.  Reachability graphs additionally carry a marking payload per
-    state, and payloads are injective (markings identify states).
+    states and labels keep declaration order; edges, a read-only property,
+    are (state, label, state) triples.  Reachability graphs additionally
+    carry a marking payload per state, and payloads are injective
+    (markings identify states).
 
     Every analysis reads one adjacency, the index rows: per state index a
     dict {label index: (target indices)}, labels in declaration order and
-    targets in edge order.  The constructor builds them in the one pass
-    over the edges that also validates them, so the edge in hand when an id
-    lookup fails is the first offender.  That pass is also the only
-    validation of the edges of a parsed LTS: textio.parse_lts keeps no edge
-    set of its own.  The reverse rows {label index:
-    [source indices]}, sources in state order, are derived from them only
-    when predecessors are asked for.  The name-level accessors below are
+    targets in edge order.  The rows come from one of two constructors.
+    Lts(...) builds them in the one pass over the edges that also
+    validates them, so the edge in hand when an id lookup fails is the
+    first offender.  That pass is also the only validation of the edges
+    of a parsed LTS: textio.parse_lts keeps no edge set of its own.
+    Lts._of_rows takes rows that build_rg made during its search, checks
+    nothing, and projects the edges from them only when they are read.
+    Both end in _finish.  The reverse rows {label index: [source
+    indices]}, sources in state order, are derived from the rows only when
+    predecessors are asked for.  The name-level accessors below are
     projections of the rows.
     """
 
@@ -107,24 +113,65 @@ class Lts:
                 raise InputError(f"lts '{name}': state payloads must be hashable") from None
             if len(of_payload) != len(payload):
                 raise InputError(f"lts '{name}': state payloads must be injective")
+            payload = dict(payload)
+        self._finish(name, states, labels, rows, initial, payload, sidx, lidx,
+                     edges, of_payload)
 
+    @classmethod
+    def _of_rows(cls, name, states, labels, rows, initial, payload) -> "Lts":
+        """The LTS of index rows rows over the tuples states and labels,
+        which it keeps as given, as it keeps payload.
+
+        Nothing is validated: ids must be distinct and hashable, initial one
+        of states, every row a dict {label index: (target indices)} with its
+        labels in increasing order and its targets distinct, and payload
+        None or an injective map over exactly the states.  So only code that
+        builds such rows itself (build_rg) may call it.  Its edges are
+        projected from the rows on first read.
+        """
+        lts = cls.__new__(cls)
+        lts._finish(name, states, labels, rows, initial, payload,
+                    dict(zip(states, range(len(states)))),
+                    dict(zip(labels, range(len(labels)))))
+        return lts
+
+    def _finish(self, name, states, labels, rows, initial, payload, sidx, lidx,
+                edges=None, of_payload=None):
+        """Store a valid LTS's parts: the one place where its attributes and
+        the caches derived on demand are set up.  edges and of_payload, when
+        None, are derived from the rows and the payload on first use."""
         self.name = name
         self.states = states
         self.labels = labels
-        self.edges = edges
         self.initial = initial
-        self.payload = dict(payload) if payload is not None else None
+        self.payload = payload
 
         self._state_index = sidx
         self._label_index = lidx
         self._rows = rows
+        self._edges = edges
+        self._of_payload = of_payload  # payload -> state
         self._rev = None
         self._tree = None
         self._deterministic = None
         self._parikh_deterministic = False  # same-Parikh paths meet, at any depth
         self._net = None  # the net whose complete reachability graph this is
         self._cut = None  # build_rg: state indices that lost an edge to its budget
-        self._of_payload = of_payload
+
+    @property
+    def edges(self) -> tuple:
+        """The (state, label, state) triples: as given to the constructor,
+        or, for an LTS made from its rows, projected from them in state
+        order, then label order, then target order."""
+        if self._edges is None:
+            states, labels = self.states, self.labels
+            self._edges = tuple([(s, labels[a], states[j])
+                                 for s, row in zip(states, self._rows)
+                                 for a, tgts in row.items() for j in tgts])
+        return self._edges
+
+    def _edge_count(self) -> int:
+        return sum([len(tgts) for row in self._rows for tgts in row.values()])
 
     def _reverse_rows(self) -> list:
         if self._rev is None:
@@ -190,10 +237,12 @@ class Lts:
         """No state has two same-labelled outgoing or incoming edges."""
         if self._deterministic is None:
             # (state, label) keys of the rows number |E| exactly when every
-            # row entry holds one target
-            n = len(self.edges)
-            self._deterministic = (sum(map(len, self._rows)) == n
-                                   and len(set(map(itemgetter(2, 1), self.edges))) == n)
+            # row entry holds one target; then the (target, label) pairs
+            # must number |E| too
+            rows = self._rows
+            n = sum(map(len, rows))
+            self._deterministic = n == self._edge_count() and n == len(
+                {(tgts[0], a) for row in rows for a, tgts in row.items()})
         return self._deterministic
 
     def deadlocks(self):
@@ -206,13 +255,15 @@ class Lts:
     def state_of_payload(self, value):
         if self.payload is None:
             raise InputError(f"lts '{self.name}' carries no payload")
+        if self._of_payload is None:
+            self._of_payload = {v: s for s, v in self.payload.items()}
         try:
             return self._of_payload[value]
         except (KeyError, TypeError):
             raise UnknownIdError(f"no state carries payload {value!r}") from None
 
     def __repr__(self):
-        return f"Lts({self.name!r}, |S|={len(self.states)}, |E|={len(self.edges)})"
+        return f"Lts({self.name!r}, |S|={len(self.states)}, |E|={self._edge_count()})"
 
     def __eq__(self, other):
         # payload is derived data and does not survive printing
@@ -267,8 +318,7 @@ _PACKED_PLACES = 8
 
 def _bfs_by_key(net: Net, cutoff: int) -> tuple:
     """build_rg's breadth-first search on packed keys; returns (markings,
-    names, edges, the indices of the states that lost an edge to the
-    cutoff, place bounds).
+    index rows, the indices of the states that lost an edge to the cutoff).
 
     Place p's tokens fill bits [b*p, b*(p+1)) of a marking's key, and t's
     incidence key is the sum over p of (post_t(p) - pre_t(p)) * 2^(b*p),
@@ -282,16 +332,15 @@ def _bfs_by_key(net: Net, cutoff: int) -> tuple:
     for n in reversed(m0):
         k = k << b | n
     keys = [k]
-    index = {k: 0}
+    index = {k: (0,)}  # key -> (state index,), the one row entry into the state
     ekey = [None] * len(net.transitions)  # incidence keys, made on first firing
     order = [m0]
-    names = ["M0"]
-    labels = net.transitions
-    edges = []
+    rows = []
     cut = set()
     for i, m in enumerate(order):  # order grows while it is read: it is the BFS queue
-        s = names[i]
         k = keys[i]
+        row = {}
+        rows.append(row)
         for ti in _enabled_i(net, m):
             d = ekey[ti]
             if d is None:
@@ -302,17 +351,16 @@ def _bfs_by_key(net: Net, cutoff: int) -> tuple:
                     d -= w << b * pi
                 ekey[ti] = d
             k2 = k + d
-            j = index.get(k2)
-            if j is None:
+            tgt = index.get(k2)
+            if tgt is None:
                 if len(order) >= cutoff:
                     cut.add(i)
                     continue
-                j = index[k2] = len(order)
+                tgt = index[k2] = (len(order),)
                 keys.append(k2)
                 order.append(_fire_i(net, m, ti))
-                names.append(f"M{j}")
-            edges.append((s, labels[ti], names[j]))
-    return order, names, edges, cut, list(map(max, zip(*order)))
+            row[ti] = tgt
+    return order, rows, cut
 
 
 def build_rg(net: Net, max_states: Optional[int] = None):
@@ -321,6 +369,12 @@ def build_rg(net: Net, max_states: Optional[int] = None):
     Returns (Lts, BoundReport).  States are named M0, M1, ... in discovery
     order and carry their marking as payload.  Exceeding max_states is not
     an error: the report comes back flagged "cutoff-reached".
+
+    The search fills each state's index row {transition index: (target
+    index,)} as it goes and hands the rows to Lts._of_rows, so no edge is
+    made as a string triple: the graph's edges are projected from the rows
+    only when read, in state order, then transition order, which is the
+    order the search finds them in.
 
     On nets with at least _PACKED_PLACES places, markings are looked up by
     one packed integer each (_bfs_by_key): a successor's key is its
@@ -337,35 +391,30 @@ def build_rg(net: Net, max_states: Optional[int] = None):
     if cutoff < 1:
         raise InputError("max_states must be >= 1")
 
-    labels = net.transitions
     if len(net.places) >= _PACKED_PLACES:
-        order, names, edges, cut, place_bounds = _bfs_by_key(net, cutoff)
+        order, rows, cut = _bfs_by_key(net, cutoff)
     else:
-        index = {net.initial: 0}
+        index = {net.initial: (0,)}  # marking -> (state index,), as in _bfs_by_key
         order = [net.initial]
-        names = ["M0"]
-        edges = []
-        place_bounds = list(net.initial)
+        rows = []
         cut = set()  # the states that lost an edge to the cutoff
         for i, m in enumerate(order):  # order grows while it is read: it is the BFS queue
-            s = names[i]
+            row = {}
+            rows.append(row)
             for ti in _enabled_i(net, m):
                 m2 = _fire_i(net, m, ti)
-                j = index.get(m2)
-                if j is None:
+                tgt = index.get(m2)
+                if tgt is None:
                     if len(order) >= cutoff:
                         cut.add(i)
                         continue
-                    j = index[m2] = len(order)
+                    tgt = index[m2] = (len(order),)
                     order.append(m2)
-                    names.append(f"M{j}")
-                    for pi, n in enumerate(m2):
-                        if n > place_bounds[pi]:
-                            place_bounds[pi] = n
-                edges.append((s, labels[ti], names[j]))
+                row[ti] = tgt
 
-    lts = Lts(name=f"rg({net.name})", states=names, labels=labels, edges=edges,
-              initial=names[0], payload=dict(zip(names, order)))
+    names = tuple([f"M{j}" for j in range(len(order))])
+    lts = Lts._of_rows(f"rg({net.name})", names, net.transitions, rows, names[0],
+                       dict(zip(names, order)))
     # firing is a function of the marking, and a marking is the unique
     # predecessor of its successor under t (M = M' - C[t]); markings name
     # the states, so the graph is label-deterministic both ways.  By the
@@ -376,12 +425,13 @@ def build_rg(net: Net, max_states: Optional[int] = None):
         lts._cut = cut
     else:
         lts._net = net
+    place_bounds = list(map(max, zip(*order)))
     k = max(place_bounds, default=0)
     report = BoundReport(
         status="cutoff-reached" if cut else "bounded", k_bound=k,
         place_bounds={p: place_bounds[i] for i, p in enumerate(net.places)},
         safe=None if cut else k <= 1, state_count=len(order),
-        edge_count=len(lts.edges), cutoff=cutoff)
+        edge_count=sum(map(len, rows)), cutoff=cutoff)  # one target a row entry
     return lts, report
 
 

@@ -946,3 +946,91 @@ class TestIndexRows:
         g = Lts("in", ["s", "t", "u"], ["a"], [("u", "a", "s"), ("t", "a", "s")], "s")
         assert g.predecessors("s", "a") == ("t", "u")
         assert g.successors("u", "a") == g.successors("t", "a") == ("s",)
+
+
+def _ordered_rows(rows):
+    """Index rows with the order of every row kept, for comparison."""
+    return [list(row.items()) for row in rows]
+
+
+class TestRowsHandOver:
+    """build_rg hands its index rows to Lts._of_rows: the graph equals the
+    one the validating constructor builds from its edges, and its edges
+    are projected from the rows only when read."""
+
+    @staticmethod
+    def _inputs():
+        """(net, budget) pairs: corpus and generated nets, and nets cut off
+        at their budget, par10 among them (20 places: packed keys)."""
+        nets = [corpus_load(n).net for n in corpus_names()]
+        for kw in ({}, {"places": 3, "transitions": 3},
+                   {"class_constraint": ("pure", "plain")}):
+            nets += [gen_random_net(GenConfig(seed=s, **kw)) for s in range(30)]
+        return ([(net, 300) for net in nets if not net.structural_only]
+                + [(_generator(), budget) for budget in (1, 5, 50)]
+                + [(_par(10), 100)])
+
+    def _graphs(self):
+        for net, budget in self._inputs():
+            yield build_rg(net, budget)[0]
+
+    def test_same_graph_as_the_validating_constructor(self):
+        count = cut = 0
+        for rg in self._graphs():
+            copy = Lts(rg.name, rg.states, rg.labels, rg.edges, rg.initial, rg.payload)
+            assert _ordered_rows(rg._rows) == _ordered_rows(copy._rows), rg.name
+            assert (_ordered_rows(rg._reverse_rows())
+                    == _ordered_rows(copy._reverse_rows())), rg.name
+            assert rg.edges == copy.edges and rg == copy, rg.name
+            # the order the search finds the edges in: by source state,
+            # then by transition
+            sidx, lidx = rg._state_index, rg._label_index
+            assert list(rg.edges) == sorted(
+                rg.edges, key=lambda e: (sidx[e[0]], lidx[e[1]])), rg.name
+            assert repr(rg) == repr(copy)
+            # the copy has no record of the budget: its deadlocks include
+            # the states that lost an edge to it
+            lost = rg._cut or ()
+            assert rg.deadlocks() == tuple(
+                s for s in copy.deadlocks() if rg._state_index[s] not in lost), rg.name
+            for s, mk in rg.payload.items():
+                assert rg.state_of_payload(mk) == copy.state_of_payload(mk) == s
+            count += 1
+            cut += bool(lost)
+        assert count >= 100 and cut >= 4
+
+    def test_build_rg_never_validates(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("build_rg entered Lts.__init__")
+
+        inputs = self._inputs()  # corpus entries parse LTS documents
+        monkeypatch.setattr(Lts, "__init__", refuse)
+        with pytest.raises(AssertionError, match="entered"):
+            Lts("x", ["s"], [], [], "s")  # the patch is in force
+        for net, budget in inputs:
+            rg, rep = build_rg(net, budget)
+            assert len(rg.edges) == rep.edge_count == rg._edge_count()
+
+    def test_edges_are_read_only(self, fig1):
+        rg, _ = build_rg(fig1)
+        with pytest.raises(AttributeError):
+            rg.edges = ()
+        copy = Lts(rg.name, rg.states, rg.labels, rg.edges, rg.initial)
+        with pytest.raises(AttributeError):
+            copy.edges = ()
+
+    def test_analyses_never_project_the_edges(self):
+        fig1 = corpus_load("fig1_basic").net
+        for net in (fig1, _par(4), disjoint_sum(fig1, _par(2))):
+            rg, rep = build_rg(net)
+            again, _ = build_rg(net)
+            persistence_check(rg)
+            lts_properties(rg)
+            assert isomorphic(rg, again).isomorphic
+            for name in ("nonpers", "nonDC"):
+                find_embedding(builtin_pattern(name), rg)
+            rg.deadlocks()
+            rg.state_of_payload(net.initial)
+            repr(rg)
+            assert rep.edge_count == rg._edge_count()
+            assert rg._edges is None and again._edges is None, net.name

@@ -301,6 +301,22 @@ class TestCheckTheorem:
         assert len(suite.violations) == 1 and len(calls) > 1
         assert suite.violations[0]["net"] == f"gen{suite.violations[0]['seed']}"
 
+    def test_perm_implies_parikh_records_a_missed_class_member(self, monkeypatch):
+        # tau is sigma after firable swaps, so a class search that misses it
+        # is a violation, although the two words share their Parikh vector
+        net = corpus_load("fig1_basic").net
+        assert check_theorem("perm-implies-parikh", net, seed=3).confirmations == 1
+        monkeypatch.setattr(pn.theorems, "perm_equivalent", lambda *args, **kw: False)
+        rep = check_theorem("perm-implies-parikh", net, seed=3)
+        assert (rep.instances, rep.confirmations, len(rep.violations)) == (1, 0, 1)
+        violation = rep.violations[0]
+        assert violation["net"] == net.name
+        assert "not found equivalent" in violation["reason"]
+        assert sorted(violation["sigma"]) == sorted(violation["tau"])
+        suite = run_theorem_suite("perm-implies-parikh", GenConfig(), range(5))
+        assert suite.confirmations == 0
+        assert [v["seed"] for v in suite.violations] == list(range(5))
+
     def test_unknown_theorem(self, fig1):
         with pytest.raises(InputError):
             check_theorem("nope", fig1)
