@@ -1,3 +1,5 @@
+import sys
+import threading
 from itertools import combinations, permutations
 
 import pytest
@@ -23,8 +25,10 @@ from persinet import (
     project_sequence,
     reverse_dual,
 )
-from persinet.net import (ClassReport, _components, _enabled_i, _fire_i, _may_disable,
-                          _sub_net, replay_class_witness)
+from persinet import net as net_mod
+from persinet.net import (ClassReport, _compile_kernel, _components, _enabled_i, _fire_i,
+                          _may_disable, _sub_net, replay_class_witness)
+from persinet.textio import print_lts
 
 
 def seq(text):
@@ -159,6 +163,244 @@ class TestFiringRule:
                 cur = rng.choice(opts)
             assert fire_sequence(net, net.initial, cur) == \
                 fire_sequence(net, net.initial, tuple(word))
+
+
+def _par(k):
+    arcs = [arc for i in range(k) for arc in (
+        (f"p{i}", f"a{i}", 1), (f"a{i}", f"q{i}", 1),
+        (f"q{i}", f"b{i}", 1), (f"b{i}", f"p{i}", 1))]
+    return Net(f"par{k}", [f"{x}{i}" for i in range(k) for x in "pq"],
+               [f"{x}{i}" for i in range(k) for x in "ab"], arcs,
+               {f"p{i}": 1 for i in range(k)})
+
+
+def _hand_nets():
+    """Nets at the edges of the kernel's source: a transition with no input
+    arcs, one with no arcs at all, a self-loop that changes nothing, nets
+    with zero places, and a net past _DISPLAY_PLACES."""
+    return [
+        Net("source", ["p", "q"], ["g", "u"], [("g", "p", 1), ("p", "u", 2), ("u", "q", 1)]),
+        Net("idle", ["p"], ["t", "e"], [("p", "t", 1)], {"p": 2}),
+        Net("loop", ["p", "q"], ["s", "t"],
+            [("p", "s", 2), ("s", "p", 2), ("q", "t", 1), ("t", "p", 3)], {"p": 2, "q": 1}),
+        Net("empty", [], []),
+        Net("no places", [], ["t", "u"]),
+        _par(15),
+    ]
+
+
+def _kernel_nets():
+    nets = [corpus_load(name).net for name in pn.corpus_names()]
+    for kw in ({}, {"max_weight": 3}, {"token_budget": 6}):
+        nets += [gen_random_net(GenConfig(seed=s, **kw)) for s in range(40)]
+    impure = [net for net in (gen_random_net(GenConfig(seed=s, arc_density=0.7))
+                              for s in range(80)) if not classify_structure(net).pure]
+    assert len(impure) >= 40
+    fig1_par3 = disjoint_sum(corpus_load("fig1_basic").net, _par(3))
+    return nets + impure[:40] + _hand_nets() + [fig1_par3]
+
+
+def _twin(net):
+    """A fresh net equal to net, with no kernel."""
+    return Net._of_indices(net.name, net.places, net.transitions, net._pre, net._post,
+                           net.initial)
+
+
+class TestCompiledKernel:
+    """Once a net has made _KERNEL_RENT calls into the generic firing loops
+    it fires through a compiled kernel, which must answer as those loops
+    do.  Every test runs with the kernel compiled at the first call, never
+    compiled, and compiled at the default rent."""
+
+    @pytest.fixture(autouse=True, params=["rent 1", "rent never", "default rent"])
+    def rent(self, request, monkeypatch):
+        if request.param == "rent 1":
+            monkeypatch.setattr(net_mod, "_KERNEL_RENT", 1)
+        elif request.param == "rent never":
+            monkeypatch.setattr(net_mod, "_KERNEL_RENT", sys.maxsize)
+        return request.param
+
+    @staticmethod
+    def _generic(net, monkeypatch, max_states=300):
+        """The reachable markings of net (up to max_states) and, at each,
+        the generic loops' enabled indices and successor (or None) per
+        transition, on a twin that never compiles."""
+        twin = _twin(net)
+        with monkeypatch.context() as mp:
+            mp.setattr(net_mod, "_KERNEL_RENT", sys.maxsize)
+            marks = list(pn.build_rg(twin, max_states)[0].payload.values())
+            table = [(_enabled_i(twin, m), [_fire_i(twin, m, ti)
+                                            for ti in range(len(net.transitions))])
+                     for m in marks]
+            assert twin._k_enabled is None and twin._k_succ is None
+        return marks, table
+
+    def test_rent_counts_calls(self, rent):
+        net = corpus_load("fig1_basic").net
+        assert net._k_enabled is None and net._k_succ is None
+        for n in range(1, 3000):
+            if n % 2:
+                _fire_i(net, net.initial, 2)
+            else:
+                _enabled_i(net, net.initial)
+            if net._k_succ is not None:
+                break
+        # the among test (so enabled) and fire's input errors do not count
+        _enabled_i(net, net.initial, [0])
+        enabled(net, net.initial, "c")
+        with pytest.raises(UnknownIdError):
+            fire(net, net.initial, "zz")
+        expected = {"rent 1": 1, "rent never": None, "default rent": 1024}[rent]
+        if expected is None:
+            assert net._k_succ is None and net._k_enabled is None and net._calls == 2999
+        else:
+            assert n == expected == net_mod._KERNEL_RENT and net._calls == n
+            assert net._k_enabled is not None
+
+    @pytest.mark.parametrize("display_places", [0, sys.maxsize],
+                             ids=["list form", "tuple display"])
+    def test_agrees_with_generic_loops(self, monkeypatch, display_places):
+        monkeypatch.setattr(net_mod, "_DISPLAY_PLACES", display_places)
+        states = 0
+        for net in _kernel_nets():
+            marks, table = self._generic(net, monkeypatch)
+            enabled, successors = _compile_kernel(_twin(net))
+            for m, (en, succ) in zip(marks, table):
+                assert enabled(m) == en, (net.name, m)
+                assert [s(m) for s in successors] == succ, (net.name, m)
+                # and the primitives, as the rent has them dispatch
+                assert _enabled_i(net, m) == en, (net.name, m)
+                assert [_fire_i(net, m, ti) for ti in range(len(succ))] == succ, (net.name, m)
+                names = net.transitions
+                assert enabled_transitions(net, m) == tuple(names[ti] for ti in en)
+                for ti in en:
+                    assert fire(net, m, names[ti]) == succ[ti]
+            states += len(marks)
+        assert states > 1500
+
+    def test_unchanged_marking_kept(self):
+        # a self-loop, and a transition with no arcs, give back their marking
+        net = Net("loop", ["p"], ["s", "e"], [("p", "s", 2), ("s", "p", 2)], {"p": 3})
+        _, successors = _compile_kernel(net)
+        assert successors[0](net.initial) is net.initial
+        assert successors[1](net.initial) is net.initial
+        assert successors[0]((1,)) is None
+
+    def test_threads_share_a_net(self, monkeypatch):
+        # threads that race to pay a net's rent compile its kernel more than
+        # once at worst; every answer is still the generic loops' answer
+        net = disjoint_sum(corpus_load("fig1_basic").net, _par(3))
+        marks, table = self._generic(net, monkeypatch)
+        errors = []
+
+        def work():
+            try:
+                for _ in range(3):
+                    for m, (en, succ) in zip(marks, table):
+                        assert _enabled_i(net, m) == en
+                        assert [_fire_i(net, m, ti) for ti in range(len(succ))] == succ
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_graphs_and_reports_identical(self, monkeypatch):
+        fig1 = corpus_load("fig1_basic").net
+        nets = [fig1, disjoint_sum(fig1, _par(4)), _par(5), _par(13),
+                corpus_load("fig10_fpe_not_spe").net] + _hand_nets()
+        nets += [gen_random_net(GenConfig(seed=s, max_weight=2)) for s in range(20)]
+        for net in nets:
+            for cutoff in (3, 5000):
+                with monkeypatch.context() as mp:
+                    mp.setattr(net_mod, "_KERNEL_RENT", sys.maxsize)
+                    ref_rg, ref_rep = pn.build_rg(_twin(net), cutoff)
+                twice = [pn.build_rg(net, cutoff) for _ in range(2)]
+                for rg, rep in twice:
+                    assert print_lts(rg) == print_lts(ref_rg), net.name
+                    assert list(rg.edges) == list(ref_rg.edges), net.name
+                    assert repr(rep) == repr(ref_rep), net.name
+
+    def test_errors_on_a_compiled_net(self, fig1):
+        _compile_kernel(fig1)
+        rd = reverse_dual(fig1)
+        _compile_kernel(rd)
+        short = fig1.initial[:-1]
+        cases = [
+            (NotEnabledError, "transition 'a' is not enabled (place 'p2' lacks tokens)",
+             [lambda: fire(fig1, fig1.initial, "a")]),
+            (UnsupportedClassError, "net 'rd(fig1_basic)' is structural-only "
+             "(reverse dual); its marking carries no semantics",
+             [lambda: fire(rd, rd.initial, "p0"), lambda: enabled_transitions(rd, rd.initial),
+              lambda: fire(rd, (), "zz")]),
+            (InputError, "marking has 4 entries, net 'fig1_basic' has 5 places",
+             [lambda: fire(fig1, short, "c"), lambda: enabled_transitions(fig1, short),
+              lambda: fire(fig1, short, "zz")]),
+            (InputError, "marking must be a tuple of token counts, got list",
+             [lambda: fire(fig1, list(fig1.initial), "c"),
+              lambda: enabled_transitions(fig1, list(fig1.initial))]),
+            (UnknownIdError, "unknown transition 'zz'",
+             [lambda: fire(fig1, fig1.initial, "zz")]),
+        ]
+        for error, message, calls in cases:
+            for call in calls:
+                with pytest.raises(InputError) as err:
+                    call()
+                assert type(err.value) is error and str(err.value) == message
+        with pytest.raises(NotEnabledError) as err:
+            fire_sequence(fig1, fig1.initial, seq("c d a a"))
+        assert (err.value.place, err.value.index) == ("p2", 3)
+
+    def test_ids_that_are_python_source(self, monkeypatch):
+        # ids never reach the kernel's source: these compile, fire and
+        # enumerate as the generic loops do, and run nothing
+        evil = ["__import__('os').system('false')", "m[0]", ")", "m", "app(0)\n"]
+        places = [f"{x} p" if i % 2 else x for i, x in enumerate(evil)]
+        transitions = [f"{x} t" for x in evil]
+        arcs = [(places[i], transitions[i], 1) for i in range(len(evil))]
+        arcs += [(transitions[i], places[(i + 1) % len(evil)], 1) for i in range(len(evil))]
+        arcs += [(places[0], transitions[1], 2)]
+        net = Net("')\nimport os\n", places, transitions, arcs, {places[0]: 2, places[2]: 1})
+        marks, table = self._generic(net, monkeypatch)
+        enabled, successors = _compile_kernel(net)
+        for m, (en, succ) in zip(marks, table):
+            assert enabled(m) == en and [s(m) for s in successors] == succ
+            assert enabled_transitions(net, m) == tuple(transitions[ti] for ti in en)
+        assert len(marks) > 3
+        with pytest.raises(NotEnabledError) as err:
+            fire(net, (0,) * len(places), transitions[0])
+        assert err.value.place == places[0]
+
+
+class TestAttributeLayout:
+    """Every per-net cache is declared at construction, so that the
+    attribute layout of a net never changes."""
+
+    def test_same_keys_through_caches(self):
+        nets = [Net("n", ["p"], ["t"], [("p", "t", 1)], {"p": 1}),
+                gen_random_net(GenConfig(seed=3)), _par(13), reverse_dual(_par(2)),
+                disjoint_sum(_par(1), _par(2))]
+        keys = list(vars(nets[0]))
+        for net in nets:
+            assert list(vars(net)) == keys
+            classify_structure(net)
+            assert list(vars(net)) == keys
+            _compile_kernel(net)
+            assert list(vars(net)) == keys
+            if not net.structural_only:
+                pn.build_rg(net, 50)
+                fire_sequence(net, net.initial, ())
+            assert list(vars(net)) == keys
 
 
 class TestClassification:
