@@ -15,11 +15,13 @@ place, so distinct markings get distinct keys.
 
 An Lts holds one adjacency, its index rows (state index -> label index ->
 target indices).  The constructor builds them in the pass that validates
-the edges it is given; build_rg fills them during its search and hands
-them to Lts._of_rows, which validates nothing, and such a graph's edges
-are projected from the rows when first read.  Every analysis here, the
-pattern search and the probe search read the rows, and map indices back
-to names only for their answers.
+the edges it is given.  build_rg fills them during its search, and
+textio.parse_lts while it reads a document it can place, and both hand
+them to Lts._of_rows, which validates nothing.  A parsed LTS keeps the
+edges it read; a reachability graph's edges are projected from the rows
+when first read.  Every analysis here, the pattern search and the probe
+search read the rows, and map indices back to names only for their
+answers.
 
 persistence_check reads what the net's structure proves on a complete
 reachability graph: firing t can disable u only if t removes tokens from a
@@ -57,13 +59,16 @@ class Lts:
     targets in edge order.  The rows come from one of two constructors.
     Lts(...) builds them in the one pass over the edges that also
     validates them, so the edge in hand when an id lookup fails is the
-    first offender.  That pass is also the only validation of the edges
-    of a parsed LTS: textio.parse_lts keeps no edge set of its own.
-    Lts._of_rows takes rows that build_rg made during its search, checks
-    nothing, and projects the edges from them only when they are read.
-    Both end in _finish.  The reverse rows {label index: [source
-    indices]}, sources in state order, are derived from the rows only when
-    predecessors are asked for.  The name-level accessors below are
+    first offender.  Lts._of_rows takes rows that their maker already
+    knows to be valid, and checks nothing: build_rg's, made during its
+    search, whose edges are projected from them only when read, and
+    textio.parse_lts's, filled while it reads a document that declares
+    every state and label before the edges that use them.  A document it
+    cannot place that way goes to Lts(...), so the edges of a parsed LTS
+    are validated by the constructor or by the parse itself.  Both end in
+    _finish.  The reverse rows {label index: [source indices]}, sources
+    in state order, are derived from the rows only when predecessors are
+    asked for.  The name-level accessors below are
     projections of the rows.
     """
 
@@ -118,21 +123,24 @@ class Lts:
                      edges, of_payload)
 
     @classmethod
-    def _of_rows(cls, name, states, labels, rows, initial, payload) -> "Lts":
+    def _of_rows(cls, name, states, labels, rows, initial, payload,
+                 edges=None) -> "Lts":
         """The LTS of index rows rows over the tuples states and labels,
-        which it keeps as given, as it keeps payload.
+        which it keeps as given, as it keeps payload and edges.
 
         Nothing is validated: ids must be distinct and hashable, initial one
         of states, every row a dict {label index: (target indices)} with its
-        labels in increasing order and its targets distinct, and payload
-        None or an injective map over exactly the states.  So only code that
-        builds such rows itself (build_rg) may call it.  Its edges are
-        projected from the rows on first read.
+        labels in increasing order and its targets distinct, payload None
+        or an injective map over exactly the states, and edges None or a
+        tuple of the rows' edges as (state, label, state) triples, each
+        once.  So only code that builds such rows itself may call it:
+        build_rg, whose edges are projected from the rows on first read,
+        and textio.parse_lts, which passes the edges it read.
         """
         lts = cls.__new__(cls)
         lts._finish(name, states, labels, rows, initial, payload,
                     dict(zip(states, range(len(states)))),
-                    dict(zip(labels, range(len(labels)))))
+                    dict(zip(labels, range(len(labels)))), edges)
         return lts
 
     def _finish(self, name, states, labels, rows, initial, payload, sidx, lidx,

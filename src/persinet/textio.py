@@ -3,14 +3,17 @@ lassos, plus DOT export.
 
 One declaration per line, '#' starts a comment, blank lines are ignored.
 Printing emits a canonical form, and parsing a printed net gives the net
-back.  LTS and pattern documents declare no labels, so parsing declares
-them in order of first use: a printed LTS parses back with the same states,
-edges and initial state, but with its labels in that order and without the
-labels no edge uses.  A parsed LTS prints and parses back unchanged (==),
-which the corpus round-trip suite pins down.
+back.  An LTS document with 'label' lines has exactly the labels they
+declare, in their order, and an edge with any other label is an error.  An
+LTS document without them, and every pattern document, has the labels its
+edges use, in order of first use.  print_lts declares the labels some edge
+uses, in their order, so a printed LTS parses back with the same states,
+labels, edges and initial state, less the labels no edge uses.  A parsed
+LTS prints and parses back unchanged (==), which the corpus round-trip
+suite pins down.
 
     net:      net NAME / place ID [init N] / trans ID / arc ID -> ID [W]
-    lts:      lts NAME / state ID / initial ID / edge ID LABEL ID
+    lts:      lts NAME / state ID / initial ID / label ID / edge ID LABEL ID
     pattern:  pattern NAME / state ID / arc ID LABEL ID / exclude ID LABEL
     lasso:    "PREFIX ; CYCLE", transitions whitespace-separated, empty
               prefix allowed
@@ -22,6 +25,7 @@ also accept 'edge' for 'arc'.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InputError, ParseError
@@ -30,16 +34,16 @@ from .lts import Lts
 from .net import Net
 from .patterns import Embedding, Pattern
 
+_tokens = itemgetter(1)  # of a (line number, tokens) pair
+
 
 def _lines(text):
-    """(line number, tokens) of each line with a token, comments removed."""
+    """(line number, tokens) of each line with a token, comments removed.
+    The iterators run in C, so a line costs no Python frame."""
     lines = text.splitlines()
     if "#" in text:
         lines = [raw.split("#", 1)[0] for raw in lines]
-    for no, raw in enumerate(lines, start=1):
-        tok = raw.split()
-        if tok:
-            yield no, tok
+    return filter(_tokens, enumerate(map(str.split, lines), 1))
 
 
 def _nat(token, no, minimum=0):
@@ -120,9 +124,17 @@ def print_net(net: Net) -> str:
 
 
 def parse_lts(text: str) -> Lts:
-    """Parse an LTS document.  Labels are declared in order of first use on
-    an edge.  The Lts constructor is the only check of the edges: it
-    rejects unknown states and duplicate edges."""
+    """Parse an LTS document.
+
+    Its labels are those of its 'label' lines, in their order, or, when it
+    has none, those its edges use, in order of first use.  The index rows
+    are filled in the pass that reads the lines, as long as every edge can
+    be placed: its states and label declared on earlier lines, no edge
+    repeated, and each state's labels arriving in declaration order.
+    print_lts writes such documents, and they go to Lts._of_rows.  Every
+    other document, label-free ones included, goes to the validating Lts
+    constructor with the edges read in the same pass, and the constructor
+    reports unknown states and labels and repeated edges."""
     try:
         return _parse_lts(text)
     except ParseError as exc:
@@ -132,21 +144,56 @@ def parse_lts(text: str) -> Lts:
 
 def _parse_lts(text: str) -> Lts:
     name, initial = None, None
-    states, edges = [], []
-    seen_states = set()
+    states, labels, edges = [], [], []
+    sidx, lidx = {}, {}  # id -> index, for the states and labels declared so far
+    # the index rows while every edge is placed: one shared (j,) tuple per
+    # state, as in build_rg, and the last label index added to each row
+    placed = True
+    rows, one, last = [], [], []
     for no, tok in _lines(text):
         kind = tok[0]
         if kind == "edge":
             if len(tok) != 4:
                 raise ParseError("usage: edge <state> <label> <state>", no)
-            edges.append((tok[1], tok[2], tok[3]))
+            _, s, a, s2 = tok
+            edges.append((s, a, s2))
+            if not placed:
+                continue
+            try:
+                i, ai, tgt = sidx[s], lidx[a], one[sidx[s2]]
+            except KeyError:  # an id not declared yet
+                placed = False
+                continue
+            row = rows[i]
+            if ai not in row:
+                if ai < last[i]:  # the row's labels arrive out of order
+                    placed = False
+                    continue
+                row[ai] = tgt
+                last[i] = ai
+            elif tgt[0] in row[ai]:  # a repeated edge
+                placed = False
+            else:
+                row[ai] += tgt
         elif kind == "state":
             if len(tok) != 2:
                 raise ParseError("usage: state <id>", no)
-            if tok[1] in seen_states:
-                raise ParseError(f"duplicate state '{tok[1]}'", no)
-            seen_states.add(tok[1])
-            states.append(tok[1])
+            s = tok[1]
+            if s in sidx:
+                raise ParseError(f"duplicate state '{s}'", no)
+            one.append((len(states),))
+            sidx[s] = len(states)
+            states.append(s)
+            rows.append({})
+            last.append(-1)
+        elif kind == "label":
+            if len(tok) != 2:
+                raise ParseError("usage: label <id>", no)
+            a = tok[1]
+            if a in lidx:
+                raise ParseError(f"duplicate label '{a}'", no)
+            lidx[a] = len(labels)
+            labels.append(a)
         elif kind == "lts":
             if name is not None:
                 raise ParseError("duplicate 'lts' header", no)
@@ -165,9 +212,13 @@ def _parse_lts(text: str) -> Lts:
         raise ParseError("missing 'lts <name>' header")
     if initial is None:
         raise ParseError("missing 'initial <id>'")
-    labels = dict.fromkeys([a for _, a, _ in edges])  # first-use order
+    if placed and initial in sidx:
+        return Lts._of_rows(name, tuple(states), tuple(labels), rows, initial,
+                            None, tuple(edges))
+    if not labels:
+        labels = list(dict.fromkeys([a for _, a, _ in edges]))  # first-use order
     try:
-        return Lts(name, states, list(labels), edges, initial)
+        return Lts(name, states, labels, edges, initial)
     except InputError as exc:
         raise ParseError(str(exc)) from None
 
@@ -192,6 +243,8 @@ def print_lts(lts: Lts) -> str:
     out = [f"lts {lts.name}"]
     out += [f"state {s}" for s in lts.states]
     out.append(f"initial {lts.initial}")
+    used = set().union(*lts._rows)  # the label indices some edge uses
+    out += [f"label {a}" for ai, a in enumerate(lts.labels) if ai in used]
     out += [f"edge {s} {a} {s2}" for s, a, s2 in lts.edges]
     return "\n".join(out) + "\n"
 
@@ -267,7 +320,7 @@ def parse_sequence(text: str) -> tuple:
 
 
 def _q(s):
-    return '"' + str(s).replace('"', r'\"') + '"'
+    return '"' + str(s).replace("\\", "\\\\").replace('"', r'\"') + '"'
 
 
 def emit_dot(lts: Lts, highlights: Optional[Embedding] = None,

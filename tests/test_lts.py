@@ -902,8 +902,9 @@ class TestIndexRows:
                              + edge_lines[::-1])
             parsed = parse_lts(text)
             assert _by_name(parsed, rg.labels) == _by_name(rg, rg.labels)
-            # parse_lts declares labels in order of first use, so the
-            # canonical answers follow that order, whatever the edge order
+            # parse_lts takes the labels from the document's label lines,
+            # whatever the edge order, so the canonical answers follow the
+            # order print_lts declared them in
             same_order = Lts(rg.name, rg.states, parsed.labels, rg.edges, rg.initial)
             assert _canonical(parsed) == _canonical(same_order)
             count += 1

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from persinet import (
@@ -153,6 +155,18 @@ PINNED_LTS_ERRORS = [
      'line 6: duplicate edge s a t'),
     (_H + '# comment\n\nedge s a t # first\n  \nedge s a t\n',
      'line 9: duplicate edge s a t'),
+    (_H + 'label\n',
+     'line 5: usage: label <id>'),
+    (_H + 'label a b\n',
+     'line 5: usage: label <id>'),
+    (_H + 'label a\nlabel b\nlabel a\n',
+     "line 7: duplicate label 'a'"),
+    (_H + 'label a\nedge s a t\nedge s b t\n',
+     "lts 'x': edge (s,b,t) uses unknown label"),
+    (_H + 'edge s b t\nlabel a\n',
+     "lts 'x': edge (s,b,t) uses unknown label"),
+    (_H + 'label a\nedge s b t\nedge s a t\nedge s a t\n',
+     'line 8: duplicate edge s a t'),
 ]
 
 
@@ -271,6 +285,19 @@ class TestDot:
         with pytest.raises(InputError, match="highlights need the embedded pattern"):
             emit_dot(rg, highlights=emb)
         assert '"M1" -> "M3" [label="a", penwidth=2.5];' in emit_dot(rg, emb, two)
+
+    def test_backslashes_are_escaped(self):
+        # an id ending in a backslash must not escape its closing quote
+        lts = parse_lts('lts x\\\nstate s\\\nstate t\ninitial s\\\n'
+                        'edge s\\ a\\ t\nedge t a"\\ s\\\n')
+        dot = emit_dot(lts)
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        lines = [x for x in dot.splitlines() if "->" in x]
+        assert len(lines) == 2
+        for line, (s, a, s2) in zip(lines, lts.edges):
+            strings = [re.sub(r"\\(.)", r"\1", q) for q in quoted.findall(line)]
+            assert strings == [s, s2, a], line
+        assert dot.startswith('digraph "x\\\\" {')
 
     def test_single_node_graph(self):
         from persinet import Lts
