@@ -28,8 +28,13 @@ reachability graph: firing t can disable u only if t removes tokens from a
 place of u's preset (net._may_disable), so only those pairs are tested,
 and build_rg's state equation closes every diamond, so none is checked.
 The table is built once the pairwise scan has paid about its cost, so tiny
-graphs never build it; a graph cut off at its state budget, and any LTS not
-made by build_rg, gets the full pairwise scan.
+graphs never build it; any LTS not made by build_rg gets the full pairwise
+scan.  On a graph cut off at its state budget the scan tests a pair only
+where firing t leads to a state that kept all its edges, since a state
+that lost one shows the dropped label as disabled.  A witness found there
+is exact and replays by the firing rule; without one the check raises
+ResourceExceededError, naming the graph and its budget, and never answers
+"persistent".
 """
 
 from __future__ import annotations
@@ -541,8 +546,15 @@ def persistence_check(lts: Lts) -> PersistenceVerdict:
     cost (n^2 pair tests per state with n >= 2 enabled labels), so tiny
     graphs never build it.  A table over L labels costs about L^2 pair
     tests plus some 20 per label for its per-transition set-up: 5 us for
-    4 transitions and 10 us for 8 where a pair test takes 50 ns.  A graph
-    cut off at its state budget gets the full scan, as does any other LTS.
+    4 transitions and 10 us for 8 where a pair test takes 50 ns.  Any
+    other LTS gets the full scan.
+
+    A graph cut off at its state budget (build_rg records the states that
+    lost an edge to it) gets the full scan over the pairs whose t leads to
+    a state that kept all its edges: the first such witness in the order
+    above is returned, and it replays by the firing rule.  Without one the
+    graph gives no verdict, and ResourceExceededError names the graph and
+    its budget.
 
     When both orders of two labels fire, a diamond must close on one
     state.  build_rg proves that by the state equation (its
@@ -553,6 +565,24 @@ def persistence_check(lts: Lts) -> PersistenceVerdict:
         raise UnsupportedClassError(
             f"persistence check needs a deterministic LTS, '{lts.name}' is not")
     rows = lts._rows
+    cut = lts._cut
+    if cut is not None:
+        # a state that lost an edge to the budget shows every dropped label
+        # as disabled, so only the targets that kept all their edges are read
+        for i, out in enumerate(rows):
+            if len(out) < 2:
+                continue
+            for t, (j,) in out.items():
+                if j in cut:
+                    continue
+                after = rows[j]
+                for u in out:
+                    if u not in after and u != t:
+                        return PersistenceVerdict(
+                            False, (lts.states[i], lts.labels[t], lts.labels[u]))
+        raise ResourceExceededError(
+            f"graph '{lts.name}' cut off at {len(rows)} states has no witness at "
+            "a state that kept all its edges; a truncated graph gives no verdict")
     net = lts._net
     diamonds = not lts._parikh_deterministic
     rent = len(lts.labels) * (len(lts.labels) + 20)

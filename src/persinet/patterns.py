@@ -281,8 +281,11 @@ class NonDcDerivation:
     via_construction: bool
 
 
+_SEARCH_BOUND = 200000  # nodes a route search may visit
+
+
 def derive_nonDC_embedding(net: Net, spe_bound: int = 8,
-                           search_bound: int = 200000,
+                           search_bound: int = _SEARCH_BOUND,
                            max_states: Optional[int] = None) -> NonDcDerivation:
     """Rebuild the non-DC pattern from a nearest nonpersistent marking.
 
@@ -315,7 +318,13 @@ def derive_nonDC_embedding(net: Net, spe_bound: int = 8,
         raise PreconditionError(
             "premise failed: no persistent Parikh equivalent for "
             f"{' '.join(verdict.counterexample)}")
+    return _construct_nonDC(net, rg, spot, spe_bound, search_bound)
 
+
+def _construct_nonDC(net, rg, spot, spe_bound, search_bound):
+    """derive_nonDC_embedding past its premise checks: rg is the net's
+    complete reachability graph, spot its first persistence witness, and
+    the Parikh premise holds up to spe_bound."""
     state, leg_a, leg_b = spot
     M = rg.payload[state]
     delta = shortest_path(rg, state)

@@ -352,7 +352,7 @@ def emit_dot(lts: Lts, highlights: Optional[Embedding] = None,
             attrs.append("penwidth=2.5")
         if s in excluded:
             noes = " ".join(f"no {a}" for a in sorted(excluded[s]))
-            attrs.append(f'xlabel="{noes}"')
+            attrs.append(f"xlabel={_q(noes)}")
         out.append(f"  {_q(s)}" + (f" [{', '.join(attrs)}]" if attrs else "") + ";")
     for s, a, s2 in lts.edges:
         attrs = [f"label={_q(a)}"]

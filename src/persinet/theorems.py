@@ -15,7 +15,7 @@ import heapq
 import random
 import time
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .errors import (
@@ -45,7 +45,7 @@ from .net import (
     fire,
     fire_sequence,
 )
-from .patterns import derive_nonDC_embedding
+from .patterns import _SEARCH_BOUND, _construct_nonDC
 from .sequences import (
     SPE,
     SPE_PARIKH,
@@ -293,35 +293,45 @@ def _random_permutation(net, rng, word, swaps):
 # outcome in the report.
 
 _STATE_BUDGET_SKIP = "reachability graph exceeded the state budget"
+_PURE_PLAIN_SKIP = "net is not pure and plain"
 
 
-def _complete_or_skip(report, net, max_states):
-    """The net's complete reachability graph, or None with the state-budget
-    skip recorded: a graph cut off at max_states gives no verdict."""
+def _pure_plain(cls):
+    return cls.plain and cls.pure
+
+
+def _nonpersistent_instance(report, net, premise, skip, max_states):
+    """The class theorems' common steps: the class premise (premise reads
+    the class report, skip is the text recorded when it fails), the
+    instance count, the complete reachability graph and its persistence.
+    Returns (rg, (state, t, u)) with the first persistence witness, a
+    nearest one since states are in BFS order; None once the outcome is
+    recorded: a class skip, a state-budget skip, or a persistent net, on
+    which the conclusion holds."""
+    if not premise(classify_structure(net)):
+        report.skips.append((skip, net.name))
+        return None
+    report.instances += 1
     try:
-        return complete_rg(net, max_states)[0]
+        rg = complete_rg(net, max_states)[0]
     except ResourceExceededError:
         report.skips.append((_STATE_BUDGET_SKIP, net.name))
         return None
+    spot = persistence_check(rg).witness
+    if spot is None:
+        report.confirmations += 1
+        return None
+    return rg, spot
 
 
 def _check_ec_main(report, net, bounds, seed, max_states):
     # an equal-conflict net that is nonpersistent can have no persistent
     # Parikh equivalent for the path into its nearest conflict
-    if not classify_structure(net).equal_conflict:
-        report.skips.append(("net is not equal-conflict", net.name))
+    case = _nonpersistent_instance(report, net, attrgetter("equal_conflict"),
+                                   "net is not equal-conflict", max_states)
+    if case is None:
         return
-    report.instances += 1
-    rg = _complete_or_skip(report, net, max_states)
-    if rg is None:
-        return
-    # states are in BFS order, so the witness state is a nearest
-    # nonpersistent one
-    spot = persistence_check(rg).witness
-    if spot is None:
-        report.confirmations += 1  # persistent: conclusion holds
-        return
-    state, leg_a, _ = spot
+    rg, (state, leg_a, _) = case
     delta = shortest_path(rg, state)
     found = persistent_parikh_equivalent(net, net.initial, parikh(delta + (leg_a,)))
     if found is None:
@@ -338,26 +348,21 @@ def _check_dc_main(report, net, bounds, seed, max_states):
     # Unlike the equal-conflict case the refuting sequence is not pinned
     # to the conflict path, so the full bounded check is required; on
     # suspicion the bound is raised before a violation is declared.
-    cls = classify_structure(net)
-    if not (cls.plain and cls.pure):
-        report.skips.append(("net is not pure and plain", net.name))
+    case = _nonpersistent_instance(report, net, _pure_plain, _PURE_PLAIN_SKIP,
+                                   max_states)
+    if case is None:
         return
-    report.instances += 1
-    rg = _complete_or_skip(report, net, max_states)
-    if rg is None:
-        return
-    if persistence_check(rg).persistent:
-        report.confirmations += 1  # persistent: conclusion holds
-        return
+    rg, spot = case
+    dc = classify_structure(net).dissymmetric_choice
     # on DC nets the bound is raised in steps of 4 until it reaches twice
     # sequence_len; the forward pass stops at its first refuting level, so
     # one check at the final bound refutes exactly when a lower one would
     spe_bound = bounds.sequence_len
-    if cls.dissymmetric_choice:
+    if dc:
         spe_bound += 4 * -(-spe_bound // 4)
     if spe_check(net, spe_bound, SPE_PARIKH).refuted:
         report.confirmations += 1  # premise refuted, vacuous
-    elif cls.dissymmetric_choice:
+    elif dc:
         # a genuine refutation of the implication: the conflict sits on a
         # multi-token shared place and the persistent detours cover every
         # Parikh vector
@@ -366,9 +371,10 @@ def _check_dc_main(report, net, bounds, seed, max_states):
             "reason": "DC net, nonpersistent, with no bounded refutation of "
                       "the Parikh-equivalence premise"})
     else:
+        # the derivation's premises are the ones just established, on the
+        # same graph and at the same bound, so only its construction runs
         try:
-            derive_nonDC_embedding(net, spe_bound=bounds.sequence_len,
-                                   max_states=max_states)
+            _construct_nonDC(net, rg, spot, spe_bound, _SEARCH_BOUND)
             report.confirmations += 1
         except PreconditionError as exc:
             # the implication's conclusion (not DC) holds, but the
@@ -382,18 +388,10 @@ def _check_dc_main(report, net, bounds, seed, max_states):
 
 
 def _check_cf_persistent(report, net, bounds, seed, max_states):
-    if not classify_structure(net).choice_free:
-        report.skips.append(("net is not choice-free", net.name))
-        return
-    report.instances += 1
-    rg = _complete_or_skip(report, net, max_states)
-    if rg is None:
-        return
-    verdict = persistence_check(rg)
-    if verdict.persistent:
-        report.confirmations += 1
-    else:
-        report.violations.append({"net": net.name, "witness": verdict.witness})
+    case = _nonpersistent_instance(report, net, attrgetter("choice_free"),
+                                   "net is not choice-free", max_states)
+    if case is not None:
+        report.violations.append({"net": net.name, "witness": case[1]})
 
 
 def _check_perm_implies_parikh(report, net, bounds, seed, max_states):
@@ -414,9 +412,8 @@ def _check_perm_implies_parikh(report, net, bounds, seed, max_states):
 
 
 def _check_diamond_completion(report, net, bounds, seed, max_states):
-    cls = classify_structure(net)
-    if not (cls.plain and cls.pure):
-        report.skips.append(("net is not pure and plain", net.name))
+    if not _pure_plain(classify_structure(net)):
+        report.skips.append((_PURE_PLAIN_SKIP, net.name))
         return
     # the check reads the markings of the first 50 states in BFS order,
     # never an edge, so a cutoff cannot change its verdict;

@@ -158,6 +158,19 @@ class TestLassoEquivalence:
         assert verdict.status == "not-equivalent"
         assert "signatures" in verdict.reason
 
+    def test_window_and_guard_outcomes(self):
+        # fig8_variant's two corpus probes share their signature and agree at
+        # depth 2 within the default window; with no window no permutation
+        # of one unrolling matches the other's prefix, and a class guard of 1
+        # stops the search before it can tell
+        net = corpus_load("fig8_variant").net
+        l1, l2 = parse_lasso(" ; c d a e"), parse_lasso(" ; c a d e")
+        assert lasso_equiv_at_depth(net, l1, l2, depth=2).status == "equivalent-at-depth"
+        narrow = lasso_equiv_at_depth(net, l1, l2, depth=2, window=0)
+        assert narrow.status == "not-equivalent" and "within the window" in narrow.reason
+        guarded = lasso_equiv_at_depth(net, l1, l2, depth=2, guard=1)
+        assert (guarded.status, guarded.reason) == ("unknown", "class guard hit")
+
 
 class TestNegativeBounds:
     def test_equivalence_rejects_negative_depth_and_window(self, fig6):

@@ -6,6 +6,7 @@ from persinet import (
     GenConfig,
     InputError,
     Lts,
+    ResourceExceededError,
     SPE,
     SPE_PARIKH,
     UnknownIdError,
@@ -14,6 +15,8 @@ from persinet import (
     corpus_load,
     corpus_names,
     disjoint_sum,
+    enabled,
+    fire,
     gen_random_net,
     isomorphic,
     lasso_persistence,
@@ -622,18 +625,43 @@ class TestPersistenceTable:
         assert graphs >= 200
 
     def test_cut_off_graph_gets_the_full_scan(self, table_builds):
-        # frontier states have no rows, so the persistent par3 shows a false
-        # witness; it stays the full scan's answer
+        # a state that lost an edge to the budget shows the dropped labels as
+        # disabled, so the scan reads only the pairs whose t leads to a state
+        # that kept its edges: the persistent par3, whose unrestricted scan
+        # shows the false witness (M0, a0, a1), gives no verdict instead
         rg, rep = build_rg(_par(3), 3)
         assert rep.status == "cutoff-reached" and rg._net is None
-        assert persistence_check(rg).witness == ("M0", "a0", "a1") == _full_scan(rg)[1]
+        assert _full_scan(rg)[1] == ("M0", "a0", "a1")
+        with pytest.raises(ResourceExceededError, match=r"'rg\(par3\)' cut off at 3 states"):
+            persistence_check(rg)
+        refuted = raised = 0
         for net in _table_nets():
             rg, rep = build_rg(net, 6)
             if rep.status == "bounded":
                 continue
-            verdict = persistence_check(rg)
-            assert (verdict.persistent, verdict.witness) == _full_scan(rg), net.name
+            try:
+                state, t, u = persistence_check(rg).witness
+            except ResourceExceededError:
+                raised += 1
+                continue
+            # the witness replays by the firing rule
+            m = rg.payload[state]
+            assert enabled(net, m, t) and enabled(net, m, u), net.name
+            assert not enabled(net, fire(net, m, t), u), net.name
+            refuted += 1
+        assert refuted >= 10 and raised >= 10
         assert table_builds == []
+
+    def test_cut_off_witness_at_every_budget(self):
+        # q -> g -> q, g -> p, p -> u, p -> v: g pumps p without bound, and
+        # firing u at M1 disables v whatever the budget
+        net = Net("gen", ["q", "p"], ["g", "u", "v"],
+                  [("q", "g", 1), ("g", "q", 1), ("g", "p", 1),
+                   ("p", "u", 1), ("p", "v", 1)], {"q": 1})
+        for budget in range(2, 51):
+            rg, rep = build_rg(net, budget)
+            assert rep.status == "cutoff-reached"
+            assert persistence_check(rg).witness == ("M1", "u", "v"), budget
 
     def test_copies_without_the_record_agree(self, table_builds):
         # an LTS built from a graph's edges carries no net: it gets the full

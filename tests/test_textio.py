@@ -4,6 +4,7 @@ import pytest
 
 from persinet import (
     InputError,
+    Lts,
     ParseError,
     Pattern,
     build_rg,
@@ -298,6 +299,20 @@ class TestDot:
             strings = [re.sub(r"\\(.)", r"\1", q) for q in quoted.findall(line)]
             assert strings == [s, s2, a], line
         assert dot.startswith('digraph "x\\\\" {')
+
+    def test_exclusion_annotation_is_escaped(self):
+        # nonpers embeds with b -> c", so its exclusion reads "no c"" on u
+        lts = Lts("q", ["s", "t", "u"], ['c"', "d"],
+                  [("s", 'c"', "t"), ("s", "d", "u"), ("t", "d", "s")], "s")
+        pattern = builtin_pattern("nonpers")
+        emb = find_embedding(pattern, lts)
+        assert emb.label_map["b"] == 'c"' and emb.state_map["2"] == "u"
+        dot = emit_dot(lts, emb, pattern)
+        line = next(x for x in dot.splitlines() if x.startswith('  "u" ['))
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        assert re.fullmatch(r'  "u" \[penwidth=2\.5, xlabel="(?:[^"\\]|\\.)*"\];', line)
+        strings = [re.sub(r"\\(.)", r"\1", q) for q in quoted.findall(line)]
+        assert strings == ["u", 'no c"']
 
     def test_single_node_graph(self):
         from persinet import Lts

@@ -219,6 +219,22 @@ class TestParseLtsAgainstReference:
         for doc in docs:
             parse_lts(doc)
 
+    def test_second_target_joins_the_row(self, monkeypatch):
+        # a second a-edge from s adds its target to the row entry the first
+        # one made, still without the constructor
+        doc = ("lts x\nstate s\nstate t\nstate u\ninitial s\nlabel a\n"
+               "edge s a t\nedge s a u\n")
+        want = _outcome(reference_parse_lts, doc)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("parse_lts fell back to the Lts constructor")
+
+        monkeypatch.setattr(Lts, "__init__", refuse)
+        lts = parse_lts(doc)
+        assert lts._rows == [{0: (1, 2)}, {}, {}]
+        assert lts.successors("s", "a") == ("t", "u")
+        assert _outcome(parse_lts, doc) == want
+
     def test_label_lines_declare_the_labels(self):
         doc = ("lts x\nstate s\nstate t\ninitial s\nlabel b\nlabel a\nlabel c\n"
                "edge s a t\nedge s b t\n")

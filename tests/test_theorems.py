@@ -474,6 +474,64 @@ class TestDcMainGenuineViolation:
             assert [v["spe_bound"] for v in rep.violations] == [bound], net.name
 
 
+def _e9301(t3_from_p0=True, t3_into_p0=False):
+    """e9301, the smallest seeded DC-main violation (pure plain 3x4, 2 tokens
+    on p0), and its two non-DC relatives: without the arc p0 -> t3, and
+    with it reversed (t3 -> p0)."""
+    arcs = [("p0", "t0", 1), ("p1", "t1", 1), ("t1", "p2", 1),
+            ("p0", "t2", 1), ("p2", "t2", 1), ("p1", "t3", 1), ("p2", "t3", 1)]
+    if t3_from_p0:
+        arcs.append(("p0", "t3", 1))
+    if t3_into_p0:
+        arcs.append(("t3", "p0", 1))
+    return pn.Net("e9301", ["p0", "p1", "p2"], ["t0", "t1", "t2", "t3"], arcs,
+                  {"p0": 2, "p1": 1})
+
+
+def _count_calls(monkeypatch, name):
+    """The calls of the persinet function `name` through every module that
+    holds it."""
+    import sys
+
+    real = getattr(pn, name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("persinet") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestDcMainOnePass:
+    """A substantive non-DC instance builds its graph once and checks the
+    Parikh premise once: the derivation reuses DC-main's graph, witness
+    and bounded check."""
+
+    @pytest.mark.parametrize("relative", ({"t3_from_p0": False},
+                                          {"t3_from_p0": False, "t3_into_p0": True}))
+    def test_relatives(self, monkeypatch, relative):
+        net = _e9301(**relative)
+        cls = classify_structure(net)
+        assert cls.pure and cls.plain and cls.dissymmetric_choice is False
+        graphs = _count_calls(monkeypatch, "build_rg")
+        checks = _count_calls(monkeypatch, "spe_check")
+        rep = check_theorem("DC-main", net)
+        assert (len(graphs), len(checks)) == (1, 1)
+        assert (rep.instances, rep.confirmations, rep.violations) == (1, 1, [])
+        assert [reason for reason, _ in rep.skips] == [
+            "pattern not embedded though premises hold"]
+        assert "exclusion (s2,a) maps to an enabled pair (M2,t0)" in rep.skips[0][1]["detail"]
+
+    def test_e9301_still_violates(self):
+        rep = check_theorem("DC-main", _e9301())
+        assert (rep.instances, rep.confirmations, len(rep.violations)) == (1, 0, 1)
+        assert rep.violations[0]["spe_bound"] == 22
+
+
 def _reference_probe(net, max_prefix, max_cycle):
     """The word-level probe search: every entry state in BFS order behind
     its shortest prefix, cycles by an unpruned depth-first search over the
