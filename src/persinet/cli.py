@@ -17,7 +17,7 @@ import sys
 
 from . import corpus, fairness, lts as lts_mod, net as net_mod, patterns, sequences
 from . import textio, theorems
-from .errors import InputError, PersinetError
+from .errors import InputError, PersinetError, ResourceExceededError
 
 DUMP_HEADER = {"format": "persinet-report", "version": 1}
 
@@ -109,8 +109,11 @@ def cmd_rg(args):
 
 def cmd_persistence(args):
     net = _load_net(args.net)
-    graph, _ = lts_mod.complete_rg(net, args.max_states)
-    verdict = lts_mod.persistence_check(graph)
+    graph, report = lts_mod.build_rg(net, args.max_states)
+    try:  # a witness on a cut-off graph is exact and replays
+        verdict = lts_mod.persistence_check(graph)
+    except ResourceExceededError:
+        raise lts_mod._cut_off(net, report) from None
     if verdict.persistent:
         print("persistent: yes")
     else:

@@ -16,12 +16,11 @@ place, so distinct markings get distinct keys.
 An Lts holds one adjacency, its index rows (state index -> label index ->
 target indices).  The constructor builds them in the pass that validates
 the edges it is given.  build_rg fills them during its search, and
-textio.parse_lts while it reads a document it can place, and both hand
-them to Lts._of_rows, which validates nothing.  A parsed LTS keeps the
-edges it read; a reachability graph's edges are projected from the rows
-when first read.  Every analysis here, the pattern search and the probe
-search read the rows, and map indices back to names only for their
-answers.
+textio.parse_lts while the edges of a document arrive in row order, and
+both hand them to Lts._of_rows, which validates nothing; such an LTS's
+edges are projected from the rows when first read.  Every analysis here,
+the pattern search and the probe search read the rows, and map indices
+back to names only for their answers.
 
 persistence_check reads what the net's structure proves on a complete
 reachability graph: firing t can disable u only if t removes tokens from a
@@ -64,16 +63,18 @@ class Lts:
     targets in edge order.  The rows come from one of two constructors.
     Lts(...) builds them in the one pass over the edges that also
     validates them, so the edge in hand when an id lookup fails is the
-    first offender.  Lts._of_rows takes rows that their maker already
-    knows to be valid, and checks nothing: build_rg's, made during its
-    search, whose edges are projected from them only when read, and
-    textio.parse_lts's, filled while it reads a document that declares
-    every state and label before the edges that use them.  A document it
-    cannot place that way goes to Lts(...), so the edges of a parsed LTS
-    are validated by the constructor or by the parse itself.  Both end in
-    _finish.  The reverse rows {label index: [source indices]}, sources
-    in state order, are derived from the rows only when predecessors are
-    asked for.  The name-level accessors below are
+    first offender, and keeps the edges as given.  Lts._of_rows takes
+    rows that their maker already knows to be valid, checks nothing and
+    keeps no edge triples: build_rg's, made during its search, and
+    textio.parse_lts's, filled while a document's edges arrive in row
+    order, after every state and label they use.  A document out of that
+    order goes to Lts(...), so the edges of a parsed LTS are validated by
+    the constructor or by the parse itself.  Both end in _finish.  The
+    edges of an LTS made from rows are projected from them when first
+    read (_projected), and print_lts and emit_dot read that projection
+    without keeping it.  The reverse rows {label index: [source indices]},
+    sources in state order, are derived from the rows only when
+    predecessors are asked for.  The name-level accessors below are
     projections of the rows.
     """
 
@@ -128,24 +129,22 @@ class Lts:
                      edges, of_payload)
 
     @classmethod
-    def _of_rows(cls, name, states, labels, rows, initial, payload,
-                 edges=None) -> "Lts":
+    def _of_rows(cls, name, states, labels, rows, initial, payload) -> "Lts":
         """The LTS of index rows rows over the tuples states and labels,
-        which it keeps as given, as it keeps payload and edges.
+        which it keeps as given, as it keeps payload.  Its edges are
+        projected from the rows on first read.
 
         Nothing is validated: ids must be distinct and hashable, initial one
         of states, every row a dict {label index: (target indices)} with its
-        labels in increasing order and its targets distinct, payload None
-        or an injective map over exactly the states, and edges None or a
-        tuple of the rows' edges as (state, label, state) triples, each
-        once.  So only code that builds such rows itself may call it:
-        build_rg, whose edges are projected from the rows on first read,
-        and textio.parse_lts, which passes the edges it read.
+        labels in increasing order and its targets distinct, and payload
+        None or an injective map over exactly the states.  So only code
+        that builds such rows itself may call it: build_rg, and
+        textio.parse_lts on a document whose edges arrive in row order.
         """
         lts = cls.__new__(cls)
         lts._finish(name, states, labels, rows, initial, payload,
                     dict(zip(states, range(len(states)))),
-                    dict(zip(labels, range(len(labels)))), edges)
+                    dict(zip(labels, range(len(labels)))))
         return lts
 
     def _finish(self, name, states, labels, rows, initial, payload, sidx, lidx,
@@ -175,13 +174,17 @@ class Lts:
     def edges(self) -> tuple:
         """The (state, label, state) triples: as given to the constructor,
         or, for an LTS made from its rows, projected from them in state
-        order, then label order, then target order."""
+        order, then label order, then target order, and kept."""
         if self._edges is None:
-            states, labels = self.states, self.labels
-            self._edges = tuple([(s, labels[a], states[j])
-                                 for s, row in zip(states, self._rows)
-                                 for a, tgts in row.items() for j in tgts])
+            self._edges = tuple(self._edge_iter())
         return self._edges
+
+    def _edge_iter(self):
+        """The triples of edges, one at a time, for a caller that reads
+        each once: a projection of the rows is not kept."""
+        if self._edges is not None:
+            return iter(self._edges)
+        return _projected(self.states, self.labels, self._rows)
 
     def _edge_count(self) -> int:
         return sum([len(tgts) for row in self._rows for tgts in row.values()])
@@ -287,6 +290,16 @@ class Lts:
                 and self.initial == other.initial)
 
     __hash__ = None
+
+
+def _projected(states, labels, rows):
+    """The (state, label, state) triples of index rows over states and
+    labels, in state order, then label order, then target order."""
+    for s, row in zip(states, rows):
+        for a, tgts in row.items():
+            a = labels[a]
+            for j in tgts:
+                yield s, a, states[j]
 
 
 def _id_index(name, kind, ids) -> dict:
@@ -454,10 +467,15 @@ def complete_rg(net: Net, max_states: Optional[int] = None):
     ResourceExceededError, naming the net and the budget, instead."""
     lts, report = build_rg(net, max_states)
     if report.status != "bounded":
-        raise ResourceExceededError(
-            f"reachability graph of net '{net.name}' cut off at {report.cutoff} "
-            "states; a truncated graph gives no verdict")
+        raise _cut_off(net, report)
     return lts, report
+
+
+def _cut_off(net: Net, report: BoundReport) -> ResourceExceededError:
+    """The error of a verdict that a graph cut off at its budget cannot give."""
+    return ResourceExceededError(
+        f"reachability graph of net '{net.name}' cut off at {report.cutoff} "
+        "states; a truncated graph gives no verdict")
 
 
 @dataclass

@@ -10,7 +10,10 @@ edges use, in order of first use.  print_lts declares the labels some edge
 uses, in their order, so a printed LTS parses back with the same states,
 labels, edges and initial state, less the labels no edge uses.  A parsed
 LTS prints and parses back unchanged (==), which the corpus round-trip
-suite pins down.
+suite pins down.  An LTS document whose edges arrive in row order (by
+source state, then label, as print_lts writes a reachability graph) is
+read into index rows alone and keeps no edge triples; any other keeps the
+triples it read, in document order.
 
     net:      net NAME / place ID [init N] / trans ID / arc ID -> ID [W]
     lts:      lts NAME / state ID / initial ID / label ID / edge ID LABEL ID
@@ -30,7 +33,7 @@ from typing import Optional
 
 from .errors import InputError, ParseError
 from .fairness import Lasso
-from .lts import Lts
+from .lts import Lts, _projected
 from .net import Net
 from .patterns import Embedding, Pattern
 
@@ -127,14 +130,19 @@ def parse_lts(text: str) -> Lts:
     """Parse an LTS document.
 
     Its labels are those of its 'label' lines, in their order, or, when it
-    has none, those its edges use, in order of first use.  The index rows
-    are filled in the pass that reads the lines, as long as every edge can
-    be placed: its states and label declared on earlier lines, no edge
-    repeated, and each state's labels arriving in declaration order.
-    print_lts writes such documents, and they go to Lts._of_rows.  Every
-    other document, label-free ones included, goes to the validating Lts
-    constructor with the edges read in the same pass, and the constructor
-    reports unknown states and labels and repeated edges."""
+    has none, those its edges use, in order of first use.  While the edges
+    arrive in row order, only the index rows are filled, in the pass that
+    reads the lines: each edge's states and label are declared on earlier
+    lines, its source index is no lower than the last edge's, its label
+    index no lower within one source, and a repeated (source, label) brings
+    a new target.  print_lts writes a reachability graph that way, and such
+    a document goes to Lts._of_rows with no edge triples: its edges are
+    projected from the rows on first read, in the document's order.  The
+    first edge out of row order ends that mode.  The edges read so far are
+    then exactly the projection of the rows, so they are made from it, and
+    every later edge is kept as read.  Such a document, and every
+    label-free one, goes to the validating Lts constructor, which reports
+    unknown states and labels and repeated edges."""
     try:
         return _parse_lts(text)
     except ParseError as exc:
@@ -144,37 +152,34 @@ def parse_lts(text: str) -> Lts:
 
 def _parse_lts(text: str) -> Lts:
     name, initial = None, None
-    states, labels, edges = [], [], []
+    states, labels = [], []
     sidx, lidx = {}, {}  # id -> index, for the states and labels declared so far
-    # the index rows while every edge is placed: one shared (j,) tuple per
-    # state, as in build_rg, and the last label index added to each row
-    placed = True
-    rows, one, last = [], [], []
+    # the index rows, one shared (j,) tuple per state as in build_rg, and
+    # the (state, label) index pair of the last edge put in them; edges
+    # stays None while every edge arrives in row order and goes only there
+    rows, one, at, edges = [], [], (-1, -1), None
     for no, tok in _lines(text):
         kind = tok[0]
         if kind == "edge":
             if len(tok) != 4:
                 raise ParseError("usage: edge <state> <label> <state>", no)
             _, s, a, s2 = tok
-            edges.append((s, a, s2))
-            if not placed:
-                continue
-            try:
-                i, ai, tgt = sidx[s], lidx[a], one[sidx[s2]]
-            except KeyError:  # an id not declared yet
-                placed = False
-                continue
-            row = rows[i]
-            if ai not in row:
-                if ai < last[i]:  # the row's labels arrive out of order
-                    placed = False
+            if edges is None:  # every edge so far is in the rows
+                try:
+                    key, tgt = (sidx[s], lidx[a]), one[sidx[s2]]
+                except KeyError:  # an id not declared yet: () fails both tests
+                    key = ()
+                if key > at:  # a new row entry
+                    rows[key[0]][key[1]] = tgt
+                    at = key
                     continue
-                row[ai] = tgt
-                last[i] = ai
-            elif tgt[0] in row[ai]:  # a repeated edge
-                placed = False
-            else:
-                row[ai] += tgt
+                if key == at and tgt[0] not in rows[key[0]][key[1]]:
+                    rows[key[0]][key[1]] += tgt  # a new target of the last entry
+                    continue
+                # the first edge out of row order: the edges read so far are
+                # exactly the rows' projection, and every later one is kept
+                edges = list(_projected(states, labels, rows))
+            edges.append((s, a, s2))
         elif kind == "state":
             if len(tok) != 2:
                 raise ParseError("usage: state <id>", no)
@@ -185,7 +190,6 @@ def _parse_lts(text: str) -> Lts:
             sidx[s] = len(states)
             states.append(s)
             rows.append({})
-            last.append(-1)
         elif kind == "label":
             if len(tok) != 2:
                 raise ParseError("usage: label <id>", no)
@@ -212,9 +216,10 @@ def _parse_lts(text: str) -> Lts:
         raise ParseError("missing 'lts <name>' header")
     if initial is None:
         raise ParseError("missing 'initial <id>'")
-    if placed and initial in sidx:
-        return Lts._of_rows(name, tuple(states), tuple(labels), rows, initial,
-                            None, tuple(edges))
+    if edges is None:
+        if initial in sidx:
+            return Lts._of_rows(name, tuple(states), tuple(labels), rows, initial, None)
+        edges = list(_projected(states, labels, rows))
     if not labels:
         labels = list(dict.fromkeys([a for _, a, _ in edges]))  # first-use order
     try:
@@ -245,7 +250,7 @@ def print_lts(lts: Lts) -> str:
     out.append(f"initial {lts.initial}")
     used = set().union(*lts._rows)  # the label indices some edge uses
     out += [f"label {a}" for ai, a in enumerate(lts.labels) if ai in used]
-    out += [f"edge {s} {a} {s2}" for s, a, s2 in lts.edges]
+    out += [f"edge {s} {a} {s2}" for s, a, s2 in lts._edge_iter()]
     return "\n".join(out) + "\n"
 
 
@@ -354,7 +359,7 @@ def emit_dot(lts: Lts, highlights: Optional[Embedding] = None,
             noes = " ".join(f"no {a}" for a in sorted(excluded[s]))
             attrs.append(f"xlabel={_q(noes)}")
         out.append(f"  {_q(s)}" + (f" [{', '.join(attrs)}]" if attrs else "") + ";")
-    for s, a, s2 in lts.edges:
+    for s, a, s2 in lts._edge_iter():
         attrs = [f"label={_q(a)}"]
         if (s, a, s2) in bold_edges:
             attrs.append("penwidth=2.5")

@@ -1,10 +1,11 @@
 """parse_lts against the parser it replaced.
 
-parse_lts fills the index rows while it reads the lines and falls back to
-the validating Lts constructor on a document it cannot place.  The
-reference below always goes through the constructor, as parse_lts did
-before, so on every document both must give the same LTS, with the same
-rows in the same order, or the same error on the same line.
+parse_lts fills only the index rows while the edges arrive in row order
+and, from the first edge that does not, keeps the edges as triples for the
+validating Lts constructor.  The reference below always goes through the
+constructor, as parse_lts did before, so on every document both must give
+the same LTS, with the same rows in the same order, or the same error on
+the same line.
 """
 
 import random
@@ -20,6 +21,7 @@ from persinet import (
     corpus_load,
     corpus_names,
     disjoint_sum,
+    emit_dot,
     gen_random_net,
     parse_lts,
     print_lts,
@@ -254,4 +256,69 @@ class TestParseLtsAgainstReference:
         "lts x\nstate s\nstate t\ninitial s\nlabel a\nlabel b\nedge s b t\nedge s a t\n",
     ])
     def test_documents_that_cannot_be_placed(self, doc):
+        assert _outcome(parse_lts, doc) == _outcome(reference_parse_lts, doc)
+
+
+def _edge_lines(doc):
+    return [tuple(x.split()[1:]) for x in doc.splitlines() if x.startswith("edge ")]
+
+
+class TestRowOrder:
+    """A document whose edges arrive in row order parses to rows alone; the
+    first edge out of that order keeps the edges as triples."""
+
+    def test_printed_graphs_keep_no_triples(self):
+        count = 0
+        for rg in _graphs():
+            doc = print_lts(rg)
+            back = parse_lts(doc)
+            assert back._edges is None, rg.name
+            assert list(back.edges) == _edge_lines(doc), rg.name
+            count += 1
+        assert count >= 80
+
+    def test_printing_a_graph_keeps_no_triples(self):
+        for rg in _graphs():
+            doc, dot = print_lts(rg), emit_dot(rg)
+            assert rg._edges is None, rg.name
+            # the projection is read again, and gives the edges' order
+            assert (doc, dot) == (print_lts(rg), emit_dot(rg))
+            assert _edge_lines(doc) == list(rg.edges)
+
+    @pytest.mark.parametrize("net", ["fig1_basic", "fig8_variant"])
+    def test_each_edge_moved_out_of_order(self, net):
+        rg = build_rg(corpus_load(net).net)[0]
+        lines = print_lts(rg).splitlines()
+        first = next(i for i, x in enumerate(lines) if x.startswith("edge "))
+        head, edges = lines[:first], lines[first:]
+        assert len(edges) >= 8
+        for k in range(len(edges)):
+            moved = [edges[:k] + edges[k + 1:] + edges[k:k + 1]]
+            if k + 1 < len(edges):
+                moved.append(edges[:k] + [edges[k + 1], edges[k]] + edges[k + 2:])
+            for order in moved:
+                doc = "\n".join(head + order) + "\n"
+                assert _outcome(parse_lts, doc) == _outcome(reference_parse_lts, doc), doc
+                back = parse_lts(doc)
+                assert (back._edges is None) == (order == edges)
+                assert list(back.edges) == _edge_lines(doc)
+
+    def test_out_of_row_order_keeps_document_order(self):
+        # t's edge comes before s's: the triples are kept as read, while
+        # the rows are in label order
+        doc = ("lts x\nstate s\nstate t\ninitial s\nlabel a\nlabel b\n"
+               "edge s a t\nedge t a s\nedge s b s\nedge s a s\n")
+        lts = parse_lts(doc)
+        assert lts._edges == (("s", "a", "t"), ("t", "a", "s"), ("s", "b", "s"),
+                              ("s", "a", "s"))
+        assert [list(r.items()) for r in lts._rows] == [[(0, (1, 0)), (1, (0,))],
+                                                        [(0, (0,))]]
+        assert _outcome(parse_lts, doc) == _outcome(reference_parse_lts, doc)
+
+    def test_a_new_target_of_the_last_entry_stays_in_the_rows(self):
+        doc = ("lts x\nstate s\nstate t\ninitial s\nlabel a\nlabel b\n"
+               "edge s a t\nedge s a s\nedge s b t\nedge t b s\nedge t b t\n")
+        lts = parse_lts(doc)
+        assert lts._edges is None
+        assert list(lts.edges) == _edge_lines(doc)
         assert _outcome(parse_lts, doc) == _outcome(reference_parse_lts, doc)
