@@ -139,9 +139,13 @@ class Net:
         self._calls = 0
         #: the compiled firing kernel (_compile_kernel), None until the net
         #: has made _KERNEL_RENT calls: the enabling function of a marking
-        #: and the successor function per transition index
+        #: and the successor function per transition index, and, on
+        #: behavioural nets only, the enabling function naming what it finds
+        #: and the successor per transition name
         self._k_enabled = None
         self._k_succ = None
+        self._k_names = None
+        self._k_fire = None
 
     # -- id/index bookkeeping ------------------------------------------------
 
@@ -240,30 +244,37 @@ class Net:
 # _enabled_i and _fire_i first run the generic loops below, which read the
 # arc tables.  Once a net has made _KERNEL_RENT calls into them it gets a
 # compiled firing kernel (_compile_kernel): straight-line Python with the
-# net's place indices and weights written in as literals, which the
-# primitives, fire and enabled_transitions use from then on.  The generic
-# loops stay the reference the kernel is tested against.
+# net's place indices and weights written in as literals, over the marking
+# unpacked into locals, which the primitives use from then on.  fire and
+# enabled_transitions go to the kernel first, by transition name, and
+# validate only what it does not take: since every kernel function starts
+# by unpacking the marking, a tuple of the wrong length cannot pass it.
+# The generic loops stay the reference the kernel is tested against.
 
 #: A net's firing kernel is compiled once the net has made this many calls
 #: into the generic loops of _enabled_i (the full test) and _fire_i.  The
 #: rent follows the ski-rental rule: buy once the rent paid so far would
 #: have paid for the purchase.  Under CPython 3.11, compiling fig1_basic
-#: (5 places, 4 transitions) costs about 0.5 ms and its kernel saves about
-#: 0.6 us a call, so it breaks even after some 800 calls; bigger nets cost
-#: more to compile and save more a call (fig1_basic + par4: 1.5 ms, and
-#: 0.3 us a firing, 0.9 us an enabling test).  Of the about 8,000 nets of a
-#: theorem-lab benchmark round, 23 reach 512 calls and two or three 1,024.
+#: (5 places, 4 transitions) costs about 0.4 ms and its kernel saves about
+#: 0.25 us a firing and 0.35 us an enabling test, and 0.3 and 0.75 us a
+#: call to fire and enabled_transitions, so it breaks even after some 1,000
+#: calls; bigger nets cost more to compile and save more a call
+#: (fig1_basic + par4: 1.25 ms, and 0.2 us a firing, 0.8 us an enabling
+#: test, 0.5 and 1.3 us a call to fire and enabled_transitions).  Of the
+#: about 8,000 nets of a theorem-lab benchmark round, 23 reach 512 calls
+#: and two or three 1,024.
 _KERNEL_RENT = 1024
 
 #: A compiled successor is one tuple display of the next marking on nets
 #: of at most this many places, and a list patched at the changed places
 #: above: the display costs a term per place, the list a copy and one
-#: statement per changed place.  CPython compiles a display of more than
-#: 30 terms through a list, which costs the display its lead.  Timed per
-#: call under CPython 3.11, display against list: 280 against 380 ns at 13
-#: places, 340 against 490 ns at 29, 670 against 570 ns at 31, 870 against
-#: 490 ns at 32.
-_DISPLAY_PLACES = 29
+#: statement per changed place, beside the unpacking both pay.  CPython
+#: compiles a display of more than 30 terms through a list, which costs
+#: the display its lead.  Timed per call under CPython 3.11, a successor
+#: changing two places, display against list: 210 against 390 ns at 13
+#: places, 390 against 610 ns at 29, 400 against 630 ns at 30, 690 against
+#: 650 ns at 31, 730 against 690 ns at 32.
+_DISPLAY_PLACES = 30
 
 
 def _compile_kernel(net: Net):
@@ -273,20 +284,32 @@ def _compile_kernel(net: Net):
     enabled(m) is _enabled_i(net, m): one straight-line test per transition,
     in declaration order.  successors[ti](m) is _fire_i(net, m, ti): the
     test of ti, then its next marking (m itself when firing changes
-    nothing).  The source holds integer literals only, place indices and
-    weights passed through int(), never an id; one exec makes every
-    function of the net.
+    nothing).  Every function first unpacks m into the locals x0, x1, ...,
+    so a tuple of the wrong length raises ValueError in any of them.  On a
+    behavioural net the same exec also makes what fire and
+    enabled_transitions call: enabled_names(m), the enabling tests giving
+    a tuple of transition names, stored as net._k_names, and the dict from
+    transition name to successor, net._k_fire.  The source holds integer
+    literals only, place indices and weights passed through int(), never
+    an id: the names are bound in the exec namespace as N0, N1, ....
     """
-    lines = ["def enabled(m):", "    out = []", "    app = out.append"]
-    for ti, inputs in enumerate(net._inputs):
-        test = " and ".join([f"m[{int(pi)}] >= {int(w)}" for pi, w in inputs])
-        lines.append(f"    if {test}: app({ti})" if test else f"    app({ti})")
-    lines.append("    return out")
-    display = len(net.places) <= _DISPLAY_PLACES
+    n_places = len(net.places)
+    unpack = f"    {''.join([f'x{pi}, ' for pi in range(n_places)]) or '() '}= m"
+    tests = [" and ".join([f"x{int(pi)} >= {int(w)}" for pi, w in inputs])
+             for inputs in net._inputs]
+    lines = []
+    for name, item, result in (("enabled", "{}", "out"),
+                               ("enabled_names", "N{}", "tuple(out)")):
+        lines += [f"def {name}(m):", unpack, "    out = []", "    app = out.append"]
+        for ti, test in enumerate(tests):
+            app = f"app({item.format(ti)})"
+            lines.append(f"    if {test}: {app}" if test else f"    {app}")
+        lines.append(f"    return {result}")
+    display = n_places <= _DISPLAY_PLACES
     for ti, (pre, post) in enumerate(zip(net._pre, net._post)):
-        lines.append(f"def s{ti}(m):")
+        lines += [f"def s{ti}(m):", unpack]
         if pre:
-            test = " or ".join([f"m[{int(pi)}] < {int(w)}" for pi, w in pre.items()])
+            test = " or ".join([f"x{int(pi)} < {int(w)}" for pi, w in pre.items()])
             lines.append(f"    if {test}: return None")
         change = {}  # place index -> the token change, for the places that change
         for pi in sorted({*pre, *post}):
@@ -296,19 +319,24 @@ def _compile_kernel(net: Net):
         if not change:
             lines.append("    return m")
         elif display:
-            terms = "".join([f"m[{pi}] {change[pi]:+d}, " if pi in change else f"m[{pi}], "
-                             for pi in range(len(net.places))])
+            terms = "".join([f"x{pi} {change[pi]:+d}, " if pi in change else f"x{pi}, "
+                             for pi in range(n_places)])
             lines.append(f"    return ({terms})")
         else:
             lines.append("    out = list(m)")
-            lines.extend([f"    out[{pi}] += {d}" for pi, d in change.items()])
+            lines.extend([f"    out[{pi}] = x{pi} {d:+d}" for pi, d in change.items()])
             lines.append("    return tuple(out)")
     successors = "".join([f"s{ti}, " for ti in range(len(net.transitions))])
     lines.append(f"successors = ({successors})")
-    namespace = {}
+    by_name = "".join([f"N{ti}: s{ti}, " for ti in range(len(net.transitions))])
+    lines.append(f"by_name = {{{by_name}}}")
+    namespace = {f"N{ti}": t for ti, t in enumerate(net.transitions)}
     exec(compile("\n".join(lines), "<persinet firing kernel>", "exec"), namespace)
     net._k_succ = namespace["successors"]
     net._k_enabled = namespace["enabled"]
+    if not net.structural_only:
+        net._k_names = namespace["enabled_names"]
+        net._k_fire = namespace["by_name"]
     return namespace["enabled"], namespace["successors"]
 
 
@@ -432,6 +460,7 @@ def enabled(net: Net, m: Marking, t: str) -> bool:
 
 def deficient_place(net: Net, m: Marking, t: str) -> Optional[str]:
     """First place (declaration order) blocking t at m, or None if enabled."""
+    net._check_state(m)
     ti = net.transition_index(t)
     for pi in sorted(net._pre[ti]):
         if m[pi] < net._pre[ti][pi]:
@@ -440,14 +469,28 @@ def deficient_place(net: Net, m: Marking, t: str) -> Optional[str]:
 
 
 def fire(net: Net, m: Marking, t: str) -> Marking:
-    """Fire t at m; raises NotEnabledError naming the deficient place."""
+    """Fire t at m; raises NotEnabledError naming the deficient place.
+
+    On a net with a compiled kernel a tuple goes straight to the successor
+    of t by name.  Any input that does not fire there falls through to the
+    validating path, which raises its errors: a marking of the wrong length
+    fails the kernel's unpacking, an unknown or unhashable id misses the
+    dict and a disabled step gets None.
+    """
+    kernel = net._k_fire
+    if kernel is not None and type(m) is tuple:
+        try:
+            m2 = kernel[t](m)
+        except (KeyError, TypeError, ValueError):
+            m2 = None
+        if m2 is not None:
+            return m2
     if net.structural_only or type(m) is not tuple or len(m) != len(net.places):
         net._check_state(m)  # _check_state's test, inlined: it raises here
     ti = net._tidx.get(t)
     if ti is None:
         net.transition_index(t)  # raises UnknownIdError
-    successors = net._k_succ
-    m2 = _fire_i(net, m, ti) if successors is None else successors[ti](m)
+    m2 = _fire_i(net, m, ti)
     if m2 is None:
         raise NotEnabledError(t, place=deficient_place(net, m, t))
     return m2
@@ -482,7 +525,18 @@ def firable(net: Net, m: Marking, seq: Sequence[str]) -> bool:
 
 
 def enabled_transitions(net: Net, m: Marking):
-    """Transitions enabled at m, in declaration order."""
+    """Transitions enabled at m, in declaration order.
+
+    On a net with a compiled kernel a tuple goes straight to its enabling
+    test that names what it finds; one of the wrong length fails the
+    kernel's unpacking and falls through to the validating path, as in fire.
+    """
+    kernel = net._k_names
+    if kernel is not None and type(m) is tuple:
+        try:
+            return kernel(m)
+        except ValueError:
+            pass
     net._check_state(m)
     names = net.transitions
     return tuple([names[ti] for ti in _enabled_i(net, m)])

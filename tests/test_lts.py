@@ -1063,3 +1063,59 @@ class TestRowsHandOver:
             repr(rg)
             assert rep.edge_count == rg._edge_count()
             assert rg._edges is None and again._edges is None, net.name
+
+
+def _edge_equal(a, b):
+    """Lts equality as the edges decide it, projecting no triples."""
+    return ((a.name, a.states, a.labels, list(a._edge_iter()), a.initial)
+            == (b.name, b.states, b.labels, list(b._edge_iter()), b.initial))
+
+
+class TestEqualityOnRows:
+    """Two LTSs that keep no edge triples compare by their rows, and keep
+    none after; == and != answer as the edges would."""
+
+    @staticmethod
+    def _variants(rg):
+        """rg's document parsed back, and documents that differ from it
+        only in the name or in one edge: all parse to rows alone."""
+        doc = print_lts(rg)
+        lines = doc.splitlines()
+        edges = [i for i, x in enumerate(lines) if x.startswith("edge ")]
+        docs = [doc, doc.replace(f"lts {rg.name}", "lts other", 1)]
+        for i in edges[:1] + edges[-1:]:
+            docs.append("\n".join(lines[:i] + lines[i + 1:]) + "\n")
+        return [parse_lts(d) for d in docs]
+
+    def test_rows_decide_and_keep_no_triples(self):
+        count = equal = 0
+        previous = None  # the document of the graph before
+        for rg in TestIndexRows._graphs():
+            variants = self._variants(rg)
+            # print_lts declares only the labels some edge uses
+            back_equal = variants[0].labels == rg.labels
+            assert (variants[0] == rg) is back_equal, rg.name
+            equal += back_equal
+            group = [rg] + variants + ([parse_lts(previous)] if previous else [])
+            for a in group:
+                for b in group:
+                    want = _edge_equal(a, b)
+                    assert (a == b) is want and (a != b) is (not want), (rg.name, a.name)
+            assert all(x._edges is None for x in group), rg.name
+            # beside an LTS that keeps its triples, the edges decide as before
+            copy = Lts(rg.name, rg.states, rg.labels, rg.edges, rg.initial)
+            for b in group:
+                want = _edge_equal(copy, b)
+                assert (copy == b) is (b == copy) is want, rg.name
+            previous = print_lts(rg)
+            count += 1
+        assert count >= 80 and equal >= 40
+
+    def test_target_order_within_a_row(self):
+        head = "lts x\nstate s\nstate t\nstate u\ninitial s\nlabel a\n"
+        one = parse_lts(head + "edge s a t\nedge s a u\n")
+        other = parse_lts(head + "edge s a u\nedge s a t\n")
+        assert one._edges is None and other._edges is None
+        assert one != other and not one == other
+        assert one == parse_lts(head + "edge s a t\nedge s a u\n")
+        assert one._edges is None and other._edges is None

@@ -1,3 +1,4 @@
+import dis
 import sys
 import threading
 from itertools import combinations, permutations
@@ -27,7 +28,7 @@ from persinet import (
 )
 from persinet import net as net_mod
 from persinet.net import (ClassReport, _compile_kernel, _components, _enabled_i, _fire_i,
-                          _may_disable, _sub_net, replay_class_witness)
+                          _may_disable, _sub_net, deficient_place, replay_class_witness)
 from persinet.textio import print_lts
 
 
@@ -89,10 +90,27 @@ class TestFiringRule:
                     call()
                 assert type(err.value) is error and str(err.value) == message
 
+    def test_deficient_place_checks_its_marking(self, fig1):
+        # it raises what fire raises for the same marking, never IndexError
+        assert deficient_place(fig1, fig1.initial, "a") == "p2"
+        assert deficient_place(fig1, fig1.initial, "c") is None
+        rd = reverse_dual(fig1)
+        for net, m in [(fig1, (0,)), (fig1, fig1.initial + (0,)), (fig1, list(fig1.initial)),
+                       (fig1, ()), (rd, rd.initial)]:
+            t = net.transitions[0]
+            with pytest.raises(InputError) as want:
+                fire(net, m, t)
+            with pytest.raises(InputError) as err:
+                deficient_place(net, m, t)
+            assert type(err.value) is type(want.value) and str(err.value) == str(want.value)
+        with pytest.raises(UnknownIdError, match="unknown transition 'zz'"):
+            deficient_place(fig1, fig1.initial, "zz")
+
     @pytest.mark.parametrize("call", [
         lambda net, m: fire(net, m, "c"),
         lambda net, m: enabled(net, m, "c"),
         lambda net, m: enabled_transitions(net, m),
+        lambda net, m: deficient_place(net, m, "c"),
         lambda net, m: fire_sequence(net, m, seq("c")),
         lambda net, m: pn.sequence_persistence(net, m, seq("c")),
         lambda net, m: pn.spe_check(net, 3, m0=m),
@@ -100,7 +118,7 @@ class TestFiringRule:
         lambda net, m: pn.perm_equivalent(net, m, seq("c d"), seq("d c")),
         lambda net, m: pn.persistent_perm_equivalent(net, m, seq("c d")),
         lambda net, m: pn.persistent_parikh_equivalent(net, m, {"c": 1}),
-    ], ids=["fire", "enabled", "enabled_transitions", "fire_sequence",
+    ], ids=["fire", "enabled", "enabled_transitions", "deficient_place", "fire_sequence",
             "sequence_persistence", "spe_check", "equivalence_class",
             "perm_equivalent", "persistent_perm_equivalent",
             "persistent_parikh_equivalent"])
@@ -302,10 +320,31 @@ class TestCompiledKernel:
             except AssertionError as exc:
                 errors.append(exc)
 
+        def work_public():
+            # the public entry points, which go to the kernel by name once
+            # it is compiled, and to the validating path for a disabled step
+            names = net.transitions
+            try:
+                for _ in range(3):
+                    for m, (en, succ) in zip(marks, table):
+                        assert enabled_transitions(net, m) == tuple(names[ti] for ti in en)
+                        for t, m2 in zip(names, succ):
+                            if m2 is not None:
+                                assert fire(net, m, t) == m2
+                                continue
+                            try:
+                                fire(net, m, t)
+                            except NotEnabledError:
+                                continue
+                            raise AssertionError(f"{t} fired at {m}")
+            except AssertionError as exc:
+                errors.append(exc)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work) for _ in range(6)]
+            threads = [threading.Thread(target=target)
+                       for target in (work, work_public) for _ in range(3)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -331,11 +370,16 @@ class TestCompiledKernel:
                     assert list(rg.edges) == list(ref_rg.edges), net.name
                     assert repr(rep) == repr(ref_rep), net.name
 
-    def test_errors_on_a_compiled_net(self, fig1):
+    def test_errors_on_a_compiled_net(self, fig1, monkeypatch):
+        before = _twin(fig1)
         _compile_kernel(fig1)
         rd = reverse_dual(fig1)
         _compile_kernel(rd)
-        short = fig1.initial[:-1]
+        # only a behavioural net reaches its kernel by name
+        assert fig1._k_fire is not None and fig1._k_names is not None
+        assert rd._k_fire is None and rd._k_names is None
+        short, long = fig1.initial[:-1], fig1.initial + (0,)
+        sub = type("Sub", (tuple,), {})(fig1.initial)
         cases = [
             (NotEnabledError, "transition 'a' is not enabled (place 'p2' lacks tokens)",
              [lambda: fire(fig1, fig1.initial, "a")]),
@@ -346,9 +390,14 @@ class TestCompiledKernel:
             (InputError, "marking has 4 entries, net 'fig1_basic' has 5 places",
              [lambda: fire(fig1, short, "c"), lambda: enabled_transitions(fig1, short),
               lambda: fire(fig1, short, "zz")]),
+            (InputError, "marking has 6 entries, net 'fig1_basic' has 5 places",
+             [lambda: fire(fig1, long, "c"), lambda: enabled_transitions(fig1, long),
+              lambda: fire(fig1, long, "zz"), lambda: fire(fig1, long, ["c"])]),
             (InputError, "marking must be a tuple of token counts, got list",
              [lambda: fire(fig1, list(fig1.initial), "c"),
               lambda: enabled_transitions(fig1, list(fig1.initial))]),
+            (InputError, "marking must be a tuple of token counts, got Sub",
+             [lambda: fire(fig1, sub, "c"), lambda: enabled_transitions(fig1, sub)]),
             (UnknownIdError, "unknown transition 'zz'",
              [lambda: fire(fig1, fig1.initial, "zz")]),
         ]
@@ -357,9 +406,41 @@ class TestCompiledKernel:
                 with pytest.raises(InputError) as err:
                     call()
                 assert type(err.value) is error and str(err.value) == message
+        with pytest.raises(TypeError, match=r"^unhashable type: 'list'$"):
+            fire(fig1, fig1.initial, ["c"])
         with pytest.raises(NotEnabledError) as err:
             fire_sequence(fig1, fig1.initial, seq("c d a a"))
         assert (err.value.place, err.value.index) == ("p2", 3)
+
+        # every outcome is the one of a net that never compiled its kernel
+        def outcome(call, net):
+            try:
+                return "returns", call(net)
+            except Exception as exc:
+                return (type(exc), str(exc), getattr(exc, "place", None),
+                        getattr(exc, "index", None))
+
+        m0 = fig1.initial
+        calls = [lambda n: fire(n, m0, "a"), lambda n: fire(n, m0, "c"),
+                 lambda n: fire(n, short, "c"), lambda n: fire(n, long, "c"),
+                 lambda n: fire(n, (), "c"), lambda n: fire(n, sub, "c"),
+                 lambda n: fire(n, list(m0), "c"), lambda n: fire(n, m0, "zz"),
+                 lambda n: fire(n, m0, ["c"]), lambda n: fire(n, m0, None),
+                 lambda n: fire(n, ("x",) * 5, "c"),
+                 lambda n: enabled_transitions(n, m0), lambda n: enabled_transitions(n, short),
+                 lambda n: enabled_transitions(n, long), lambda n: enabled_transitions(n, sub),
+                 lambda n: enabled_transitions(n, ()),
+                 lambda n: deficient_place(n, long, "a"),
+                 lambda n: fire_sequence(n, m0, seq("c d a a")),
+                 lambda n: fire_sequence(n, m0, ("c", ["d"])),
+                 lambda n: fire_sequence(n, long, seq("c")),
+                 lambda n: net_mod._replay(n, m0, seq("c zz")),
+                 lambda n: pn.firable(n, m0, seq("c d a a"))]
+        with monkeypatch.context() as mp:
+            mp.setattr(net_mod, "_KERNEL_RENT", sys.maxsize)
+            want = [outcome(call, before) for call in calls]
+            assert before._k_fire is None
+        assert [outcome(call, fig1) for call in calls] == want
 
     def test_ids_that_are_python_source(self, monkeypatch):
         # ids never reach the kernel's source: these compile, fire and
@@ -373,13 +454,75 @@ class TestCompiledKernel:
         net = Net("')\nimport os\n", places, transitions, arcs, {places[0]: 2, places[2]: 1})
         marks, table = self._generic(net, monkeypatch)
         enabled, successors = _compile_kernel(net)
+        assert set(net._k_fire) == set(transitions)
         for m, (en, succ) in zip(marks, table):
             assert enabled(m) == en and [s(m) for s in successors] == succ
             assert enabled_transitions(net, m) == tuple(transitions[ti] for ti in en)
+            for ti in en:
+                assert fire(net, m, transitions[ti]) == succ[ti]
         assert len(marks) > 3
         with pytest.raises(NotEnabledError) as err:
             fire(net, (0,) * len(places), transitions[0])
         assert err.value.place == places[0]
+
+    @staticmethod
+    def _shape_nets():
+        """Nets of 0, 1 and 29 to 32 places, each with a transition whose
+        firing changes nothing: 30 places is the widest tuple display
+        CPython builds directly, so the successors change form there."""
+        nets = [Net("no places", [], ["t", "u"]),
+                Net("one place", ["p"], ["s", "u", "d"],
+                    [("p", "s", 1), ("s", "p", 1), ("u", "p", 1), ("p", "d", 2)], {"p": 1})]
+        for n in (29, 30, 31, 32):
+            places = [f"p{i}" for i in range(n)]
+            arcs = [arc for i in range(n) for arc in (
+                (places[i], f"t{i}", 1), (f"t{i}", places[(i + 1) % n], 1))]
+            arcs += [("p0", "stay", 1), ("stay", "p0", 1)]
+            nets.append(Net(f"ring{n}", places, [f"t{i}" for i in range(n)] + ["stay"],
+                            arcs, {"p0": 2}))
+        return nets
+
+    @pytest.mark.parametrize("index", range(6),
+                             ids=["0 places", "1 place", "29 places", "30 places",
+                                  "31 places", "32 places"])
+    def test_kernel_shapes(self, monkeypatch, index):
+        net = self._shape_nets()[index]
+        n = len(net.places)
+        marks, table = self._generic(net, monkeypatch)
+        enabled, successors = _compile_kernel(net)
+        names = net.transitions
+        # every function reads the marking through the locals x0, x1, ...,
+        # unpacked from it first, and never subscripts it
+        unpacked = ("m",) + tuple(f"x{pi}" for pi in range(n))
+        for f in (enabled, net._k_names, *successors):
+            code = f.__code__
+            assert code.co_varnames[:n + 1] == unpacked, (net.name, code.co_name)
+            assert "BINARY_SUBSCR" not in {ins.opname for ins in dis.get_instructions(code)}
+        changing = [s for s, pre, post in zip(successors, net._pre, net._post) if pre != post]
+        assert changing or n == 0
+        for s in changing:
+            assert ("list" in s.__code__.co_names) == (n > net_mod._DISPLAY_PLACES), net.name
+        for m, (en, succ) in zip(marks, table):
+            assert enabled(m) == en and [s(m) for s in successors] == succ, (net.name, m)
+            assert net._k_names(m) == enabled_transitions(net, m) == tuple(names[ti] for ti in en)
+            for ti in en:
+                assert fire(net, m, names[ti]) == succ[ti]
+            for ti, (pre, post) in enumerate(zip(net._pre, net._post)):
+                if pre == post and ti in en:
+                    assert successors[ti](m) is m  # firing changes nothing
+            # a tuple of the wrong length fails the unpacking in every
+            # function, and the public entry points raise their own error
+            for bad in (m + (0,), m[:-1]) if m else ((0,),):
+                for f in (enabled, net._k_names, *successors):
+                    with pytest.raises(ValueError):
+                        f(bad)
+                message = f"marking has {len(bad)} entries, net '{net.name}' has {n} places"
+                for t in names:
+                    with pytest.raises(InputError, match=f"^{message}$"):
+                        fire(net, bad, t)
+                with pytest.raises(InputError, match=f"^{message}$"):
+                    enabled_transitions(net, bad)
+        assert len(marks) >= 2 or n == 0
 
 
 class TestAttributeLayout:
