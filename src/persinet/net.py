@@ -152,13 +152,13 @@ class Net:
     def place_index(self, p):
         try:
             return self._pidx[p]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownIdError(f"unknown place '{p}'") from None
 
     def transition_index(self, t):
         try:
             return self._tidx[t]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownIdError(f"unknown transition '{t}'") from None
 
     def pre_weight(self, p, t):
@@ -475,7 +475,8 @@ def fire(net: Net, m: Marking, t: str) -> Marking:
     of t by name.  Any input that does not fire there falls through to the
     validating path, which raises its errors: a marking of the wrong length
     fails the kernel's unpacking, an unknown or unhashable id misses the
-    dict and a disabled step gets None.
+    dict and a disabled step gets None.  An unknown id, hashable or not,
+    raises UnknownIdError.
     """
     kernel = net._k_fire
     if kernel is not None and type(m) is tuple:
@@ -487,9 +488,10 @@ def fire(net: Net, m: Marking, t: str) -> Marking:
             return m2
     if net.structural_only or type(m) is not tuple or len(m) != len(net.places):
         net._check_state(m)  # _check_state's test, inlined: it raises here
-    ti = net._tidx.get(t)
-    if ti is None:
-        net.transition_index(t)  # raises UnknownIdError
+    try:
+        ti = net._tidx[t]
+    except (KeyError, TypeError):
+        ti = net.transition_index(t)  # raises UnknownIdError
     m2 = _fire_i(net, m, ti)
     if m2 is None:
         raise NotEnabledError(t, place=deficient_place(net, m, t))

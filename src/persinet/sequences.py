@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import (
@@ -311,8 +314,102 @@ def equivalence_class(net: Net, m0: Marking, seq: Sequence[str],
 
     Classes are finite (fixed multiset of letters); a configurable guard
     caps the exploration and raises ResourceExceededError beyond it.
+
+    The class is built one connected component (net._components) at a
+    time.  Transitions of different components share no place, so a
+    transposition of adjacent letters of different components always
+    fires: each letter is enabled before the pair, since the other changes
+    none of its places, and the pair leaves one marking either way.  Such a
+    swap leaves every projection w|C onto a component C unchanged, and a
+    swap of two letters of C fires in w iff it fires in w|C, since the
+    letters of other components change none of C's places; w|C is firable
+    from m0 for the same reason.  Hence w' is equivalent to w iff w'|C is
+    equivalent to w|C for every C: the projections of a swap sequence from
+    w to w' are swap sequences of each w|C, and conversely w is equivalent
+    to the concatenation of its projections (cross-component swaps sort it
+    by component), in which each block is rewritten by its projection's
+    swaps, and then unsorted into w'.  So the class is every interleaving
+    of one member of each projection's class, each choice giving a
+    distinct word, and its size is the product of those classes' sizes
+    times the multinomial coefficient of the projections' lengths.
+
+    seq is replayed first, so an unknown or disabled letter raises what
+    the whole-word search raises.  A word within one component is searched
+    whole (_class_bfs); otherwise each projection is searched on one step
+    memo and the members are interleaved.  A class larger than the guard is
+    searched whole, so the guard error (message and partial set) is that of
+    the whole-word search.
     """
-    return {w for w, _ in _class_bfs(net, m0, tuple(seq), guard)}
+    seq = tuple(seq)
+    _replay(net, m0, seq)
+    guard = default_class_guard() if guard is None else guard
+    parts, = _projections(net, seq)
+    if len(parts) > 1:
+        memo = {}
+        try:
+            classes = [[w for w, _ in _class_bfs(net, m0, part, guard, memo)]
+                       for part in parts]
+        except ResourceExceededError:  # the whole class is larger still
+            pass
+        else:
+            if _class_size(classes) <= guard:
+                words = classes[0]
+                for members in classes[1:]:
+                    words = _shuffles(words, members)
+                return set(words)
+    return {w for w, _ in _class_bfs(net, m0, seq, guard)}
+
+
+def _projections(net, *words):
+    """Per firable word, its projections onto the connected components
+    whose letters it uses, in component order (_components)."""
+    owner = [0] * len(net.transitions)  # transition index -> its component
+    for k, (ts, _) in enumerate(_components(net)):
+        for ti in ts:
+            owner[ti] = k
+    index = net._tidx
+    out = []
+    for word in words:
+        parts = {}
+        for t in word:
+            parts.setdefault(owner[index[t]], []).append(t)
+        out.append([tuple(parts[k]) for k in sorted(parts)])
+    return out
+
+
+def _class_size(classes):
+    """The number of interleavings of one word from each of classes, whose
+    words share one length per class."""
+    size = 1
+    total = 0
+    for members in classes:
+        k = len(members[0])
+        total += k
+        size *= len(members) * comb(total, k)
+    return size
+
+
+def _shuffles(xs, ys):
+    """Every interleaving of a word of xs with a word of ys that keeps the
+    order of each, as a list.  The words of xs share one length, as do those
+    of ys.  Each placement of the shorter word's letters becomes one
+    itemgetter over the concatenation of the two words, so the words are
+    built without recursion whatever their length."""
+    if len(xs[0]) < len(ys[0]):
+        xs, ys = ys, xs
+    a, b = len(xs[0]), len(ys[0])
+    out = []
+    for pos in combinations(range(a + b), b):  # where ys' letters go
+        gather = []
+        prev = 0
+        for j, p in enumerate(pos):
+            gather.extend(range(prev - j, p - j))
+            gather.append(a + j)
+            prev = p + 1
+        gather.extend(range(prev - b, a))
+        pick = itemgetter(*gather)
+        out.extend([pick(x + y) for x in xs for y in ys])
+    return out
 
 
 def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
@@ -320,7 +417,13 @@ def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
     """Whether s2 is reachable from s1 by firable adjacent transpositions.
 
     Unequal Parikh vectors short-circuit to False (permutation equivalence
-    preserves letter counts).
+    preserves letter counts).  Otherwise s1 and s2 are equivalent iff their
+    projections onto every connected component are (the proof is
+    equivalence_class's: a transposition across components always fires
+    and leaves every projection unchanged).  Each component whose
+    projections differ is one class search (_class_bfs) from s1's
+    projection, stopped when it meets s2's; the searches share one step
+    memo, and the guard bounds each projection's class.
     """
     s1, s2 = tuple(s1), tuple(s2)
     fire_sequence(net, m0, s1)
@@ -329,7 +432,9 @@ def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
         return False
     if s1 == s2:
         return True
-    return any(w == s2 for w, _ in _class_bfs(net, m0, s1, guard))
+    memo = {}
+    return all(p1 == p2 or any(w == p2 for w, _ in _class_bfs(net, m0, p1, guard, memo))
+               for p1, p2 in zip(*_projections(net, s1, s2)))
 
 
 def _lex_key(net, word):

@@ -50,9 +50,9 @@ from .sequences import (
     SPE,
     SPE_PARIKH,
     SpeVerdict,
+    _class_bfs,
     _swaps,
     complete_diamond,
-    equivalence_class,
     parikh,
     perm_equivalent,
     persistent_parikh_equivalent,
@@ -649,7 +649,10 @@ def oracle_spe_check(net: Net, bound: int, mode: str = SPE):
                 if sequence_persistence(net, net.initial, w2).persistent:
                     continue
                 if mode == SPE:
-                    members = equivalence_class(net, net.initial, w2)
+                    # the whole-word search, not equivalence_class, which
+                    # splits the word by component: the split is checked
+                    # against this oracle
+                    members = [w for w, _ in _class_bfs(net, net.initial, w2)]
                     good = any(sequence_persistence(net, net.initial, w).persistent
                                for w in members)
                 else:

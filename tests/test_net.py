@@ -83,6 +83,15 @@ class TestFiringRule:
               lambda: fire(fig1, short, "zz")]),
             (UnknownIdError, "unknown transition 'zz'",
              [lambda: fire(fig1, fig1.initial, "zz")]),
+            # an unhashable id is an unknown id, not a raw TypeError
+            (UnknownIdError, "unknown transition '['c']'",
+             [lambda: fire(fig1, fig1.initial, ["c"]),
+              lambda: enabled(fig1, fig1.initial, ["c"]),
+              lambda: deficient_place(fig1, fig1.initial, ["c"]),
+              lambda: fig1.transition_index(["c"]),
+              lambda: fire_sequence(fig1, fig1.initial, ("c", ["c"]))]),
+            (UnknownIdError, "unknown place '['p0']'",
+             [lambda: fig1.place_index(["p0"])]),
         ]
         for error, message, calls in cases:
             for call in calls:
@@ -406,8 +415,6 @@ class TestCompiledKernel:
                 with pytest.raises(InputError) as err:
                     call()
                 assert type(err.value) is error and str(err.value) == message
-        with pytest.raises(TypeError, match=r"^unhashable type: 'list'$"):
-            fire(fig1, fig1.initial, ["c"])
         with pytest.raises(NotEnabledError) as err:
             fire_sequence(fig1, fig1.initial, seq("c d a a"))
         assert (err.value.place, err.value.index) == ("p2", 3)
@@ -426,6 +433,7 @@ class TestCompiledKernel:
                  lambda n: fire(n, (), "c"), lambda n: fire(n, sub, "c"),
                  lambda n: fire(n, list(m0), "c"), lambda n: fire(n, m0, "zz"),
                  lambda n: fire(n, m0, ["c"]), lambda n: fire(n, m0, None),
+                 lambda n: enabled(n, m0, ["c"]), lambda n: deficient_place(n, m0, ["c"]),
                  lambda n: fire(n, ("x",) * 5, "c"),
                  lambda n: enabled_transitions(n, m0), lambda n: enabled_transitions(n, short),
                  lambda n: enabled_transitions(n, long), lambda n: enabled_transitions(n, sub),

@@ -90,6 +90,14 @@ class TestSequencePersistence:
             assert whole == parts
 
 
+def _whole_class(net, m0, word, guard=None):
+    """The class of word by the whole-word search, which no component
+    split reaches: the reference for equivalence_class and perm_equivalent."""
+    from persinet.sequences import _class_bfs
+
+    return {w for w, _ in _class_bfs(net, m0, tuple(word), guard)}
+
+
 def _random_walk(net, rng, max_len):
     word, m = [], net.initial
     for _ in range(rng.randint(0, max_len)):
@@ -146,7 +154,7 @@ class TestPermEquivalence:
             if not w1 or len(w1) != len(w2):
                 continue
             got = perm_equivalent(net, net.initial, w1, w2)
-            want = w2 in equivalence_class(net, net.initial, w1)
+            want = w2 in _whole_class(net, net.initial, w1)
             assert got == want
             checked += 1
         assert checked >= 10
@@ -301,7 +309,7 @@ class TestKernelsAgainstOracle:
         for net in self.NETS[:150]:
             words = [w for w, _ in _brute_words(net, net.initial, 4) if len(w) == 4]
             for s1 in words[:6]:
-                members = equivalence_class(net, net.initial, s1)
+                members = _whole_class(net, net.initial, s1)
                 for s2 in words:
                     assert perm_equivalent(net, net.initial, s1, s2) == (s2 in members)
                     for k in (1, 2, 3):
@@ -778,6 +786,128 @@ class TestComponentSplit:
                 assert len(expanded) == len(set(expanded))
                 monkeypatch.undo()
         assert split >= 20
+
+
+def _outcome(call):
+    """What call returns, or its error's type, message, partial set,
+    index and place."""
+    try:
+        return "returns", call()
+    except pn.PersinetError as exc:
+        return (type(exc), str(exc), getattr(exc, "partial", None),
+                getattr(exc, "index", None), getattr(exc, "place", None))
+
+
+class TestClassByComponents:
+    """equivalence_class interleaves the classes of a word's projections
+    onto the net's components, and perm_equivalent compares projections:
+    both against the whole-word class search on disjoint sums."""
+
+    @staticmethod
+    def _sums():
+        crit = TestKernelsAgainstOracle.NETS
+        sums = []
+        for s in range(120):
+            a, b = gen_random_net(GenConfig(seed=s)), crit[s]
+            sums += [pn.disjoint_sum(a, b), pn.disjoint_sum(b, a)]
+        for s in range(60):
+            a, b = gen_random_net(GenConfig(seed=300 + s)), crit[120 + s]
+            three = [a, b, _par(1 + s % 3)]
+            rng = random.Random(s)
+            rng.shuffle(three)
+            sums.append(pn.disjoint_sum(pn.disjoint_sum(three[0], three[1]), three[2]))
+        return sums
+
+    @staticmethod
+    def _projection_count(net, word):
+        from persinet.sequences import _projections
+
+        return len(_projections(net, word)[0])
+
+    def test_sums_against_whole_word_search(self):
+        sums = self._sums()
+        assert len(sums) >= 200
+        rng = random.Random(27)
+        split = pairs = 0
+        for net in sums:
+            m0 = net.initial
+            for _ in range(3):
+                word = _random_walk(net, rng, 8)
+                whole = _whole_class(net, m0, word)
+                assert equivalence_class(net, m0, word) == whole, (net.name, word)
+                split += self._projection_count(net, word) > 1 and len(whole) > 1
+                others = sorted(whole)[:4]
+                for _ in range(6):
+                    shuffled = list(word)
+                    rng.shuffle(shuffled)
+                    if pn.firable(net, m0, shuffled):
+                        others.append(tuple(shuffled))
+                others += [_random_walk(net, rng, len(word)) for _ in range(2)]
+                for other in others:
+                    assert perm_equivalent(net, m0, word, other) == (other in whole), \
+                        (net.name, word, other)
+                    pairs += 1
+        assert split >= 300 and pairs >= 6000
+
+    def test_guard_and_replay_errors_identical(self):
+        rng = random.Random(28)
+        guarded = failed = 0
+        for net in self._sums():
+            m0 = net.initial
+            word = _random_walk(net, rng, 8)
+            whole = _whole_class(net, m0, word)
+            for guard in {len(whole) // 2, len(whole) - 1, len(whole)}:
+                if guard < 1:
+                    continue
+                got = _outcome(lambda: equivalence_class(net, m0, word, guard))
+                want = _outcome(lambda: _whole_class(net, m0, word, guard))
+                assert got == want, (net.name, word, guard)
+                guarded += got[0] is pn.ResourceExceededError and \
+                    self._projection_count(net, word) > 1
+            disabled = [t for t in net.transitions
+                        if not pn.enabled(net, fire_sequence(net, m0, word), t)]
+            for bad in [word + (t,) for t in disabled[:2]] + \
+                    [word[:1] + ("zz",) + word[1:], word + (["c"],)]:
+                got = _outcome(lambda: equivalence_class(net, m0, bad))
+                assert got == _outcome(lambda: _whole_class(net, m0, bad)), (net.name, bad)
+                assert got[0] in (NotEnabledError, UnknownIdError)
+                failed += got[0] is NotEnabledError
+        assert guarded >= 200 and failed >= 400
+
+    def test_par_interleavings(self):
+        # every interleaving of the a_i b_i pairs: one member per component
+        par4 = _par(4)
+        word = tuple(x for i in range(4) for x in (f"a{i}", f"b{i}"))
+        members = equivalence_class(par4, par4.initial, word)
+        assert len(members) == 2520 and members == _whole_class(par4, par4.initial, word)
+        assert _outcome(lambda: equivalence_class(par4, par4.initial, word, 2519)) == \
+            _outcome(lambda: _whole_class(par4, par4.initial, word, 2519))
+        # the whole class of 16!/2^8 words exceeds the guard; each
+        # projection's class is one word
+        par8 = _par(8)
+        s1 = tuple(x for i in range(8) for x in (f"a{i}", f"b{i}"))
+        s2 = tuple(f"a{i}" for i in range(7, -1, -1)) + \
+            tuple(f"b{i}" for i in range(7, -1, -1))
+        assert perm_equivalent(par8, par8.initial, s1, s2, guard=1)
+        # a b c and c b a are not equivalent in fig12_spar, whatever the
+        # other component's letters do between them
+        spar = pn.disjoint_sum(corpus_load("fig12_spar").net, par8)
+        s1 = ("a", "a0", "b", "b0", "c")
+        whole = _whole_class(spar, spar.initial, s1)
+        for s2, want in ((("c", "b", "a0", "a", "b0"), False),
+                         (("a0", "a", "b", "c", "b0"), True)):
+            assert perm_equivalent(spar, spar.initial, s1, s2) == (s2 in whole) == want
+
+    def test_long_word(self):
+        # 999 letters of one cycle and one of another: 1,000 interleavings,
+        # built without recursion
+        net = pn.disjoint_sum(Net("onecycle", ["p", "q"], ["a", "b"],
+                                  [("p", "a", 1), ("a", "q", 1), ("q", "b", 1),
+                                   ("b", "p", 1)], {"p": 1}), _par(1))
+        word = ("a", "b") * 499 + ("a", "a0")
+        members = equivalence_class(net, net.initial, word)
+        assert len(members) == 1000 and members == _whole_class(net, net.initial, word)
+        assert perm_equivalent(net, net.initial, word, ("a0",) + word[:-1])
 
 
 class TestSpeCheck:
