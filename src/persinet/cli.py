@@ -293,17 +293,17 @@ def _gen_config(path):
         raise InputError(f"config '{path}': unknown keys {unknown}")
     try:
         return theorems.GenConfig(**doc)
-    except TypeError as exc:
+    except InputError as exc:
         raise InputError(f"config '{path}': {exc}") from None
 
 
 def _seed_range(text):
     try:
         lo, hi = map(int, text.split(".."))
-        if hi < lo:
+        if not 0 <= lo <= hi:  # GenConfig takes no negative seed
             raise ValueError
     except ValueError:
-        raise InputError(f"--seeds wants LO..HI, got '{text}'") from None
+        raise InputError(f"--seeds wants LO..HI with 0 <= LO <= HI, got '{text}'") from None
     return range(lo, hi + 1)
 
 
@@ -392,7 +392,8 @@ def build_parser():
 
     p = add("explore", cmd_explore, help="run a theorem over seeded random nets")
     p.add_argument("--config", metavar="FILE")
-    p.add_argument("--seeds", default="0..49", help="inclusive range, e.g. 0..999")
+    p.add_argument("--seeds", default="0..49",
+                   help="inclusive range of seeds >= 0, e.g. 0..999")
     p.add_argument("--theorem", required=True, choices=theorems.THEOREM_IDS)
 
     return parser

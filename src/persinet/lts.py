@@ -43,7 +43,7 @@ from typing import Optional
 
 from .errors import (InputError, ResourceExceededError, UnknownIdError,
                      UnsupportedClassError, env_int)
-from .net import Net, _enabled_i, _fire_i, _may_disable
+from .net import Net, _enabled_i, _fire_i, _may_disable, _numbered
 
 
 def default_max_states() -> int:
@@ -399,8 +399,9 @@ def build_rg(net: Net, max_states: Optional[int] = None):
     """Breadth-first reachability graph in canonical transition order.
 
     Returns (Lts, BoundReport).  States are named M0, M1, ... in discovery
-    order and carry their marking as payload.  Exceeding max_states is not
-    an error: the report comes back flagged "cutoff-reached".
+    order, sliced from one shared tuple of names (net._numbered), and carry
+    their marking as payload.  Exceeding max_states is not an error: the
+    report comes back flagged "cutoff-reached".
 
     The search fills each state's index row {transition index: (target
     index,)} as it goes and hands the rows to Lts._of_rows, so no edge is
@@ -444,7 +445,7 @@ def build_rg(net: Net, max_states: Optional[int] = None):
                     order.append(m2)
                 row[ti] = tgt
 
-    names = tuple([f"M{j}" for j in range(len(order))])
+    names = _numbered("M", len(order))
     lts = Lts._of_rows(f"rg({net.name})", names, net.transitions, rows, names[0],
                        dict(zip(names, order)))
     # firing is a function of the marking, and a marking is the unique
@@ -461,7 +462,7 @@ def build_rg(net: Net, max_states: Optional[int] = None):
     k = max(place_bounds, default=0)
     report = BoundReport(
         status="cutoff-reached" if cut else "bounded", k_bound=k,
-        place_bounds={p: place_bounds[i] for i, p in enumerate(net.places)},
+        place_bounds=dict(zip(net.places, place_bounds)),
         safe=None if cut else k <= 1, state_count=len(order),
         edge_count=sum(map(len, rows)), cutoff=cutoff)  # one target a row entry
     return lts, report

@@ -29,6 +29,22 @@ from .errors import (
 
 Marking = tuple  # token counts, one entry per place, in net place order
 
+#: prefix -> the ids prefix0, prefix1, ... made so far, one tuple that grows
+#: to the longest run asked for (see _numbered)
+_NUMBERED = {}
+
+
+def _numbered(prefix: str, n: int) -> tuple:
+    """The ids prefix0 .. prefix{n-1}, sliced from one shared tuple, so that
+    the generator's places and transitions and build_rg's states M0.. are
+    named without making a string per net or per graph.  The tuple grows
+    on demand; workers that race to grow it each build the same strings,
+    which wastes time only."""
+    ids = _NUMBERED.get(prefix, ())
+    if len(ids) < n:
+        ids = _NUMBERED[prefix] = ids + tuple([f"{prefix}{i}" for i in range(len(ids), n)])
+    return ids[:n]
+
 
 class Net:
     """An initially marked, arc-weighted place/transition net.
@@ -112,8 +128,8 @@ class Net:
         self.name = name
         self.places = places
         self.transitions = transitions
-        self._pidx = {p: i for i, p in enumerate(places)}
-        self._tidx = {t: i for i, t in enumerate(transitions)}
+        self._pidx = dict(zip(places, range(len(places))))
+        self._tidx = dict(zip(transitions, range(len(transitions))))
         # sparse weights per transition index: {place index: weight}
         self._pre = pre
         self._post = post
@@ -591,30 +607,70 @@ class ClassReport:
         return getattr(self, name)
 
 
-#: the ClassReport flag names, in field order
+#: the ClassReport flag names, in field order: the last _PLAIN_ONLY of
+#: them are defined for plain nets only
 _FLAGS = tuple(f.name for f in fields(ClassReport) if f.name != "witnesses")
+_PLAIN_ONLY = 3
 
 
-def _tangled(a, b) -> bool:
-    """a and b meet, yet neither contains the other."""
-    return bool(a & b) and not (a <= b or b <= a)
+# The pairwise class conditions, each defined once, as the search for its
+# first offending pair: over a list of elements (the input-weight dicts of
+# the transitions, or the (consumers, producers) index sets of the places)
+# each returns the first index pair in declaration order on which the
+# condition fails, or None.  Unordered pairs are tried as i < j, ordered
+# ones as i != j.  The condition is written out inside the loop, so trying
+# a pair makes no Python call.  "Tangled" sets meet, yet neither contains
+# the other.
+
+def _equal_conflict_pair(pre):
+    """Conflicting transitions (sharing an input place) have one input vector."""
+    for i, x in enumerate(pre):
+        for j in range(i + 1, len(pre)):
+            y = pre[j]
+            if not x.keys().isdisjoint(y) and x != y:
+                return i, j
+    return None
 
 
-#: The pairwise class conditions, each defined once.  flag -> (elements
-#: compared, ordered pairs?, offends(x, y)): x and y are the input-weight
-#: dicts of two transitions, or the (consumers, producers) index sets of two
-#: places.  Unordered pairs are tried as i < j, ordered ones as i != j.
+def _dissymmetric_choice_pair(pre):
+    """The presets of two transitions are never tangled."""
+    for i, x in enumerate(pre):
+        x = x.keys()
+        for j in range(i + 1, len(pre)):
+            y = pre[j].keys()
+            if not x.isdisjoint(y) and not (x <= y or y <= x):
+                return i, j
+    return None
+
+
+def _asymmetric_choice_pair(sides):
+    """The postsets of two places are never tangled."""
+    for i, (x, _) in enumerate(sides):
+        for j in range(i + 1, len(sides)):
+            y = sides[j][0]
+            if not x.isdisjoint(y) and not (x <= y or y <= x):
+                return i, j
+    return None
+
+
+def _dc_tilde_pair(sides):
+    """Places with shared consumers show consumer inclusion one way or
+    producer inclusion the other way (ordered pairs)."""
+    for i, (xc, xp) in enumerate(sides):
+        for j, (yc, yp) in enumerate(sides):
+            if i != j and not xc.isdisjoint(yc) and not (xc <= yc or yp <= xp):
+                return i, j
+    return None
+
+
+#: flag -> (elements compared: "transitions" or "places", the search for
+#: its first offending pair).  replay_class_witness runs the same search
+#: on the two elements of a witness.
 _PAIR_CLASSES = {
-    # conflicting transitions have one input vector
-    "equal_conflict": ("transitions", False,
-                       lambda x, y: bool(x.keys() & y.keys()) and x != y),
-    "dissymmetric_choice": ("transitions", False,
-                            lambda x, y: _tangled(x.keys(), y.keys())),
-    "asymmetric_choice": ("places", False, lambda x, y: _tangled(x[0], y[0])),
-    # shared consumers force either consumer inclusion one way or producer
-    # inclusion the other way
-    "dc_tilde": ("places", True,
-                 lambda x, y: bool(x[0] & y[0]) and not (x[0] <= y[0] or y[1] <= x[1])),
+    "equal_conflict": ("transitions", _equal_conflict_pair),
+    "dissymmetric_choice": ("transitions", _dissymmetric_choice_pair),
+    "asymmetric_choice": ("places", _asymmetric_choice_pair),
+    "dc_tilde": ("places", _dc_tilde_pair),
 }
 
 
@@ -622,22 +678,12 @@ def _place_sides(net: Net) -> list:
     """Per place, in declaration order, its (consumers, producers) as sets of
     transition indices."""
     sides = [(set(), set()) for _ in net.places]
-    for ti in range(len(net.transitions)):
-        for pi in net._pre[ti]:
+    for ti, (ins, outs) in enumerate(zip(net._pre, net._post)):
+        for pi in ins:
             sides[pi][0].add(ti)
-        for pi in net._post[ti]:
+        for pi in outs:
             sides[pi][1].add(ti)
     return sides
-
-
-def _first_offending(items, ordered, offends):
-    """The first index pair, in declaration order, on which offends holds."""
-    n = len(items)
-    for i in range(n):
-        for j in range(n) if ordered else range(i + 1, n):
-            if i != j and offends(items[i], items[j]):
-                return i, j
-    return None
 
 
 def classify_structure(net: Net) -> ClassReport:
@@ -648,53 +694,60 @@ def classify_structure(net: Net) -> ClassReport:
     arc, pair or place in declaration order.  Nets are immutable, so the
     report is cached in the net's _class_report slot, which _finish declares
     with the net's other caches.
+
+    One pass over the arcs builds the place sides, one over the places
+    finds the pure and choice-free witnesses, and each pairwise flag is one
+    call of its search in _PAIR_CLASSES.  The arcs are sorted for the plain
+    witness only when some weight exceeds 1.
     """
     cached = net._class_report
     if cached is not None:
         return cached
+    pre, post = net._pre, net._post
     witnesses = {}
-    for ti, t in enumerate(net.transitions):
-        for pi in sorted(net._pre[ti]):
-            if net._pre[ti][pi] > 1:
-                witnesses.setdefault("plain", (net.places[pi], t, net._pre[ti][pi]))
-        for pi in sorted(net._post[ti]):
-            if net._post[ti][pi] > 1:
-                witnesses.setdefault("plain", (t, net.places[pi], net._post[ti][pi]))
-    plain = "plain" not in witnesses
+    if net._max_out > 1 or any(w > 1 for ins in pre for w in ins.values()):
+        for ti, t in enumerate(net.transitions):
+            for pi in sorted(pre[ti]):
+                if pre[ti][pi] > 1:
+                    witnesses.setdefault("plain", (net.places[pi], t, pre[ti][pi]))
+            for pi in sorted(post[ti]):
+                if post[ti][pi] > 1:
+                    witnesses.setdefault("plain", (t, net.places[pi], post[ti][pi]))
+    plain = not witnesses
 
     sides = _place_sides(net)
     for p, (consumers, producers) in zip(net.places, sides):
-        if consumers & producers:
+        if not consumers.isdisjoint(producers):
             witnesses.setdefault("pure", (p, net.transitions[min(consumers & producers)]))
         if len(consumers) > 1:
             t1, t2 = sorted(consumers)[:2]
             witnesses.setdefault("choice_free", (p, net.transitions[t1], net.transitions[t2]))
 
-    elements = {"transitions": net._pre, "places": sides}
-    flags = {}
-    for flag, (kind, ordered, offends) in _PAIR_CLASSES.items():
-        if not plain and flag != "equal_conflict":
-            flags[flag] = None  # defined for plain nets only
-            continue
-        pair = _first_offending(elements[kind], ordered, offends)
-        if pair is not None:
-            names = getattr(net, kind)
-            witnesses[flag] = (names[pair[0]], names[pair[1]])
+    elements = {"transitions": pre, "places": sides}
+    for flag, (kind, first_pair) in _PAIR_CLASSES.items():
+        if plain or flag == "equal_conflict":  # the others: plain nets only
+            pair = first_pair(elements[kind])
+            if pair is not None:
+                names = getattr(net, kind)
+                witnesses[flag] = (names[pair[0]], names[pair[1]])
     # free choice is equal conflict on a plain net, and fails off plain nets
     if not plain or "equal_conflict" in witnesses:
         witnesses["free_choice"] = witnesses["equal_conflict" if plain else "plain"]
 
-    # every other flag holds iff it has no witness
-    report = ClassReport(witnesses=witnesses, **{
-        flag: flags.get(flag, flag not in witnesses) for flag in _FLAGS})
-    net._class_report = report
+    # every flag holds iff it has no witness; plain-only flags read None
+    # ("not applicable") off plain nets
+    holds = [flag not in witnesses for flag in _FLAGS]
+    if not plain:
+        holds[-_PLAIN_ONLY:] = [None] * _PLAIN_ONLY
+    report = net._class_report = ClassReport(*holds, witnesses=witnesses)
     return report
 
 
 def replay_class_witness(net: Net, flag: str, witness) -> bool:
     """Re-falsify a flag from its witness; True iff the witness is genuine.
 
-    Pairwise flags re-evaluate the very predicate classify_structure uses.
+    A pairwise flag runs the very search classify_structure uses on the
+    witness's two elements, which offend iff (0, 1) is their first pair.
     """
     if flag == "plain":
         x, y, w = witness
@@ -713,13 +766,13 @@ def replay_class_witness(net: Net, flag: str, witness) -> bool:
         flag = "equal_conflict"
     if flag not in _PAIR_CLASSES:
         raise InputError(f"unknown class flag '{flag}'")
-    kind, _, offends = _PAIR_CLASSES[flag]
+    kind, first_pair = _PAIR_CLASSES[flag]
     if kind == "transitions":
         x, y = (net._pre[net.transition_index(t)] for t in witness)
     else:
         sides = _place_sides(net)
         x, y = (sides[net.place_index(p)] for p in witness)
-    return offends(x, y)
+    return first_pair([x, y]) == (0, 1)
 
 
 # -- constructions -------------------------------------------------------------

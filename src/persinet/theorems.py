@@ -38,6 +38,7 @@ from .net import (
     Net,
     _enabled_i,
     _fire_i,
+    _numbered,
     _replay,
     classify_structure,
     enabled,
@@ -97,21 +98,31 @@ class GenConfig:
         for name in ("places", "transitions", "max_weight", "token_budget", "seed"):
             if type(getattr(self, name)) is not int:  # bool is an int subclass
                 raise InputError(f"{name} must be an integer")
+        if self.seed < 0:  # random.Random(-n) draws what random.Random(n) draws
+            raise InputError("seed must be >= 0")
         constraint = self.class_constraint
         if isinstance(constraint, str):
             constraint = (constraint,) if constraint and constraint != "none" else ()
-        constraint = tuple(constraint)
+        try:
+            constraint = tuple(constraint)
+        except TypeError:
+            raise InputError(
+                "class_constraint must be a constraint name or a sequence of them") from None
         for c in constraint:
             if c not in CLASS_CONSTRAINTS:
                 raise InputError(
                     f"unknown class constraint '{c}' (have {CLASS_CONSTRAINTS})")
-        if "plain" in _demanded_flags(constraint) and self.max_weight != 1:
+        if self.max_weight != 1 and "plain" in _demanded_flags(constraint):
             raise InputError("plainness-based constraints force max_weight=1")
-        if isinstance(self.arc_density, bool) or not 0.0 <= self.arc_density <= 1.0:
-            raise InputError("arc_density must lie in [0,1]")
+        try:
+            density_ok = not isinstance(self.arc_density, bool) and 0.0 <= self.arc_density <= 1.0
+        except TypeError:  # not a number
+            density_ok = False
+        if not density_ok:
+            raise InputError("arc_density must be a number in [0,1]")
         if min(self.places, self.transitions, self.max_weight, self.token_budget) < 1:
             raise InputError("places, transitions, max_weight and token_budget must be >= 1")
-        object.__setattr__(self, "class_constraint", constraint)
+        self.class_constraint = constraint
 
 
 def _repair_equal_conflict(pre):
@@ -120,7 +131,9 @@ def _repair_equal_conflict(pre):
     Duplicating the full input-weight vector is the minimal change that
     makes conflicting transitions agree; copying can create new conflicts,
     so iterate to a fixpoint.  Each component copies the vector of its
-    least transition, the root of its union-find tree.
+    least transition, the root of its union-find tree.  A pass joins each
+    transition to the first consumer of each of its input places, which
+    joins every two transitions that share one.
     """
     nt = len(pre)
     parent = list(range(nt))
@@ -134,9 +147,11 @@ def _repair_equal_conflict(pre):
     while changed:
         changed = False
         parent[:] = range(nt)
-        for i in range(nt):
-            for j in range(i + 1, nt):
-                if not pre[i].keys().isdisjoint(pre[j]):
+        first = {}  # place index -> the least transition consuming it
+        for i, ins in enumerate(pre):
+            for pi in ins:
+                j = first.setdefault(pi, i)
+                if j != i:
                     ri, rj = find(i), find(j)
                     if ri != rj:
                         parent[max(ri, rj)] = min(ri, rj)
@@ -159,23 +174,27 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
 
     Each draw is built at index level, as per-transition {place index:
     weight} dicts and a token tuple, and becomes a Net through
-    Net._of_indices: its ids p0.. and t0.. are distinct and every weight
-    is at least 1, so there is nothing for the validating constructor to
-    check.  CF rejects a draw before any Net exists; the class report then
-    re-checks every structural flag demanded, and a safe constraint reads
-    the reachability graph.
+    Net._of_indices: its ids p0.. and t0.. (shared tuples, net._numbered)
+    are distinct and every weight is at least 1, so there is nothing for
+    the validating constructor to check.  CF rejects a draw before any Net
+    exists; the class report then re-checks every structural flag
+    demanded, and a safe constraint reads the reachability graph.
+
+    Integers are drawn with rng._randbelow, which is what randrange calls:
+    randrange(a, b) is a + _randbelow(b - a), so the stream is the same
+    without randrange's argument checks.
     """
     rng = random.Random(cfg.seed)
-    random_, randrange = rng.random, rng.randrange
+    random_, below = rng.random, rng._randbelow
     want = set(cfg.class_constraint)
     demanded = _demanded_flags(want)
     structural = demanded - {"safe"}  # the flags the class report decides
     plain = "plain" in demanded or cfg.max_weight == 1
     pure = "pure" in demanded
-    n_places, density, top = cfg.places, cfg.arc_density, cfg.max_weight + 1
+    n_places, density, max_weight = cfg.places, cfg.arc_density, cfg.max_weight
     name = f"gen{cfg.seed}"
-    places = tuple([f"p{i}" for i in range(n_places)])
-    transitions = tuple([f"t{i}" for i in range(cfg.transitions)])
+    places = _numbered("p", n_places)
+    transitions = _numbered("t", cfg.transitions)
 
     def shuffle_key(_):  # one draw per item: sorted() by it is a shuffle
         return random_()
@@ -186,16 +205,16 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
             ins, outs = {}, {}
             for pi in range(n_places):
                 if random_() < density:
-                    ins[pi] = 1 if plain else randrange(1, top)
+                    ins[pi] = 1 if plain else 1 + below(max_weight)
                 if random_() < density:
-                    w = 1 if plain else randrange(1, top)
+                    w = 1 if plain else 1 + below(max_weight)
                     if not (pure and pi in ins):
                         outs[pi] = w
             pre.append(ins)
             post.append(outs)
         for ins, outs in zip(pre, post):
             if not ins:
-                pi = randrange(n_places)
+                pi = below(n_places)
                 ins[pi] = 1
                 outs.pop(pi, None)
         if "CF" in want:
@@ -230,7 +249,7 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
 
         tokens = [0] * n_places
         for _ in range(cfg.token_budget):
-            tokens[randrange(n_places)] += 1
+            tokens[below(n_places)] += 1
         net = Net._of_indices(name, places, transitions, pre, post, tuple(tokens))
 
         if structural and not all(map(classify_structure(net).flag, structural)):

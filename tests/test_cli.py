@@ -312,14 +312,19 @@ def test_bad_class_guard_setting():
 
 
 def test_bad_seed_range():
-    for seeds in ("5", "a..b", "1..2..3", "5..2"):
-        out = run("explore", "--theorem", "CF-persistent", "--seeds", seeds)
+    # a negative seed would draw the net of its absolute value
+    for seeds in ("5", "a..b", "1..2..3", "5..2", "-3..3", "-5..-2"):
+        out = run("explore", "--theorem", "CF-persistent", f"--seeds={seeds}")
         assert _bad_input(out) and "--seeds" in out.stderr
 
 
 def test_bad_generator_values(tmp_path):
     cfg = tmp_path / "cfg.json"
-    for doc, named in (({"max_weight": 0}, "max_weight"), ({"places": True}, "places")):
+    for doc, named in (({"max_weight": 0}, "max_weight"), ({"places": True}, "places"),
+                       ({"arc_density": "0.3"}, "arc_density"),
+                       ({"arc_density": None}, "arc_density"),
+                       ({"class_constraint": 5}, "class_constraint"),
+                       ({"seed": -5}, "seed")):
         cfg.write_text(json.dumps(doc))
         out = run("explore", "--theorem", "CF-persistent", "--seeds", "0..1",
                   "--config", str(cfg))

@@ -659,8 +659,10 @@ def _reference_report(net):
 
 def _table_nets():
     nets = [pn.corpus_load(name).net for name in pn.corpus_names()]
+    # the class distributions are where pairs share places without offending
     configs = ({}, {"places": 5, "transitions": 5}, {"max_weight": 2},
-               {"max_weight": 3}, {"class_constraint": ("pure", "plain")})
+               {"max_weight": 3}, {"class_constraint": ("pure", "plain")},
+               *({"class_constraint": (c,)} for c in ("CF", "EC", "FC", "DC", "AC")))
     nets += [gen_random_net(GenConfig(seed=s, **kw)) for kw in configs for s in range(300)]
     return nets + [reverse_dual(net) for net in nets]
 
@@ -668,7 +670,7 @@ def _table_nets():
 class TestClassTable:
     def test_against_reference(self):
         nets = _table_nets()
-        assert len(nets) > 3000
+        assert len(nets) > 6000
         for net in nets:
             assert classify_structure(net) == _reference_report(net), net.name
 

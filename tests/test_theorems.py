@@ -168,6 +168,16 @@ class TestGenerator:
             GenConfig(class_constraint=("XX",))
         with pytest.raises(InputError):
             GenConfig(arc_density=2.0)
+        # values of the wrong type name their field, never a raw TypeError
+        for field, bad in (("arc_density", "0.3"), ("arc_density", None),
+                           ("arc_density", float("nan")), ("class_constraint", 5),
+                           ("class_constraint", None)):
+            with pytest.raises(InputError, match=field):
+                GenConfig(**{field: bad})
+        # random.Random(-5) draws what random.Random(5) draws
+        with pytest.raises(InputError, match="seed"):
+            GenConfig(seed=-5)
+        GenConfig(arc_density=1, seed=0)
 
 
 def _rows(pairs):
