@@ -161,6 +161,34 @@ def _candidate_plan(pattern, state_order):
     return plan
 
 
+def _disable_triangles(pattern):
+    """The pattern's disable triangles, as pairs (x, y) of positions in
+    pattern.labels: some arc p -x-> q ends at a state q that excludes y,
+    and p has an arc labelled y."""
+    position = {a: i for i, a in enumerate(pattern.labels)}
+    leaving: dict = {}
+    for p, a, _ in pattern.arcs:
+        leaving.setdefault(p, set()).add(a)
+    excluded = set(pattern.exclusions)
+    return sorted({(position[x], position[y]) for p, x, q in pattern.arcs
+                   for y in leaving[p] if (q, y) in excluded})
+
+
+def _disable_pairs(lts):
+    """Per label index a, the bitset of the label indices b that some edge
+    s -a-> t disables: b is enabled at s and not at t.  One pass over the
+    index rows, after a bitset of the enabled labels per state."""
+    rows = lts._rows
+    bit = [1 << a for a in range(len(lts.labels))]
+    enabled = [sum(map(bit.__getitem__, row)) for row in rows]
+    disables = [0] * len(lts.labels)
+    for row, here in zip(rows, enabled):
+        for a, targets in row.items():
+            for t in targets:
+                disables[a] |= here & ~enabled[t]
+    return disables
+
+
 def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
     """Complete backtracking search for an embedding; None if there is none.
 
@@ -170,6 +198,17 @@ def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
     the returned embedding is canonical.  Each state's candidates come from
     the index rows of the states already placed (see _candidate_plan) and
     are tried in LTS state order.
+
+    A label map is skipped before any state is placed when it puts a
+    disable triangle of the pattern on a label pair the LTS never disables
+    (see _disable_triangles and _disable_pairs).  Lemma: if arc p -x-> q
+    ends at a state q that excludes y and p has an arc labelled y, any
+    embedding h has the edge h(p) -h(x)-> h(q) with h(y) enabled at h(p)
+    and not at h(q), so some edge s -h(x)-> t disables h(y).  This holds
+    for y = x and for any of several h(x)-successors of h(p).  Skipping
+    such a map loses no embedding and keeps the order of the others, so
+    the first embedding found is the same.  The LTS's disable pairs cost
+    one pass over its edges, made only for a pattern with a triangle.
     """
     weight = {s: 0 for s in pattern.states}
     for s, _, s2 in pattern.arcs:
@@ -197,7 +236,12 @@ def find_embedding(pattern: Pattern, lts: Lts) -> Optional[Embedding]:
             return enablers[a]
         return range(len(rows))
 
+    triangles = _disable_triangles(pattern)
+    disables = _disable_pairs(lts) if triangles else None
+
     for combo in permutations(range(len(lts.labels)), len(pattern.labels)):
+        if not all(disables[combo[x]] >> combo[y] & 1 for x, y in triangles):
+            continue
         label_map = dict(zip(pattern.labels, combo))
         state_map: dict = {}
 

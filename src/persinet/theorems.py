@@ -184,6 +184,8 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
     randrange(a, b) is a + _randbelow(b - a), so the stream is the same
     without randrange's argument checks.
     """
+    if cfg.seed < 0:  # a GenConfig is mutable, so its seed may be set after the check
+        raise InputError("seed must be >= 0")
     rng = random.Random(cfg.seed)
     random_, below = rng.random, rng._randbelow
     want = set(cfg.class_constraint)

@@ -1,3 +1,7 @@
+import hashlib
+import random
+from itertools import permutations
+
 import pytest
 
 import persinet as pn
@@ -17,7 +21,13 @@ from persinet import (
     spe_check,
     validate_embedding,
 )
-from persinet.patterns import Embedding, enumerate_embeddings
+from persinet.corpus import corpus_names
+from persinet.patterns import (
+    Embedding,
+    _disable_pairs,
+    _disable_triangles,
+    enumerate_embeddings,
+)
 
 
 class TestBuiltins:
@@ -121,12 +131,48 @@ class TestFindEmbedding:
         assert checked["nonpers"] >= 30 and checked["nonDC"] == 10
 
 
+def _par(k):
+    """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i: a
+    persistent net with 2^k reachable markings and 2k labels."""
+    arcs = [arc for i in range(k) for arc in (
+        (f"p{i}", f"a{i}", 1), (f"a{i}", f"q{i}", 1),
+        (f"q{i}", f"b{i}", 1), (f"b{i}", f"p{i}", 1))]
+    return pn.Net(f"par{k}", [f"{x}{i}" for i in range(k) for x in "pq"],
+                  [f"{x}{i}" for i in range(k) for x in "ab"], arcs,
+                  {f"p{i}": 1 for i in range(k)})
+
+
+# SHA-256 over the first embedding of nonpers and of nonDC (state map in
+# search order, label map) on each corpus net's reachability graph and on
+# each corpus LTS
+_CORPUS_EMBEDDINGS_DIGEST = (
+    "23627e36f5078f24184a4cdcf71d527da954e17daef10360d22ea34826ca59ea")
+
+
+class TestPinnedAnswers:
+    def test_none_in_par12(self):
+        # 24 labels: every ordered label pair against 4,096 states unless
+        # the pairs no edge disables are skipped, and none is disabled
+        rg, _ = build_rg(_par(12))
+        assert find_embedding(builtin_pattern("nonpers"), rg) is None
+
+    def test_corpus_first_embeddings(self):
+        h = hashlib.sha256()
+        for name in corpus_names():
+            entry = corpus_load(name)
+            graphs = [build_rg(entry.net)[0]]
+            graphs += [entry.lts] if entry.lts is not None else []
+            for g in graphs:
+                for p in ("nonpers", "nonDC"):
+                    e = find_embedding(builtin_pattern(p), g)
+                    h.update(repr((g.name, p, e and (e.state_map, e.label_map))).encode())
+        assert h.hexdigest() == _CORPUS_EMBEDDINGS_DIGEST
+
+
 class TestCanonicalFirst:
     def test_random_nondeterministic_ltss(self):
         # random edge sets over three states embed both patterns in many
         # ways, with fused states and several candidates per arc
-        import random
-
         rng = random.Random(5)
         # searched middle state first, so u is drawn from the predecessors of v
         twojump = pn.Pattern("twojump", ("u", "v", "w"), ("a",),
@@ -163,6 +209,70 @@ class TestCanonicalFirst:
                       ("s2", "b", "s2"), ("s2", "b", "s1")], "s0")
         assert find_embedding(builtin_pattern("nonDC"), lts) is not None
         _assert_canonical_first(builtin_pattern("nonDC"), lts)
+
+
+def _random_pattern(rng, i):
+    """A pattern of at most 4 states and 3 labels.  Arcs may be self-loops;
+    an exclusion never contradicts an arc from its own state, and one
+    pattern in three excludes an arc's own label at its target."""
+    states = [f"p{j}" for j in range(rng.randint(1, 4))]
+    labels = [f"x{j}" for j in range(rng.randint(1, 3))]
+    triples = [(p, a, q) for p in states for a in labels for q in states]
+    arcs = [t for t in triples if rng.random() < 0.2] or [rng.choice(triples)]
+    leaving = {(p, a) for p, a, _ in arcs}
+    exclusions = {(q, a) for q in states for a in labels
+                  if (q, a) not in leaving and rng.random() < 0.25}
+    if rng.random() < 1 / 3:
+        own = [(q, a) for _, a, q in arcs if (q, a) not in leaving]
+        if own:
+            exclusions.add(rng.choice(own))
+    return pn.Pattern(f"pat{i}", states, labels, arcs, sorted(exclusions))
+
+
+class TestDisableTriangles:
+    """find_embedding skips a label map that puts a disable triangle of the
+    pattern on a label pair the LTS never disables."""
+
+    def test_builtin_triangles(self):
+        assert _disable_triangles(builtin_pattern("nonpers")) == [(0, 1)]
+        assert _disable_triangles(builtin_pattern("nonDC")) == [(0, 1), (1, 0)]
+
+    def test_disable_pairs(self):
+        # s1 has two a-successors: itself, which keeps a and b enabled, and
+        # the deadlock s2, which loses both; no other edge loses a label
+        lts = pn.Lts("d", ["s0", "s1", "s2"], ["a", "b"],
+                     [("s0", "a", "s1"), ("s0", "b", "s0"), ("s1", "b", "s1"),
+                      ("s1", "a", "s2"), ("s1", "a", "s1")], "s0")
+        assert _disable_pairs(lts) == [0b11, 0b00]
+
+    def test_random_patterns_against_bruteforce(self):
+        # random nondeterministic LTSs against random patterns: the search
+        # returns the canonical-first embedding of the brute force, and None
+        # exactly when it finds nothing
+        rng = random.Random(1976)
+        seen = dict.fromkeys(("found", "none", "self-loop", "own label",
+                              "fused", "pruned"), 0)
+        for i in range(200):
+            states = [f"s{j}" for j in range(rng.randint(1, 5))]
+            labels = ["a", "b", "c", "d"][:rng.randint(1, 4)]
+            edges = [(p, a, q) for p in states for a in labels for q in states
+                     if rng.random() < 0.3]
+            lts = pn.Lts(f"r{i}", states, labels, edges, "s0")
+            pattern = _random_pattern(rng, i)
+            _assert_canonical_first(pattern, lts)
+            emb = find_embedding(pattern, lts)
+            triangles = _disable_triangles(pattern)
+            seen["found" if emb else "none"] += 1
+            seen["self-loop"] += any(p == q for p, _, q in pattern.arcs)
+            seen["own label"] += any(x == y for x, y in triangles)
+            if emb is not None:
+                seen["fused"] += len(set(emb.state_map.values())) < len(pattern.states)
+            # some label map is skipped before any state is placed
+            disables = _disable_pairs(lts)
+            seen["pruned"] += any(
+                not disables[combo[x]] >> combo[y] & 1 for x, y in triangles
+                for combo in permutations(range(len(labels)), len(pattern.labels)))
+        assert min(seen.values()) >= 25, seen
 
 
 class TestRecognize:

@@ -179,6 +179,16 @@ class TestGenerator:
             GenConfig(seed=-5)
         GenConfig(arc_density=1, seed=0)
 
+    def test_negative_seed_set_after_construction(self):
+        # GenConfig is mutable: a negative seed set on a built config would
+        # draw the net of seed 5 under the name gen-5
+        cfg = GenConfig()
+        cfg.seed = -5
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            gen_random_net(cfg)
+        cfg.seed = 5
+        assert gen_random_net(cfg).name == "gen5"
+
 
 def _rows(pairs):
     # the firing rule reads each row's (place, weight) pairs as a set
