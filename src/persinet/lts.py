@@ -574,12 +574,11 @@ def persistence_check(lts: Lts) -> PersistenceVerdict:
     4 transitions and 10 us for 8 where a pair test takes 50 ns.  Any
     other LTS gets the full scan.
 
-    A graph cut off at its state budget (build_rg records the states that
-    lost an edge to it) gets the full scan over the pairs whose t leads to
-    a state that kept all its edges: the first such witness in the order
-    above is returned, and it replays by the firing rule.  Without one the
-    graph gives no verdict, and ResourceExceededError names the graph and
-    its budget.
+    A graph cut off at its state budget records the states that lost an
+    edge to it, and no net, so the full scan reads it and passes over each
+    t into such a state (tested only once a witness is found): the first
+    witness whose target kept all its edges replays by the firing rule.
+    Without one, ResourceExceededError names the graph and its budget.
 
     When both orders of two labels fire, a diamond must close on one
     state.  build_rg proves that by the state equation (its
@@ -590,24 +589,7 @@ def persistence_check(lts: Lts) -> PersistenceVerdict:
         raise UnsupportedClassError(
             f"persistence check needs a deterministic LTS, '{lts.name}' is not")
     rows = lts._rows
-    cut = lts._cut
-    if cut is not None:
-        # a state that lost an edge to the budget shows every dropped label
-        # as disabled, so only the targets that kept all their edges are read
-        for i, out in enumerate(rows):
-            if len(out) < 2:
-                continue
-            for t, (j,) in out.items():
-                if j in cut:
-                    continue
-                after = rows[j]
-                for u in out:
-                    if u not in after and u != t:
-                        return PersistenceVerdict(
-                            False, (lts.states[i], lts.labels[t], lts.labels[u]))
-        raise ResourceExceededError(
-            f"graph '{lts.name}' cut off at {len(rows)} states has no witness at "
-            "a state that kept all its edges; a truncated graph gives no verdict")
+    cut = lts._cut or ()  # its dropped labels would show as disabled
     net = lts._net
     diamonds = not lts._parikh_deterministic
     rent = len(lts.labels) * (len(lts.labels) + 20)
@@ -625,7 +607,7 @@ def persistence_check(lts: Lts) -> PersistenceVerdict:
         for t, (j,) in out.items():
             after = rows[j]
             for u in out if table is None else table[t]:
-                if u not in after and u != t and u in out:
+                if u not in after and u != t and u in out and j not in cut:
                     return PersistenceVerdict(
                         False, (lts.states[i], lts.labels[t], lts.labels[u]))
         if diamonds:
@@ -635,6 +617,10 @@ def persistence_check(lts: Lts) -> PersistenceVerdict:
                         raise UnsupportedClassError(
                             f"lts '{lts.name}' closes a diamond at {lts.states[i]} "
                             "on two different states; it cannot be a reachability graph")
+    if cut:
+        raise ResourceExceededError(
+            f"graph '{lts.name}' cut off at {len(rows)} states has no witness at "
+            "a state that kept all its edges; a truncated graph gives no verdict")
     return PersistenceVerdict(True, None)
 
 

@@ -18,6 +18,7 @@ order) iterate in that order so results are reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import (
@@ -428,30 +429,42 @@ def _may_disable(net: Net) -> list:
     return table
 
 
+def _joined(place_sets) -> tuple:
+    """Union-find joining transitions that share a place of place_sets (the
+    place indices of each transition, in index order).  Returns each
+    transition's least joined transition and each place's first transition.
+    A union hangs the larger root under the smaller and a find halves its
+    path (Tarjan and van Leeuwen, JACM 31(2), 1984), so parent[x] <= x, and
+    one pass in index order points every transition at its root."""
+    parent, first = [], {}
+    for ti, places in enumerate(place_sets):
+        parent.append(ti)
+        r = ti  # the root of ti's tree: only this transition's unions move it
+        for pi in places:
+            a = first.setdefault(pi, ti)
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            if a < r:
+                parent[r] = r = a
+            elif a > r:
+                parent[a] = r
+    for x, p in enumerate(parent):
+        parent[x] = parent[p]  # p <= x, and p already points at its root
+    return parent, first
+
+
 def _components(net: Net) -> list:
     """The connected components of the net as (transition indices, place
-    indices) pairs, both increasing, ordered by least transition index.
-    Transitions joined by a chain of arcs share a component, found by
-    union-find over the arcs; a place with no arc lies in none.  Like
-    _may_disable it is built per call and stored on no Net."""
-    parent = list(range(len(net.transitions)))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    owner = {}  # place index -> the first transition with an arc to it
-    for ti, (pre, post) in enumerate(zip(net._pre, net._post)):
-        for pi in (*pre, *post):
-            a, b = root(ti), root(owner.setdefault(pi, ti))
-            if a != b:  # the root of a component is its least transition
-                parent[max(a, b)] = min(a, b)
+    indices) pairs, both increasing, ordered by least transition index:
+    _joined over the places of each transition's arcs, in either direction.
+    A place with no arc lies in none.  Like _may_disable it is built per
+    call and stored on no Net."""
+    root, owner = _joined(map(chain, net._pre, net._post))
     groups = {}
-    for ti in range(len(parent)):
-        groups.setdefault(root(ti), ([], []))[0].append(ti)
+    for ti, r in enumerate(root):
+        groups.setdefault(r, ([], []))[0].append(ti)
     for pi in sorted(owner):
-        groups[root(owner[pi])][1].append(pi)
+        groups[root[owner[pi]]][1].append(pi)
     return list(groups.values())
 
 

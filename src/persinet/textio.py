@@ -127,7 +127,7 @@ def print_net(net: Net) -> str:
 
 
 def parse_lts(text: str) -> Lts:
-    """Parse an LTS document.
+    """Parse an LTS document in one pass over its lines.
 
     Its labels are those of its 'label' lines, in their order, or, when it
     has none, those its edges use, in order of first use.  While the edges
@@ -140,17 +140,10 @@ def parse_lts(text: str) -> Lts:
     projected from the rows on first read, in the document's order.  The
     first edge out of row order ends that mode.  The edges read so far are
     then exactly the projection of the rows, so they are made from it, and
-    every later edge is kept as read.  Such a document, and every
-    label-free one, goes to the validating Lts constructor, which reports
-    unknown states and labels and repeated edges."""
-    try:
-        return _parse_lts(text)
-    except ParseError as exc:
-        _raise_earlier_duplicate_edge(text, exc.line)
-        raise
-
-
-def _parse_lts(text: str) -> Lts:
+    every later edge is kept as read; a repeat is reported at its own line,
+    in the same pass.  Such a document, and every label-free one, goes to
+    the validating Lts constructor, which reports unknown states and
+    labels."""
     name, initial = None, None
     states, labels = [], []
     sidx, lidx = {}, {}  # id -> index, for the states and labels declared so far
@@ -177,9 +170,12 @@ def _parse_lts(text: str) -> Lts:
                     rows[key[0]][key[1]] += tgt  # a new target of the last entry
                     continue
                 # the first edge out of row order: the edges read so far are
-                # exactly the rows' projection, and every later one is kept
-                edges = list(_projected(states, labels, rows))
-            edges.append((s, a, s2))
+                # exactly the rows' projection; they and every later one are
+                # kept in order as the keys of a dict, which finds a repeat
+                edges = dict.fromkeys(_projected(states, labels, rows))
+            if (s, a, s2) in edges:
+                raise ParseError(f"duplicate edge {s} {a} {s2}", no)
+            edges[s, a, s2] = None
         elif kind == "state":
             if len(tok) != 2:
                 raise ParseError("usage: state <id>", no)
@@ -226,22 +222,6 @@ def _parse_lts(text: str) -> Lts:
         return Lts(name, states, labels, edges, initial)
     except InputError as exc:
         raise ParseError(str(exc)) from None
-
-
-def _raise_earlier_duplicate_edge(text: str, failed_at) -> None:
-    """The error path of parse_lts: an edge line that repeats an earlier
-    edge is reported before any failure on a later line, and before every
-    failure that has no line (a missing header or initial state, or an
-    error of the Lts constructor)."""
-    seen = set()
-    for no, tok in _lines(text):
-        if failed_at is not None and no >= failed_at:
-            return
-        if tok[0] == "edge" and len(tok) == 4:
-            edge = (tok[1], tok[2], tok[3])
-            if edge in seen:
-                raise ParseError(f"duplicate edge {' '.join(edge)}", no) from None
-            seen.add(edge)
 
 
 def print_lts(lts: Lts) -> str:

@@ -38,6 +38,7 @@ from .net import (
     Net,
     _enabled_i,
     _fire_i,
+    _joined,
     _numbered,
     _replay,
     classify_structure,
@@ -126,37 +127,14 @@ class GenConfig:
 
 
 def _repair_equal_conflict(pre):
-    """Copy one input vector across each conflict-connected component.
-
-    Duplicating the full input-weight vector is the minimal change that
-    makes conflicting transitions agree; copying can create new conflicts,
-    so iterate to a fixpoint.  Each component copies the vector of its
-    least transition, the root of its union-find tree.  A pass joins each
-    transition to the first consumer of each of its input places, which
-    joins every two transitions that share one.
-    """
-    nt = len(pre)
-    parent = list(range(nt))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
+    """Copy the input vector of each conflict-connected component's least
+    transition (net._joined over the input places) across the component:
+    the minimal change that makes conflicting transitions agree.  Copying
+    can create new conflicts, so iterate to a fixpoint."""
     changed = True
     while changed:
         changed = False
-        parent[:] = range(nt)
-        first = {}  # place index -> the least transition consuming it
-        for i, ins in enumerate(pre):
-            for pi in ins:
-                j = first.setdefault(pi, i)
-                if j != i:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-        for i in range(nt):
-            rep = find(i)
+        for i, rep in enumerate(_joined(pre)[0]):
             if pre[i] != pre[rep]:
                 pre[i] = dict(pre[rep])
                 changed = True
@@ -183,9 +161,21 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
     Integers are drawn with rng._randbelow, which is what randrange calls:
     randrange(a, b) is a + _randbelow(b - a), so the stream is the same
     without randrange's argument checks.
+
+    A GenConfig is mutable: a value set after its check that is out of range
+    or raises TypeError or KeyError in the draw gets the constructor's
+    InputError, and a constraint string is normalised and drawn again.
     """
-    if cfg.seed < 0:  # a GenConfig is mutable, so its seed may be set after the check
-        raise InputError("seed must be >= 0")
+    try:
+        if cfg.seed < 0 or min(cfg.places, cfg.transitions, cfg.max_weight, cfg.token_budget) < 1:
+            cfg.__post_init__()  # raises the constructor's error
+        return _draw_net(cfg, max_states)
+    except (TypeError, KeyError):
+        cfg.__post_init__()
+        return _draw_net(cfg, max_states)
+
+
+def _draw_net(cfg: GenConfig, max_states: int) -> Net:
     rng = random.Random(cfg.seed)
     random_, below = rng.random, rng._randbelow
     want = set(cfg.class_constraint)
@@ -551,22 +541,21 @@ def _fair_nonpersistent_lasso(net, bounds, max_states=_PROBE_MAX_STATES):
     row lacks another label of its source row.  A reverse BFS from the
     entry gives each state's distance back to it, and a walk is extended
     only while it can still return within the bound, so no returning walk
-    is pruned.  A graph without a nonpersistent step has no such lasso and
-    is answered at once.  Only the lasso returned is replayed on the net; a
-    disagreement there raises InvariantError.  The graph is capped at
-    max_states, and never above 2000 states; one cut off there raises
-    ResourceExceededError.
+    is pruned.  A graph without a nonpersistent step has no such lasso, and
+    persistence_check answers that first.  Only the lasso returned is
+    replayed on the net; a disagreement there raises InvariantError.  The
+    graph is capped at max_states, and never above 2000 states; one cut off
+    there raises ResourceExceededError.
     """
     rg, _ = complete_rg(net, min(_PROBE_MAX_STATES, max_states))
+    if persistence_check(rg):
+        return None  # a graph with no nonpersistent step has no such lasso
     rows, back_rows = rg._rows, rg._reverse_rows()
     en = [sum(1 << a for a in row) for row in rows]  # enabled labels, as bits
 
     def persistent(i, a, j):
         # the target of step a enables every other label of its source
         return not en[i] & ~(1 << a) & ~en[j]
-
-    if all(persistent(i, a, j) for i, row in enumerate(rows) for a, (j,) in row.items()):
-        return None  # a graph with no nonpersistent step has no such lasso
 
     # the BFS tree's step into a state is the last step of its canonical
     # shortest prefix, the one shortest_path returns

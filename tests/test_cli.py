@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from nets import par_doc
+
 CLI = [sys.executable, "-m", "persinet.cli"]
 
 
@@ -256,22 +258,11 @@ def test_persistence_refuses_truncated_graph():
     assert "'fig1_basic' cut off at 3 states" in out.stderr
 
 
-def _par_doc(k):
-    """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i: a
-    persistent net with 2^k reachable markings."""
-    lines = [f"net par{k}"]
-    for i in range(k):
-        lines += [f"place p{i} init 1", f"place q{i}", f"trans a{i}", f"trans b{i}",
-                  f"arc p{i} -> a{i}", f"arc a{i} -> q{i}",
-                  f"arc q{i} -> b{i}", f"arc b{i} -> p{i}"]
-    return "\n".join(lines) + "\n"
-
-
 def test_pattern_refuses_truncated_graph(tmp_path):
     import os
 
     doc = tmp_path / "par4.net"
-    doc.write_text(_par_doc(4))
+    doc.write_text(par_doc(4))
     out = run("pattern", str(doc), "--name", "nonpers")
     assert out.returncode == 0 and "embedding: none" in out.stdout
     env = dict(os.environ, PERSINET_MAX_STATES="5")

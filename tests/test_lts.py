@@ -32,6 +32,8 @@ from persinet.textio import parse_lts, print_lts
 from persinet import lts as lts_mod
 from persinet.lts import _parikh_spot_check, bfs_depths, shortest_path
 
+from nets import par
+
 
 def _small_random_rgs(seeds, max_states=100):
     for s in seeds:
@@ -228,7 +230,7 @@ class TestPackedKeys:
 
         monkeypatch.setattr(lts_mod, "_bfs_by_key", spy)
         fig1 = corpus_load("fig1_basic").net
-        for net in (fig1, _par(3), _par(4), disjoint_sum(fig1, _par(2))):
+        for net in (fig1, par(3), par(4), disjoint_sum(fig1, par(2))):
             build_rg(net)
         if keying == "packed":
             assert len(packed) == 4
@@ -256,8 +258,8 @@ class TestPackedKeys:
         fig1 = corpus_load("fig1_basic").net
         for k in range(1, 8):
             for cutoff in (5, 100000):
-                _same_as_tuple_keyed(_par(k), cutoff)
-                _same_as_tuple_keyed(disjoint_sum(fig1, _par(k)), cutoff)
+                _same_as_tuple_keyed(par(k), cutoff)
+                _same_as_tuple_keyed(disjoint_sum(fig1, par(k)), cutoff)
 
     def test_zero_places(self):
         for transitions, arcs in (([], []), (["t", "u"], [])):
@@ -518,24 +520,15 @@ def _all_sequences_persistent(net, max_len):
     return True
 
 
-def _par(k):
-    """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i: a
-    conflict-free net with 2^k reachable markings."""
-    places, transitions, arcs = [], [], []
-    for i in range(k):
-        p, q, a, b = f"p{i}", f"q{i}", f"a{i}", f"b{i}"
-        places += [p, q]
-        transitions += [a, b]
-        arcs += [(p, a, 1), (a, q, 1), (q, b, 1), (b, p, 1)]
-    return Net(f"par{k}", places, transitions, arcs, {f"p{i}": 1 for i in range(k)})
-
-
-def _full_scan(lts):
+def _full_scan(lts, lost=()):
     """The reference verdict: every ordered pair of enabled labels at every
-    state, in declaration order, with no may-disable table."""
+    state, in declaration order, with no may-disable table.  A t whose
+    target is in lost is passed over."""
     rows = lts._rows
     for i, out in enumerate(rows):
         for t, (j,) in out.items():
+            if j in lost:
+                continue
             for u in out:
                 if u != t and u not in rows[j]:
                     return False, (lts.states[i], lts.labels[t], lts.labels[u])
@@ -560,9 +553,9 @@ def _table_nets():
     nets = [corpus_load(n).net for n in corpus_names()]
     for kw in ({}, {"max_weight": 2}, {"token_budget": 16}):
         nets += [gen_random_net(GenConfig(seed=s, **kw)) for s in range(60)]
-    nets += [_par(k) for k in range(1, 9)]
+    nets += [par(k) for k in range(1, 9)]
     fig1 = corpus_load("fig1_basic").net
-    nets += [disjoint_sum(fig1, _par(k)) for k in range(1, 6)]
+    nets += [disjoint_sum(fig1, par(k)) for k in range(1, 6)]
     return nets
 
 
@@ -609,7 +602,7 @@ class TestPersistenceTable:
         for name in ("fig5_acbc", "fig1_basic"):
             persistence_check(build_rg(corpus_load(name).net)[0])
         assert table_builds == []
-        assert persistence_check(build_rg(_par(8))[0]).persistent
+        assert persistence_check(build_rg(par(8))[0]).persistent
         assert [net.name for net in table_builds] == ["par8"]
 
     def test_rgs_close_their_diamonds(self):
@@ -629,7 +622,7 @@ class TestPersistenceTable:
         # disabled, so the scan reads only the pairs whose t leads to a state
         # that kept its edges: the persistent par3, whose unrestricted scan
         # shows the false witness (M0, a0, a1), gives no verdict instead
-        rg, rep = build_rg(_par(3), 3)
+        rg, rep = build_rg(par(3), 3)
         assert rep.status == "cutoff-reached" and rg._net is None
         assert _full_scan(rg)[1] == ("M0", "a0", "a1")
         with pytest.raises(ResourceExceededError, match=r"'rg\(par3\)' cut off at 3 states"):
@@ -651,6 +644,26 @@ class TestPersistenceTable:
             refuted += 1
         assert refuted >= 10 and raised >= 10
         assert table_builds == []
+
+    def test_cut_off_first_witness_in_scan_order(self):
+        # the witness is the first (state, t, u) of the full scan whose t
+        # leads to a state that kept all its edges; with none there is no
+        # verdict
+        refuted = raised = 0
+        for net in _table_nets():
+            for budget in range(1, 9):
+                rg, rep = build_rg(net, budget)
+                if rep.status == "bounded":
+                    continue
+                persistent, want = _full_scan(rg, rg._cut)
+                if persistent:
+                    with pytest.raises(ResourceExceededError, match="gives no verdict"):
+                        persistence_check(rg)
+                    raised += 1
+                else:
+                    assert persistence_check(rg).witness == want, (net.name, budget)
+                    refuted += 1
+        assert refuted >= 50 and raised >= 500
 
     def test_cut_off_witness_at_every_budget(self):
         # q -> g -> q, g -> p, p -> u, p -> v: g pumps p without bound, and
@@ -689,7 +702,7 @@ class TestPersistenceTable:
             if name.startswith("persinet") and getattr(module, "_may_disable", None) is real:
                 monkeypatch.setattr(module, "_may_disable", refuse)
         with pytest.raises(AssertionError, match="consulted"):
-            persistence_check(build_rg(_par(8))[0])  # the patch is in force
+            persistence_check(build_rg(par(8))[0])  # the patch is in force
         for name in corpus_names():
             entry = corpus_load(name)
             net = entry.net
@@ -997,7 +1010,7 @@ class TestRowsHandOver:
             nets += [gen_random_net(GenConfig(seed=s, **kw)) for s in range(30)]
         return ([(net, 300) for net in nets if not net.structural_only]
                 + [(_generator(), budget) for budget in (1, 5, 50)]
-                + [(_par(10), 100)])
+                + [(par(10), 100)])
 
     def _graphs(self):
         for net, budget in self._inputs():
@@ -1050,7 +1063,7 @@ class TestRowsHandOver:
 
     def test_analyses_never_project_the_edges(self):
         fig1 = corpus_load("fig1_basic").net
-        for net in (fig1, _par(4), disjoint_sum(fig1, _par(2))):
+        for net in (fig1, par(4), disjoint_sum(fig1, par(2))):
             rg, rep = build_rg(net)
             again, _ = build_rg(net)
             persistence_check(rg)

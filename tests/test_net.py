@@ -28,8 +28,10 @@ from persinet import (
 )
 from persinet import net as net_mod
 from persinet.net import (ClassReport, _compile_kernel, _components, _enabled_i, _fire_i,
-                          _may_disable, _sub_net, deficient_place, replay_class_witness)
+                          _joined, _may_disable, _sub_net, deficient_place, replay_class_witness)
 from persinet.textio import print_lts
+
+from nets import par
 
 
 def seq(text):
@@ -192,15 +194,6 @@ class TestFiringRule:
                 fire_sequence(net, net.initial, tuple(word))
 
 
-def _par(k):
-    arcs = [arc for i in range(k) for arc in (
-        (f"p{i}", f"a{i}", 1), (f"a{i}", f"q{i}", 1),
-        (f"q{i}", f"b{i}", 1), (f"b{i}", f"p{i}", 1))]
-    return Net(f"par{k}", [f"{x}{i}" for i in range(k) for x in "pq"],
-               [f"{x}{i}" for i in range(k) for x in "ab"], arcs,
-               {f"p{i}": 1 for i in range(k)})
-
-
 def _hand_nets():
     """Nets at the edges of the kernel's source: a transition with no input
     arcs, one with no arcs at all, a self-loop that changes nothing, nets
@@ -212,7 +205,7 @@ def _hand_nets():
             [("p", "s", 2), ("s", "p", 2), ("q", "t", 1), ("t", "p", 3)], {"p": 2, "q": 1}),
         Net("empty", [], []),
         Net("no places", [], ["t", "u"]),
-        _par(15),
+        par(15),
     ]
 
 
@@ -223,7 +216,7 @@ def _kernel_nets():
     impure = [net for net in (gen_random_net(GenConfig(seed=s, arc_density=0.7))
                               for s in range(80)) if not classify_structure(net).pure]
     assert len(impure) >= 40
-    fig1_par3 = disjoint_sum(corpus_load("fig1_basic").net, _par(3))
+    fig1_par3 = disjoint_sum(corpus_load("fig1_basic").net, par(3))
     return nets + impure[:40] + _hand_nets() + [fig1_par3]
 
 
@@ -316,7 +309,7 @@ class TestCompiledKernel:
     def test_threads_share_a_net(self, monkeypatch):
         # threads that race to pay a net's rent compile its kernel more than
         # once at worst; every answer is still the generic loops' answer
-        net = disjoint_sum(corpus_load("fig1_basic").net, _par(3))
+        net = disjoint_sum(corpus_load("fig1_basic").net, par(3))
         marks, table = self._generic(net, monkeypatch)
         errors = []
 
@@ -365,7 +358,7 @@ class TestCompiledKernel:
 
     def test_graphs_and_reports_identical(self, monkeypatch):
         fig1 = corpus_load("fig1_basic").net
-        nets = [fig1, disjoint_sum(fig1, _par(4)), _par(5), _par(13),
+        nets = [fig1, disjoint_sum(fig1, par(4)), par(5), par(13),
                 corpus_load("fig10_fpe_not_spe").net] + _hand_nets()
         nets += [gen_random_net(GenConfig(seed=s, max_weight=2)) for s in range(20)]
         for net in nets:
@@ -539,8 +532,8 @@ class TestAttributeLayout:
 
     def test_same_keys_through_caches(self):
         nets = [Net("n", ["p"], ["t"], [("p", "t", 1)], {"p": 1}),
-                gen_random_net(GenConfig(seed=3)), _par(13), reverse_dual(_par(2)),
-                disjoint_sum(_par(1), _par(2))]
+                gen_random_net(GenConfig(seed=3)), par(13), reverse_dual(par(2)),
+                disjoint_sum(par(1), par(2))]
         keys = list(vars(nets[0]))
         for net in nets:
             assert list(vars(net)) == keys
@@ -751,10 +744,12 @@ class TestMayDisable:
         assert not any(_may_disable(pn.corpus_load("fig7_left").net))
 
 
-def _components_by_search(net):
-    """The components by a search from each transition over shared places:
-    a reference for net._components."""
-    touches = [set(pre) | set(post) for pre, post in zip(net._pre, net._post)]
+def _components_by_search(net, touches=None):
+    """The components by a search from each transition over shared places
+    (by default the places of its arcs): a reference for net._components
+    and net._joined."""
+    if touches is None:
+        touches = [set(pre) | set(post) for pre, post in zip(net._pre, net._post)]
     seen, out = set(), []
     for t0 in range(len(touches)):
         if t0 in seen:
@@ -789,6 +784,21 @@ class TestComponents:
             assert sorted(t for ts, _ in got for t in ts) == list(range(len(net.transitions)))
             split += len(got) > 1
         assert split > 300
+
+    def test_joined_on_input_places(self):
+        # the EC generator's repair joins transitions on input places alone:
+        # each transition gets the least one of its group, each place its
+        # first consumer
+        split = 0
+        for s in range(150):
+            net = gen_random_net(GenConfig(seed=s, places=6, transitions=6))
+            ins = [set(pre) for pre in net._pre]
+            root, first = _joined(net._pre)
+            groups = _components_by_search(net, ins)
+            assert root == [next(ts[0] for ts, _ in groups if t in ts) for t in range(6)]
+            assert first == {p: min(t for t in range(6) if p in ins[t]) for p in set().union(*ins)}
+            split += len(groups) > 1
+        assert split > 25
 
     def test_sum_order_and_isolated_places(self, fig1):
         # par-like cycles interleaved by declaration order, an isolated place

@@ -29,6 +29,8 @@ from persinet.patterns import (
     enumerate_embeddings,
 )
 
+from nets import par
+
 
 class TestBuiltins:
     def test_nonpers_literal(self):
@@ -131,17 +133,6 @@ class TestFindEmbedding:
         assert checked["nonpers"] >= 30 and checked["nonDC"] == 10
 
 
-def _par(k):
-    """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i: a
-    persistent net with 2^k reachable markings and 2k labels."""
-    arcs = [arc for i in range(k) for arc in (
-        (f"p{i}", f"a{i}", 1), (f"a{i}", f"q{i}", 1),
-        (f"q{i}", f"b{i}", 1), (f"b{i}", f"p{i}", 1))]
-    return pn.Net(f"par{k}", [f"{x}{i}" for i in range(k) for x in "pq"],
-                  [f"{x}{i}" for i in range(k) for x in "ab"], arcs,
-                  {f"p{i}": 1 for i in range(k)})
-
-
 # SHA-256 over the first embedding of nonpers and of nonDC (state map in
 # search order, label map) on each corpus net's reachability graph and on
 # each corpus LTS
@@ -153,7 +144,7 @@ class TestPinnedAnswers:
     def test_none_in_par12(self):
         # 24 labels: every ordered label pair against 4,096 states unless
         # the pairs no edge disables are skipped, and none is disabled
-        rg, _ = build_rg(_par(12))
+        rg, _ = build_rg(par(12))
         assert find_embedding(builtin_pattern("nonpers"), rg) is None
 
     def test_corpus_first_embeddings(self):

@@ -28,6 +28,8 @@ from persinet import (
 )
 from persinet.sequences import _realisations
 
+from nets import par
+
 
 def seq(text):
     return tuple(text.split())
@@ -184,7 +186,7 @@ class TestPersistentEquivalents:
     def test_identity_on_persistent(self, fig1):
         assert persistent_perm_equivalent(fig1, fig1.initial, seq("d b")) == seq("d b")
         # the class also holds the lexicographically smaller persistent a0 a1
-        par2 = _par(2)
+        par2 = par(2)
         assert persistent_perm_equivalent(par2, par2.initial, seq("a1 a0")) == seq("a1 a0")
 
     def test_rejects_unfirable_after_nonpersistent_step(self):
@@ -422,17 +424,6 @@ class TestClassKernel:
         assert settled >= 5
 
 
-def _par(k):
-    """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i."""
-    places, transitions, arcs = [], [], []
-    for i in range(k):
-        p, q, a, b = f"p{i}", f"q{i}", f"a{i}", f"b{i}"
-        places += [p, q]
-        transitions += [a, b]
-        arcs += [(p, a, 1), (a, q, 1), (q, b, 1), (b, p, 1)]
-    return Net(f"par{k}", places, transitions, arcs, {f"p{i}": 1 for i in range(k)})
-
-
 def _vector_count(net, max_len):
     """Distinct nonempty Parikh vectors of the firable words up to max_len."""
     from persinet.sequences import _firable_words
@@ -464,7 +455,7 @@ class TestParikhForwardPass:
             for bound in (6, 7, 8):
                 self._agrees(net, bound)
         for name in ("fig1_basic", "fig14_counterexample", "fig10_fpe_not_spe"):
-            self._agrees(pn.disjoint_sum(corpus_load(name).net, _par(1)), 6)
+            self._agrees(pn.disjoint_sum(corpus_load(name).net, par(1)), 6)
 
     def test_random_against_oracle(self):
         statuses = set()
@@ -476,7 +467,7 @@ class TestParikhForwardPass:
     def test_fig1_par3_bound_12(self):
         # the word-level search took seconds here; the forward pass visits
         # each of the 2480 vectors once
-        net = pn.disjoint_sum(corpus_load("fig1_basic").net, _par(3))
+        net = pn.disjoint_sum(corpus_load("fig1_basic").net, par(3))
         verdict = spe_check(net, 12, pn.SPE_PARIKH)
         assert verdict.status == "holds-up-to-bound"
         assert verdict.searched_count == 2480
@@ -489,9 +480,9 @@ class TestDeadVectorMemo:
         # exhausted prefixes settles this in 80 steps; the word-level search
         # without the memo needs 3410, since it re-explores the dead suffix
         # after every interleaving of the par letters.
-        net = pn.disjoint_sum(corpus_load("fig10_fpe_not_spe").net, _par(3))
+        net = pn.disjoint_sum(corpus_load("fig10_fpe_not_spe").net, par(3))
         target = {"y": 1, "b": 1}
-        target.update({t: 1 for t in _par(3).transitions})
+        target.update({t: 1 for t in par(3).transitions})
         assert next(_realisations(net, net.initial, target, persistent=True,
                                   node_budget=100), None) is None
 
@@ -584,8 +575,8 @@ class TestPersistentLevels:
 
     def test_par(self):
         for k in (1, 2, 3):
-            self._agrees(_par(k), 6)
-        assert spe_check(_par(3), 6, pn.SPE).searched_count == sum(3 ** n for n in range(1, 7))
+            self._agrees(par(k), 6)
+        assert spe_check(par(3), 6, pn.SPE).searched_count == sum(3 ** n for n in range(1, 7))
 
     def test_seeded_persistent_nets(self):
         nets = 0
@@ -715,14 +706,14 @@ class TestComponentSplit:
             net = corpus_load(name).net
             if net is None:
                 continue
-            for total in (pn.disjoint_sum(net, _par(2)), pn.disjoint_sum(_par(2), net)):
+            for total in (pn.disjoint_sum(net, par(2)), pn.disjoint_sum(par(2), net)):
                 verdict = self._agrees(total, 5)
                 if _split(total, 5):
                     statuses.add(verdict.status)
         assert statuses == {"holds-up-to-bound", "refuted"}
 
     def test_fig1_par3_pinned(self):
-        net = pn.disjoint_sum(corpus_load("fig1_basic").net, _par(3))
+        net = pn.disjoint_sum(corpus_load("fig1_basic").net, par(3))
         for bound, words in ((8, 269820), (10, 4298274)):
             verdict = spe_check(net, bound, pn.SPE)
             assert (verdict.status, verdict.searched_count) == ("holds-up-to-bound", words)
@@ -760,7 +751,7 @@ class TestComponentSplit:
         nets = [pn.disjoint_sum(gen_random_net(GenConfig(seed=s)),
                                 TestKernelsAgainstOracle.NETS[s]) for s in range(40)]
         fig1 = corpus_load("fig1_basic").net
-        nets += [pn.disjoint_sum(fig1, _par(2)), pn.disjoint_sum(fig1, fig1)]
+        nets += [pn.disjoint_sum(fig1, par(2)), pn.disjoint_sum(fig1, fig1)]
         real_steps, real_enabled = sequences._steps, sequences._enabled_i
         expanded, alive = [], []
 
@@ -812,7 +803,7 @@ class TestClassByComponents:
             sums += [pn.disjoint_sum(a, b), pn.disjoint_sum(b, a)]
         for s in range(60):
             a, b = gen_random_net(GenConfig(seed=300 + s)), crit[120 + s]
-            three = [a, b, _par(1 + s % 3)]
+            three = [a, b, par(1 + s % 3)]
             rng = random.Random(s)
             rng.shuffle(three)
             sums.append(pn.disjoint_sum(pn.disjoint_sum(three[0], three[1]), three[2]))
@@ -876,7 +867,7 @@ class TestClassByComponents:
 
     def test_par_interleavings(self):
         # every interleaving of the a_i b_i pairs: one member per component
-        par4 = _par(4)
+        par4 = par(4)
         word = tuple(x for i in range(4) for x in (f"a{i}", f"b{i}"))
         members = equivalence_class(par4, par4.initial, word)
         assert len(members) == 2520 and members == _whole_class(par4, par4.initial, word)
@@ -884,7 +875,7 @@ class TestClassByComponents:
             _outcome(lambda: _whole_class(par4, par4.initial, word, 2519))
         # the whole class of 16!/2^8 words exceeds the guard; each
         # projection's class is one word
-        par8 = _par(8)
+        par8 = par(8)
         s1 = tuple(x for i in range(8) for x in (f"a{i}", f"b{i}"))
         s2 = tuple(f"a{i}" for i in range(7, -1, -1)) + \
             tuple(f"b{i}" for i in range(7, -1, -1))
@@ -903,7 +894,7 @@ class TestClassByComponents:
         # built without recursion
         net = pn.disjoint_sum(Net("onecycle", ["p", "q"], ["a", "b"],
                                   [("p", "a", 1), ("a", "q", 1), ("q", "b", 1),
-                                   ("b", "p", 1)], {"p": 1}), _par(1))
+                                   ("b", "p", 1)], {"p": 1}), par(1))
         word = ("a", "b") * 499 + ("a", "a0")
         members = equivalence_class(net, net.initial, word)
         assert len(members) == 1000 and members == _whole_class(net, net.initial, word)

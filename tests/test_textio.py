@@ -23,6 +23,7 @@ from persinet import (
     print_net,
     print_pattern,
 )
+from persinet import textio
 
 
 class TestParseNet:
@@ -168,6 +169,16 @@ PINNED_LTS_ERRORS = [
      "lts 'x': edge (s,b,t) uses unknown label"),
     (_H + 'label a\nedge s b t\nedge s a t\nedge s a t\n',
      'line 8: duplicate edge s a t'),
+    # repeats met while the index rows are filled: every label is declared
+    # and every id known, so each edge before the repeat is in row order
+    (_H + 'label a\nedge s a t\nedge s a t\n',
+     'line 7: duplicate edge s a t'),
+    (_H + 'label a\nlabel b\nedge s a t\nedge s b s\nedge t a s\nedge s b s\n',
+     'line 10: duplicate edge s b s'),
+    (_H + 'label a\nedge s a t\nedge s a s\nedge s a t\n',
+     'line 8: duplicate edge s a t'),
+    (_H + 'label a\nedge s a t\nedge s a t\nbogus\n',
+     'line 7: duplicate edge s a t'),
 ]
 
 
@@ -179,6 +190,16 @@ class TestParseLtsErrors:
         assert str(exc.value) == message
         line = message.split(":", 1)[0]
         assert exc.value.line == (int(line[5:]) if line.startswith("line ") else None)
+
+    def test_one_pass_over_the_lines(self, monkeypatch):
+        # an error, with a line or without, never tokenises the document again
+        read = []
+        lines = textio._lines
+        monkeypatch.setattr(textio, "_lines", lambda text: read.append(text) or lines(text))
+        for doc, _ in PINNED_LTS_ERRORS:
+            with pytest.raises(ParseError):
+                parse_lts(doc)
+        assert read == [doc for doc, _ in PINNED_LTS_ERRORS]
 
 
 class TestParseLasso:

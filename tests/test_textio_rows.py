@@ -26,18 +26,30 @@ from persinet import (
     parse_lts,
     print_lts,
 )
-from persinet.net import Net
-from persinet.textio import _lines, _raise_earlier_duplicate_edge
+from persinet.textio import _lines
+
+from nets import par
 
 
 def reference_parse_lts(text):
     """Collect the edges as string triples, then build the LTS with the
     validating constructor.  The labels are those of the 'label' lines or,
-    with none, those the edges use in order of first use."""
+    with none, those the edges use in order of first use.  On an error the
+    document is scanned again: an edge line that repeats an earlier edge is
+    reported instead if it comes before the failing line, or if the failure
+    has no line."""
     try:
         return _reference(text)
     except ParseError as exc:
-        _raise_earlier_duplicate_edge(text, exc.line)
+        seen = set()
+        for no, tok in _lines(text):
+            if exc.line is not None and no >= exc.line:
+                break
+            if tok[0] == "edge" and len(tok) == 4:
+                edge = tuple(tok[1:])
+                if edge in seen:
+                    raise ParseError(f"duplicate edge {' '.join(edge)}", no) from None
+                seen.add(edge)
         raise
 
 
@@ -100,22 +112,13 @@ def _outcome(parse, text):
             [list(row.items()) for row in lts._rows])
 
 
-def _par(k):
-    arcs = [arc for i in range(k) for arc in (
-        (f"p{i}", f"a{i}", 1), (f"a{i}", f"q{i}", 1),
-        (f"q{i}", f"b{i}", 1), (f"b{i}", f"p{i}", 1))]
-    return Net(f"par{k}", [f"{x}{i}" for i in range(k) for x in "pq"],
-               [f"{x}{i}" for i in range(k) for x in "ab"], arcs,
-               {f"p{i}": 1 for i in range(k)})
-
-
 def _graphs():
     """Reachability graphs of the corpus, of generated nets and of par nets."""
     nets = [corpus_load(n).net for n in corpus_names()]
     for kw in ({}, {"places": 3, "transitions": 3}, {"max_weight": 2},
                {"class_constraint": ("pure", "plain")}):
         nets += [gen_random_net(GenConfig(seed=s, **kw)) for s in range(25)]
-    nets += [_par(3), _par(5), disjoint_sum(corpus_load("fig1_basic").net, _par(2))]
+    nets += [par(3), par(5), disjoint_sum(corpus_load("fig1_basic").net, par(2))]
     for net in nets:
         if net is not None and not net.structural_only:
             yield build_rg(net, 300)[0]

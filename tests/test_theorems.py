@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import signal
 
 import pytest
 
@@ -28,21 +29,11 @@ from persinet.theorems import (
     run_theorem_suite,
 )
 
+from nets import par
+
 
 def seq(text):
     return tuple(text.split())
-
-
-def _par(k):
-    """k disjoint one-token cycles p_i -> a_i -> q_i -> b_i -> p_i: a pure,
-    plain, choice-free and persistent net with 2^k reachable markings."""
-    arcs = []
-    for i in range(k):
-        arcs += [(f"p{i}", f"a{i}", 1), (f"a{i}", f"q{i}", 1),
-                 (f"q{i}", f"b{i}", 1), (f"b{i}", f"p{i}", 1)]
-    return pn.Net(f"par{k}", [f"{x}{i}" for i in range(k) for x in "pq"],
-                  [f"{x}{i}" for i in range(k) for x in "ab"], arcs,
-                  {f"p{i}": 1 for i in range(k)})
 
 
 def _safe(net):
@@ -95,6 +86,9 @@ _STREAM_PINS = (
     ({"class_constraint": ("CF",), "max_weight": 2},
      "8898f3ab316e97555aad8521700d40bb4a26baea6ad15410e9190ffc4624bc62"),
 )
+
+
+_COUNTS = "places, transitions, max_weight and token_budget must be >= 1"
 
 
 class TestGenerator:
@@ -188,6 +182,56 @@ class TestGenerator:
             gen_random_net(cfg)
         cfg.seed = 5
         assert gen_random_net(cfg).name == "gen5"
+
+    @pytest.mark.parametrize("field,bad,message", [
+        ("places", 0, _COUNTS),
+        ("max_weight", 0, _COUNTS),
+        ("transitions", 0, _COUNTS),
+        ("token_budget", 0, _COUNTS),
+        ("arc_density", "0.3", "arc_density must be a number in [0,1]"),
+        ("class_constraint", ("XX",), "unknown class constraint 'XX'"),
+    ], ids=["places", "max_weight", "transitions", "token_budget", "arc_density",
+            "class_constraint"])
+    def test_bad_value_set_after_construction(self, within_5s, field, bad, message):
+        # a zero place or weight count used to draw forever, a zero
+        # transition or token count gave an empty net, and a value of the
+        # wrong type escaped as a raw TypeError or KeyError
+        cfg = GenConfig()
+        setattr(cfg, field, bad)
+        with pytest.raises(InputError) as exc:
+            gen_random_net(cfg)
+        assert str(exc.value).startswith(message)
+
+    def test_constraint_string_set_after_construction(self, within_5s):
+        # normalised as the constructor normalises it, not read letter by letter
+        cfg = GenConfig(seed=7)
+        cfg.class_constraint = "CF"
+        assert gen_random_net(cfg) == gen_random_net(GenConfig(seed=7, class_constraint="CF"))
+        assert cfg.class_constraint == ("CF",)
+
+    def test_valid_config_not_checked_again(self, monkeypatch):
+        cfgs = [GenConfig(seed=s, **kw) for s in range(20)
+                for kw in ({}, {"class_constraint": ("EC",), "max_weight": 2})]
+
+        def checked(self):
+            raise AssertionError("a valid config was checked again")
+
+        monkeypatch.setattr(GenConfig, "__post_init__", checked)
+        for cfg in cfgs:
+            gen_random_net(cfg)
+
+
+@pytest.fixture
+def within_5s():
+    """Fail a test still running after 5 s instead of letting it hang."""
+    def expired(signum, frame):
+        raise TimeoutError("no answer within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(5)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def _rows(pairs):
@@ -392,7 +436,7 @@ class TestCompleteGraphGate:
     on every path that reads one."""
 
     def test_complete_rg(self):
-        net = _par(3)
+        net = par(3)
         rg, report = complete_rg(net, 8)
         assert report.status == "bounded" and len(rg.states) == 8
         with pytest.raises(pn.ResourceExceededError, match="'par3' cut off at 7 states"):
@@ -403,7 +447,7 @@ class TestCompleteGraphGate:
             pn.derive_nonDC_embedding(fig1, max_states=2)
 
     def test_probe_checker_skips(self):
-        net = _par(3)
+        net = par(3)
         rep = check_theorem("spe-implies-fpe-probe", net, max_states=7)
         assert rep.skips == [("reachability graph exceeded the state budget", "par3")]
         rep = check_theorem("spe-implies-fpe-probe", net, max_states=8)
@@ -411,7 +455,7 @@ class TestCompleteGraphGate:
 
     @pytest.mark.parametrize("theorem", ("CF-persistent", "EC-main", "DC-main"))
     def test_checkers_skip(self, theorem):
-        net = _par(3)  # in every class premise, with 8 reachable markings
+        net = par(3)  # in every class premise, with 8 reachable markings
         rep = check_theorem(theorem, net, max_states=7)
         assert (rep.instances, rep.confirmations, rep.violations) == (1, 0, [])
         assert rep.skips == [("reachability graph exceeded the state budget", "par3")]
@@ -633,7 +677,7 @@ class TestProbeChecker:
 
     def test_cut_off_graph_is_a_cut_off(self):
         # par11 has 2048 reachable markings, past the probe's 2000-state cap
-        net = _par(11)
+        net = par(11)
         assert not spe_check(net, 10, pn.SPE).refuted
         with pytest.raises(pn.ResourceExceededError, match="cut off at 2000 states"):
             _fair_nonpersistent_lasso(net, pn.AnalysisBounds())
@@ -644,7 +688,7 @@ class TestProbeChecker:
     def test_persistent_net_has_no_probe(self):
         # a persistent graph has no nonpersistent step, hence no nonpersistent
         # lasso; par5's 32 states are answered without walking a cycle
-        net = _par(5)
+        net = par(5)
         assert _fair_nonpersistent_lasso(net, pn.AnalysisBounds()) is None
         rep = check_theorem("spe-implies-fpe-probe", net)
         assert rep.ok and (rep.instances, rep.confirmations) == (1, 0)
