@@ -9,6 +9,7 @@ The classes double as the CLI's exit-code contract:
 """
 
 import os
+from contextlib import suppress
 
 
 class PersinetError(Exception):
@@ -80,12 +81,21 @@ class InvariantError(PersinetError):
 
 
 def env_int(name: str, default: int) -> int:
-    """An integer setting read from the environment variable name; a value
-    that is not an integer is bad input."""
+    """A budget read from the environment variable name; a value that is not
+    an integer, or is below 1, is bad input."""
     raw = os.environ.get(name)
     if raw is None:
         return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{name} must be an integer, got {raw!r}") from None
+    with suppress(ValueError):  # a value that is not an integer stays a string
+        raw = int(raw)
+    check_budgets(1, **{name: raw})
+    return raw
+
+
+def check_budgets(minimum: int, **budgets) -> None:
+    """Reject a budget that is not an int, or a bool, or below minimum; None is a default."""
+    for name, value in budgets.items():
+        if isinstance(value, bool) or not isinstance(value, (int, type(None))):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+        if value is not None and value < minimum:
+            raise InputError(f"{name} must be >= {minimum}, got {value}")

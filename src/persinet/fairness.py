@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .errors import InputError, ResourceExceededError, UnsupportedClassError
+from .errors import InputError, ResourceExceededError, UnsupportedClassError, check_budgets
 from .net import (
     Marking,
     Net,
@@ -199,13 +199,6 @@ class LassoEquivVerdict:
         return self.status == "equivalent-at-depth"
 
 
-def _check_bounds(**bounds):
-    """Reject a negative search bound; None stands for a default."""
-    for name, value in bounds.items():
-        if value is not None and value < 0:
-            raise InputError(f"{name} must be >= 0, got {value}")
-
-
 def _prefix_match_search(net, m0, word, want_prefix, guard):
     """Is some permutation-equivalent rearrangement of word starting with
     want_prefix reachable by firable adjacent swaps?  None means the class
@@ -230,7 +223,8 @@ def lasso_equiv_at_depth(net: Net, l1: Lasso, l2: Lasso, depth: int,
     covers every smaller n.  A mismatching infinite Parikh signature is a
     proof of non-equivalence; an exhausted window is only evidence.
     """
-    _check_bounds(depth=depth, window=window)
+    check_budgets(0, depth=depth, window=window)
+    check_budgets(1, guard=guard)
     validate_lasso(net, l1)
     validate_lasso(net, l2)
     return _equiv_at_depth(net, l1, l2, depth, window, guard)
@@ -310,8 +304,7 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
     tested with the depth-bounded equivalence; "none-within-bounds" is
     evidence, not proof.  A persistent input is returned unchanged.
     """
-    _check_bounds(max_prefix=max_prefix, max_cycle=max_cycle, depth=depth,
-                  window=window)
+    check_budgets(0, max_prefix=max_prefix, max_cycle=max_cycle, depth=depth, window=window)
     if lasso_persistence(net, lasso).persistent:
         return LassoSearchResult("found", lasso, max_prefix, max_cycle, depth)
 
@@ -347,9 +340,9 @@ def search_persistent_equivalent_lasso(net: Net, lasso: Lasso,
 
 # -- probe matrix ----------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisBounds:
-    """Search budgets shared by the probe matrix and the theorem harness.
+    """Search budgets of the probe matrix and the theorem harness, checked once.
 
     Defaults are the smallest values that reproduce the shipped corpus
     results.
@@ -359,6 +352,13 @@ class AnalysisBounds:
     max_prefix: int = 4
     max_cycle: int = 10
     depth: int = 8
+
+    def __post_init__(self):
+        check_budgets(1, sequence_len=self.sequence_len)
+        check_budgets(0, max_prefix=self.max_prefix, max_cycle=self.max_cycle, depth=self.depth)
+
+
+_DEFAULT_BOUNDS = AnalysisBounds()
 
 
 @dataclass
@@ -428,7 +428,7 @@ def probe_run(net: Net, run: Run, bounds: AnalysisBounds,
 def pe_probe_matrix(net: Net, probes, bounds: Optional[AnalysisBounds] = None,
                     finite_regime: str = MAXIMAL_FINITE_IS_FAIR) -> PeMatrix:
     """Run both bounded sequence checks and classify every probe run."""
-    bounds = bounds or AnalysisBounds()
+    bounds = bounds or _DEFAULT_BOUNDS
     rows = [probe_run(net, p, bounds, finite_regime) for p in probes]
     return PeMatrix(
         spe=spe_check(net, bounds.sequence_len, SPE),

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (InputError, ResourceExceededError, UnknownIdError,
-                     UnsupportedClassError, env_int)
+                     UnsupportedClassError, check_budgets, env_int)
 from .net import Net, _enabled_i, _fire_i, _may_disable, _numbered
 
 
@@ -420,9 +420,8 @@ def build_rg(net: Net, max_states: Optional[int] = None):
     nets are searched by marking tuples; both searches give the same graph.
     """
     net._check_behavioural()
+    check_budgets(1, max_states=max_states)
     cutoff = default_max_states() if max_states is None else max_states
-    if cutoff < 1:
-        raise InputError("max_states must be >= 1")
 
     if len(net.places) >= _PACKED_PLACES:
         order, rows, cut = _bfs_by_key(net, cutoff)
@@ -527,7 +526,7 @@ def _same_parikh_same_end(rows: list, depth: int) -> bool:
     return True
 
 
-def lts_properties(lts: Lts, spot_depth: int = 3) -> LtsReport:
+def lts_properties(lts: Lts) -> LtsReport:
     """Finiteness, total reachability, determinism and deadlocks.
 
     Determinism combines per-state label functionality (successor and
@@ -535,12 +534,12 @@ def lts_properties(lts: Lts, spot_depth: int = 3) -> LtsReport:
     one state, or into one state, end at one state.  For a reachability
     graph that holds at every depth and is recorded by build_rg, which
     proves it by the state equation.  Any other LTS gets a spot check of
-    paths up to spot_depth, since deciding the full Parikh formulation on
+    paths up to length 3, since deciding the full Parikh formulation on
     arbitrary LTS would be exhaustive.
     """
     totally = len(_bfs_tree(lts)[0]) == len(lts.states)
     deterministic = lts.is_label_deterministic() and (
-        lts._parikh_deterministic or _parikh_spot_check(lts, spot_depth))
+        lts._parikh_deterministic or _parikh_spot_check(lts))
     return LtsReport(
         finite=True, totally_reachable=totally, deterministic=deterministic,
         deadlocks=lts.deadlocks())

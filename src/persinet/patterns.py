@@ -22,6 +22,7 @@ from .errors import (
     ResourceExceededError,
     UnknownIdError,
     UnsupportedClassError,
+    check_budgets,
 )
 from .lts import Lts, complete_rg, persistence_check, shortest_path
 from .net import Net, classify_structure, fire, fire_sequence
@@ -346,6 +347,7 @@ def derive_nonDC_embedding(net: Net, spe_bound: int = 8,
     caps each route search, which turns pathological instances into a
     resource-exceeded report with a partial trace.
     """
+    check_budgets(1, search_bound=search_bound)
     report = classify_structure(net)
     if not report.plain or not report.pure:
         raise UnsupportedClassError("the derivation needs a pure, plain net")
@@ -402,7 +404,6 @@ def _construct_nonDC(net, rg, spot, spe_bound, search_bound):
     alpha = route(leg_a)   # persistent, ends at M1
     beta_hat = route(leg_b)  # persistent, ends at M2
 
-    constructed = None
     try:
         K1 = fire_sequence(net, net.initial, alpha[:-1])
         K2 = fire_sequence(net, net.initial, beta_hat[:-1])

@@ -25,6 +25,7 @@ from .errors import (
     PreconditionError,
     ResourceExceededError,
     UnsupportedClassError,
+    check_budgets,
     env_int,
 )
 from .net import (
@@ -340,6 +341,7 @@ def equivalence_class(net: Net, m0: Marking, seq: Sequence[str],
     searched whole, so the guard error (message and partial set) is that of
     the whole-word search.
     """
+    check_budgets(1, guard=guard)
     seq = tuple(seq)
     _replay(net, m0, seq)
     guard = default_class_guard() if guard is None else guard
@@ -425,6 +427,7 @@ def perm_equivalent(net: Net, m0: Marking, s1: Sequence[str], s2: Sequence[str],
     projection, stopped when it meets s2's; the searches share one step
     memo, and the guard bounds each projection's class.
     """
+    check_budgets(1, guard=guard)
     s1, s2 = tuple(s1), tuple(s2)
     fire_sequence(net, m0, s1)
     fire_sequence(net, m0, s2)
@@ -448,6 +451,7 @@ def persistent_perm_equivalent(net: Net, m0: Marking, seq: Sequence[str],
     A persistent input is returned unchanged (identity permutation); the
     class is finite, so None is a definitive no.
     """
+    check_budgets(1, guard=guard)
     seq = tuple(seq)
     memo = {}
     members = _class_bfs(net, m0, seq, guard, memo)
@@ -562,8 +566,7 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
     """
     if mode not in (SPE, SPE_PARIKH):
         raise InputError(f"unknown mode '{mode}' (want '{SPE}' or '{SPE_PARIKH}')")
-    if bound < 1:
-        raise InputError("bound must be >= 1")
+    check_budgets(1, bound=bound, guard=guard)
     start = net.initial if m0 is None else m0
     net._check_state(start)
     searched = 0

@@ -296,7 +296,7 @@ def parse_lasso(text: str) -> Lasso:
 
 
 def print_lasso(lasso: Lasso) -> str:
-    return f"{' '.join(lasso.prefix)} ; {' '.join(lasso.cycle)}"
+    return str(lasso)
 
 
 def parse_sequence(text: str) -> tuple:

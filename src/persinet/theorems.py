@@ -25,6 +25,7 @@ from .errors import (
     ResourceExceededError,
 )
 from .fairness import (
+    _DEFAULT_BOUNDS,
     AnalysisBounds,
     Lasso,
     PeMatrix,
@@ -83,9 +84,9 @@ def _demanded_flags(constraint) -> set:
     return {flag for c in constraint for flag in _CONSTRAINT_FLAGS[c]}
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenConfig:
-    """Shape of a random net; same config and seed give the identical net."""
+    """Shape of a random net, checked once; same config and seed give the identical net."""
 
     places: int = 4
     transitions: int = 4
@@ -116,14 +117,13 @@ class GenConfig:
         if self.max_weight != 1 and "plain" in _demanded_flags(constraint):
             raise InputError("plainness-based constraints force max_weight=1")
         try:
-            density_ok = not isinstance(self.arc_density, bool) and 0.0 <= self.arc_density <= 1.0
-        except TypeError:  # not a number
-            density_ok = False
-        if not density_ok:
-            raise InputError("arc_density must be a number in [0,1]")
+            if isinstance(self.arc_density, bool) or not 0.0 <= self.arc_density <= 1.0:
+                raise TypeError
+        except TypeError:  # not a number, or out of range
+            raise InputError("arc_density must be a number in [0,1]") from None
         if min(self.places, self.transitions, self.max_weight, self.token_budget) < 1:
             raise InputError("places, transitions, max_weight and token_budget must be >= 1")
-        self.class_constraint = constraint
+        object.__setattr__(self, "class_constraint", constraint)
 
 
 def _repair_equal_conflict(pre):
@@ -161,21 +161,7 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
     Integers are drawn with rng._randbelow, which is what randrange calls:
     randrange(a, b) is a + _randbelow(b - a), so the stream is the same
     without randrange's argument checks.
-
-    A GenConfig is mutable: a value set after its check that is out of range
-    or raises TypeError or KeyError in the draw gets the constructor's
-    InputError, and a constraint string is normalised and drawn again.
     """
-    try:
-        if cfg.seed < 0 or min(cfg.places, cfg.transitions, cfg.max_weight, cfg.token_budget) < 1:
-            cfg.__post_init__()  # raises the constructor's error
-        return _draw_net(cfg, max_states)
-    except (TypeError, KeyError):
-        cfg.__post_init__()
-        return _draw_net(cfg, max_states)
-
-
-def _draw_net(cfg: GenConfig, max_states: int) -> Net:
     rng = random.Random(cfg.seed)
     random_, below = rng.random, rng._randbelow
     want = set(cfg.class_constraint)
@@ -512,7 +498,7 @@ def check_theorem(theorem: str, net: Net,
     checker = _CHECKERS.get(theorem)
     if checker is None:
         raise InputError(f"unknown theorem '{theorem}' (have {THEOREM_IDS})")
-    bounds = bounds or AnalysisBounds()
+    bounds = bounds or _DEFAULT_BOUNDS
     report = TheoremReport(theorem, bounds=bounds, seed=seed)
     t0 = time.perf_counter()
     checker(report, net, bounds, seed, max_states)
@@ -617,7 +603,7 @@ def run_theorem_suite(theorem: str, cfg_base: GenConfig, seeds,
     Each seed's time, generation and check together, is measured, and the
     report names the five slowest seeds.
     """
-    bounds = bounds or AnalysisBounds()
+    bounds = bounds or _DEFAULT_BOUNDS
     total = TheoremReport(theorem, bounds=bounds, seed=None)
     times = []
     t0 = time.perf_counter()

@@ -302,6 +302,15 @@ def test_bad_class_guard_setting():
     assert _bad_input(out) and "PERSINET_CLASS_GUARD" in out.stderr
 
 
+def test_class_guard_setting_below_one():
+    # a guard of -1 used to stop the class search at its first member (exit 3)
+    import os
+
+    env = dict(os.environ, PERSINET_CLASS_GUARD="-1")
+    out = run("equiv", "fig1_basic", "--a", "d c a", "--b", "c a d", env=env)
+    assert _bad_input(out) and "PERSINET_CLASS_GUARD must be >= 1" in out.stderr
+
+
 def test_bad_seed_range():
     # a negative seed would draw the net of its absolute value
     for seeds in ("5", "a..b", "1..2..3", "5..2", "-3..3", "-5..-2"):
