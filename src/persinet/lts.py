@@ -4,14 +4,8 @@ detection, LTS-level properties, and isomorphism of deterministic LTS.
 Reachability graphs are built breadth-first in canonical transition order,
 so state names M0, M1, ... and all reported witnesses are stable across runs
 for a fixed net.  State identity is the full marking vector; there is no
-symmetry reduction, which keeps every witness literal and replayable.  On
-nets with _PACKED_PLACES places or more the search looks a marking up by
-one packed integer, b bits a place: firing t adds t's incidence column to
-the marking (the state equation), so a successor's key is its parent's
-plus t's incidence key.  b is the bit length of max(M0) + max_states * w,
-w the largest output weight.  That width is exact: a looked-up marking is
-at most max_states steps from M0 and a step adds at most w tokens to a
-place, so distinct markings get distinct keys.
+symmetry reduction, which keeps every witness literal and replayable.  The
+search looks every marking up by one packed integer key (see build_rg).
 
 An Lts holds one adjacency, its index rows (state index -> label index ->
 target indices).  The constructor builds them in the pass that validates
@@ -336,29 +330,35 @@ class BoundReport:
     cutoff: int
 
 
-#: build_rg looks markings up by packed keys on nets with at least this
-#: many places, and by marking tuples on smaller ones.  Packing costs some
-#: microseconds a graph (the width, M0's key, an incidence key per fired
-#: transition) and saves a firing on each edge into a known state, so it
-#: pays only where transitions fire many times.  Timed against the tuple
-#: loop: about 15-30% slower on default random nets (4 places, median 3
-#: states), 7% slower on fig1_basic (5 places) and fig8_variant (7), even
-#: on fig14 (8 places, 12 states), 7% faster on fig10 (8 places, 30
-#: states), 26% on par4 (8 places) and 35-45% on par11 (22 places).
-_PACKED_PLACES = 8
+def build_rg(net: Net, max_states: Optional[int] = None):
+    """Breadth-first reachability graph in canonical transition order.
 
+    Returns (Lts, BoundReport).  States are named M0, M1, ... in discovery
+    order, sliced from one shared tuple of names (net._numbered), and carry
+    their marking as payload.  Exceeding max_states is not an error: the
+    report comes back flagged "cutoff-reached".
 
-def _bfs_by_key(net: Net, cutoff: int) -> tuple:
-    """build_rg's breadth-first search on packed keys; returns (markings,
-    index rows, the indices of the states that lost an edge to the cutoff).
+    The search fills each state's index row {transition index: (target
+    index,)} as it goes and hands the rows to Lts._of_rows, so no edge is
+    made as a string triple: the graph's edges are projected from the rows
+    only when read, in state order, then transition order, which is the
+    order the search finds them in.
 
-    Place p's tokens fill bits [b*p, b*(p+1)) of a marking's key, and t's
-    incidence key is the sum over p of (post_t(p) - pre_t(p)) * 2^(b*p),
-    so firing t adds it to the key (the state equation).  An edge costs an
-    addition and an integer lookup; a marking is fired only for a new key.
+    Markings are looked up by one packed integer each.  Place p's tokens
+    fill bits [b*p, b*(p+1)) of a marking's key, and t's incidence key is
+    the sum over p of (post_t(p) - pre_t(p)) * 2^(b*p), so firing t adds it
+    to the key (the state equation): an edge costs an addition and an
+    integer lookup, and a marking tuple is built only for a new state.  b
+    is the bit length of max(M0) + max_states * w for the largest output
+    weight w.  That width is exact: a looked-up marking is at most
+    max_states steps from M0, and a step adds at most w tokens to a place,
+    so every place value fits and distinct markings get distinct keys.
     """
+    net._check_behavioural()
+    check_budgets(1, max_states=max_states)
+    cutoff = default_max_states() if max_states is None else max_states
+
     m0 = net.initial
-    # b bits a place hold every looked-up marking (see build_rg)
     b = ((max(m0) if m0 else 0) + cutoff * net._max_out).bit_length()
     k = 0
     for n in reversed(m0):
@@ -368,7 +368,7 @@ def _bfs_by_key(net: Net, cutoff: int) -> tuple:
     ekey = [None] * len(net.transitions)  # incidence keys, made on first firing
     order = [m0]
     rows = []
-    cut = set()
+    cut = set()  # the states that lost an edge to the cutoff
     for i, m in enumerate(order):  # order grows while it is read: it is the BFS queue
         k = keys[i]
         row = {}
@@ -392,57 +392,6 @@ def _bfs_by_key(net: Net, cutoff: int) -> tuple:
                 keys.append(k2)
                 order.append(_fire_i(net, m, ti))
             row[ti] = tgt
-    return order, rows, cut
-
-
-def build_rg(net: Net, max_states: Optional[int] = None):
-    """Breadth-first reachability graph in canonical transition order.
-
-    Returns (Lts, BoundReport).  States are named M0, M1, ... in discovery
-    order, sliced from one shared tuple of names (net._numbered), and carry
-    their marking as payload.  Exceeding max_states is not an error: the
-    report comes back flagged "cutoff-reached".
-
-    The search fills each state's index row {transition index: (target
-    index,)} as it goes and hands the rows to Lts._of_rows, so no edge is
-    made as a string triple: the graph's edges are projected from the rows
-    only when read, in state order, then transition order, which is the
-    order the search finds them in.
-
-    On nets with at least _PACKED_PLACES places, markings are looked up by
-    one packed integer each (_bfs_by_key): a successor's key is its
-    parent's key plus its transition's incidence key, and a marking tuple
-    is built only for a new state.  A key gives each place b bits, the
-    bit length of max(M0) + max_states * w for the largest output weight
-    w.  That width is exact: a looked-up marking is at most max_states
-    steps from M0, and a step adds at most w tokens to a place, so every
-    place value fits and distinct markings get distinct keys.  Smaller
-    nets are searched by marking tuples; both searches give the same graph.
-    """
-    net._check_behavioural()
-    check_budgets(1, max_states=max_states)
-    cutoff = default_max_states() if max_states is None else max_states
-
-    if len(net.places) >= _PACKED_PLACES:
-        order, rows, cut = _bfs_by_key(net, cutoff)
-    else:
-        index = {net.initial: (0,)}  # marking -> (state index,), as in _bfs_by_key
-        order = [net.initial]
-        rows = []
-        cut = set()  # the states that lost an edge to the cutoff
-        for i, m in enumerate(order):  # order grows while it is read: it is the BFS queue
-            row = {}
-            rows.append(row)
-            for ti in _enabled_i(net, m):
-                m2 = _fire_i(net, m, ti)
-                tgt = index.get(m2)
-                if tgt is None:
-                    if len(order) >= cutoff:
-                        cut.add(i)
-                        continue
-                    tgt = index[m2] = (len(order),)
-                    order.append(m2)
-                row[ti] = tgt
 
     names = _numbered("M", len(order))
     lts = Lts._of_rows(f"rg({net.name})", names, net.transitions, rows, names[0],

@@ -506,6 +506,14 @@ SPE = "perm"
 SPE_PARIKH = "parikh"
 
 
+def _check_spe_args(mode, bound, guard=None) -> None:
+    """Reject an unknown mode, then a bad bound or guard: the input check
+    of spe_check and of its reference, theorems.oracle_spe_check."""
+    if mode not in (SPE, SPE_PARIKH):
+        raise InputError(f"unknown mode '{mode}' (want '{SPE}' or '{SPE_PARIKH}')")
+    check_budgets(1, bound=bound, guard=guard)
+
+
 def spe_check(net: Net, bound: int, mode: str = SPE,
               m0: Optional[Marking] = None,
               guard: Optional[int] = None) -> SpeVerdict:
@@ -564,9 +572,7 @@ def spe_check(net: Net, bound: int, mode: str = SPE,
     being reported; the pass and that search read one _steps memo.
     searched_count is the number of nonempty vectors visited.
     """
-    if mode not in (SPE, SPE_PARIKH):
-        raise InputError(f"unknown mode '{mode}' (want '{SPE}' or '{SPE_PARIKH}')")
-    check_budgets(1, bound=bound, guard=guard)
+    _check_spe_args(mode, bound, guard)
     start = net.initial if m0 is None else m0
     net._check_state(start)
     searched = 0

@@ -23,6 +23,7 @@ from .errors import (
     InvariantError,
     PreconditionError,
     ResourceExceededError,
+    check_budgets,
 )
 from .fairness import (
     _DEFAULT_BOUNDS,
@@ -53,6 +54,7 @@ from .sequences import (
     SPE,
     SPE_PARIKH,
     SpeVerdict,
+    _check_spe_args,
     _class_bfs,
     _swaps,
     complete_diamond,
@@ -162,6 +164,7 @@ def gen_random_net(cfg: GenConfig, max_states: int = 4000) -> Net:
     randrange(a, b) is a + _randbelow(b - a), so the stream is the same
     without randrange's argument checks.
     """
+    check_budgets(1, max_states=max_states)
     rng = random.Random(cfg.seed)
     random_, below = rng.random, rng._randbelow
     want = set(cfg.class_constraint)
@@ -495,6 +498,7 @@ def check_theorem(theorem: str, net: Net,
                   bounds: Optional[AnalysisBounds] = None,
                   seed: int = 0, max_states: int = 4000) -> TheoremReport:
     """Check one theorem on one net; skips record unmet class premises."""
+    check_budgets(1, max_states=max_states)
     checker = _CHECKERS.get(theorem)
     if checker is None:
         raise InputError(f"unknown theorem '{theorem}' (have {THEOREM_IDS})")
@@ -631,7 +635,9 @@ def oracle_spe_check(net: Net, bound: int, mode: str = SPE):
     """Unpruned reference for spe_check: enumerate every firable sequence up
     to the bound and, for the nonpersistent ones, decide the question by
     exhausting the whole class (or all realisations of the Parikh vector)
-    with no memoisation and no persistence pruning."""
+    with no memoisation and no persistence pruning.  Its input is checked
+    as spe_check checks it."""
+    _check_spe_args(mode, bound)
     frontier = [((), net.initial)]
     searched = 0
     for _ in range(bound):

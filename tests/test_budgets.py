@@ -9,13 +9,17 @@ import pytest
 
 from persinet import (
     AnalysisBounds,
+    GenConfig,
     InputError,
     Lasso,
     build_rg,
+    check_theorem,
     corpus_load,
     derive_nonDC_embedding,
     equivalence_class,
+    gen_random_net,
     lasso_equiv_at_depth,
+    oracle_spe_check,
     perm_equivalent,
     persistent_perm_equivalent,
     search_persistent_equivalent_lasso,
@@ -26,8 +30,8 @@ from persinet.lts import complete_rg
 
 from nets import par
 
-FIG1 = corpus_load("fig1_basic").net   # 5 places: searched by marking tuples
-PAR4 = par(4)                          # 8 places: searched by packed keys
+FIG1 = corpus_load("fig1_basic").net   # 5 places
+PAR4 = par(4)                          # 8 places
 FIG6 = corpus_load("fig6_unfair").net
 LASSO = Lasso(("y",), ("x", "a", "c"))
 WORD = ("d", "c", "a")
@@ -41,6 +45,10 @@ BUDGETS = {
     "complete_rg par4": ("max_states", lambda v: complete_rg(PAR4, v)),
     "spe_check bound": ("bound", lambda v: spe_check(FIG1, v)),
     "spe_check guard": ("guard", lambda v: spe_check(FIG1, 3, guard=v)),
+    "oracle_spe_check bound": ("bound", lambda v: oracle_spe_check(FIG1, v)),
+    "gen_random_net max_states": ("max_states", lambda v: gen_random_net(GenConfig(), v)),
+    "check_theorem max_states": ("max_states", lambda v: check_theorem(
+        "perm-implies-parikh", FIG1, max_states=v)),
     "lasso_equiv depth": ("depth", lambda v: lasso_equiv_at_depth(FIG6, LASSO, LASSO, v)),
     "lasso_equiv window": ("window",
                            lambda v: lasso_equiv_at_depth(FIG6, LASSO, LASSO, 2, window=v)),
@@ -70,7 +78,9 @@ def test_budget_not_an_int(case, bad):
 
 
 @pytest.mark.parametrize("case", [c for c in BUDGETS if c.startswith("AnalysisBounds")]
-                         + ["build_rg par4", "spe_check bound", "lasso_search max_cycle"])
+                         + ["build_rg par4", "spe_check bound", "lasso_search max_cycle",
+                            "oracle_spe_check bound", "gen_random_net max_states",
+                            "check_theorem max_states"])
 def test_budget_below_minimum(case):
     name, call = BUDGETS[case]
     with pytest.raises(InputError, match=f"^{name} must be >= [01], got -1$"):
@@ -78,7 +88,7 @@ def test_budget_below_minimum(case):
 
 
 def test_graph_searches_answer_alike():
-    # the tuple search and the packed-key search check the budget the same way
+    # a net's size does not change how its graph search checks the budget
     for bad in (2.5, "3", True, 0):
         errors = []
         for net in (FIG1, PAR4):

@@ -125,6 +125,21 @@ class TestBuildRg:
         assert rep.state_count == 3
         assert rep.safe is None
 
+    def test_cutoff_state_keeps_edges_to_found_states(self):
+        # g adds a token to p at every firing; at 5 states the last state
+        # keeps its u and v edges back to M3 and loses g's edge to a sixth
+        from persinet import Net
+
+        gen = Net("gen", ["q", "p"], ["g", "u", "v"],
+                  [("q", "g", 1), ("g", "q", 1), ("g", "p", 1),
+                   ("p", "u", 1), ("p", "v", 1)], {"q": 1})
+        rg, rep = build_rg(gen, 5)
+        assert rep.status == "cutoff-reached"
+        assert rep.state_count == 5 and rep.edge_count == 12
+        assert rg.payload["M4"] == (1, 4)
+        assert rg.enabled_labels("M4") == ("u", "v")
+        assert rg.successors("M4", "u") == ("M3",)
+
     def test_byte_stable(self, fig14):
         from persinet import emit_dot
 
@@ -208,35 +223,10 @@ def _generator():
                 ("p", "u", 1), ("p", "v", 1)], {"q": 1})
 
 
-class TestPackedKeys:
-    """build_rg looks markings up by one packed integer per state on nets
-    with _PACKED_PLACES places or more; the graph it builds is the
-    tuple-keyed breadth-first graph, byte for byte.  Every test runs once
-    with every net packed and once with build_rg's own choice."""
-
-    @pytest.fixture(autouse=True, params=["packed", "by place count"])
-    def keying(self, request, monkeypatch):
-        if request.param == "packed":
-            monkeypatch.setattr(lts_mod, "_PACKED_PLACES", 0)
-        return request.param
-
-    def test_choice_by_place_count(self, keying, monkeypatch):
-        packed = []
-        real = lts_mod._bfs_by_key
-
-        def spy(net, cutoff):
-            packed.append(net.name)
-            return real(net, cutoff)
-
-        monkeypatch.setattr(lts_mod, "_bfs_by_key", spy)
-        fig1 = corpus_load("fig1_basic").net
-        for net in (fig1, par(3), par(4), disjoint_sum(fig1, par(2))):
-            build_rg(net)
-        if keying == "packed":
-            assert len(packed) == 4
-        else:
-            assert lts_mod._PACKED_PLACES == 8
-            assert packed == ["par4", "fig1_basic+par2"]
+class TestAgainstTupleKeyed:
+    """build_rg's one search looks markings up by packed integer keys; the
+    graph it builds is the graph of the tuple-keyed reference search
+    (_tuple_keyed_rg), byte for byte."""
 
     def test_corpus_and_generated_nets(self):
         nets = [corpus_load(n).net for n in corpus_names()]
@@ -355,8 +345,7 @@ class TestProperties:
 
     def test_cut_off_graph_lists_only_real_deadlocks(self, fig1):
         # a state budget drops the edges into undiscovered states; a state
-        # that lost one enables a transition, so it is no deadlock.  fig1
-        # has 5 places, fig10 8 and fig1 + par2 9: both BFS of build_rg.
+        # that lost one enables a transition, so it is no deadlock
         from persinet import enabled_transitions
 
         assert build_rg(fig1, 3)[0].deadlocks() == ()
@@ -1003,7 +992,7 @@ class TestRowsHandOver:
     @staticmethod
     def _inputs():
         """(net, budget) pairs: corpus and generated nets, and nets cut off
-        at their budget, par10 among them (20 places: packed keys)."""
+        at their budget, par10 among them (20 places)."""
         nets = [corpus_load(n).net for n in corpus_names()]
         for kw in ({}, {"places": 3, "transitions": 3},
                    {"class_constraint": ("pure", "plain")}):

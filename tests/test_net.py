@@ -743,6 +743,18 @@ class TestMayDisable:
         # conflict-free net though they share their input place
         assert not any(_may_disable(pn.corpus_load("fig7_left").net))
 
+    def test_choice_free_nets_disable_nothing(self):
+        # every place of a choice-free net feeds at most one transition, so
+        # no firing takes tokens from another transition's preset: the table
+        # is empty, and CF-persistent can record no violation
+        nets = [pn.corpus_load(name).net for name in pn.corpus_names()]
+        nets += [gen_random_net(GenConfig(seed=s, class_constraint=("CF",)))
+                 for s in range(500)]
+        free = [net for net in nets if classify_structure(net).choice_free]
+        assert len(free) > 500
+        for net in free:
+            assert not any(_may_disable(net)), net.name
+
 
 def _components_by_search(net, touches=None):
     """The components by a search from each transition over shared places

@@ -716,6 +716,18 @@ class TestOracleEquivalence:
             agree += 1
         assert agree >= 60
 
+    @pytest.mark.parametrize("bound, mode", [
+        (2.5, pn.SPE), (0, pn.SPE), ("3", pn.SPE_PARIKH), (3, "bogus"),
+    ], ids=["float bound", "zero bound", "string bound", "unknown mode"])
+    def test_input_checked_as_spe_check_checks_it(self, fig1, bound, mode):
+        # the reference refuses what spe_check refuses, with the same error
+        errors = []
+        for check in (spe_check, oracle_spe_check):
+            with pytest.raises(InputError) as exc:
+                check(fig1, bound, mode)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
     def test_corpus_agree(self):
         for name, bound in (("fig1_basic", 5), ("fig10_fpe_not_spe", 3),
                             ("fig12_spar", 4), ("fig4_perslocal", 3)):
